@@ -13,13 +13,16 @@
 //!
 //! Batching is the hot-path lever: a channel hand-off costs a lock +
 //! wakeup, so moving `batch_size` records per hand-off amortizes that
-//! cost to near zero, and each querier drains a whole batch per wakeup —
-//! reserving outcome slots once per batch and, in [`ReplayMode::Fast`],
-//! coalescing consecutive same-source sends onto one socket lookup and
-//! one pending-map lock (TCP runs additionally collapse into a single
-//! write). [`ReplayMode::Timed`] still paces *every record* through
-//! [`ReplayClock`]'s hybrid coarse-sleep + spin, so fidelity is
-//! unchanged while input-side overhead shrinks.
+//! cost to near zero, and each querier drains a whole batch per wakeup,
+//! reserving outcome slots once per batch. The drain sends *runs*:
+//! consecutive records that are due and share a UDP socket slot or a TCP
+//! connection go out as one `sendmmsg` or one framed write, under one
+//! pending-table lock. In [`ReplayMode::Fast`] every record is due. In
+//! [`ReplayMode::Timed`] the querier sleeps to the run's first deadline
+//! on [`ReplayClock`] — a plain kernel sleep, with the querier thread's
+//! timer slack set to 1 ns — and records whose deadlines have passed by
+//! then join the run. A record is never sent before its deadline, and a
+//! querier waits asleep rather than spinning.
 //!
 //! Queriers keep one socket per original source (capped, LRU-less:
 //! sources beyond the cap share by hash) so same-source queries reuse a
@@ -30,7 +33,7 @@
 
 use std::collections::HashMap;
 use std::net::{IpAddr, SocketAddr};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -73,6 +76,8 @@ pub enum ReplayError {
     Connect,
     /// The kernel refused the send.
     Send,
+    /// The record's message could not be encoded (or framed) for the wire.
+    Encode,
 }
 
 /// Per-query result.
@@ -217,11 +222,6 @@ pub struct LiveReplay {
     pub drain: Duration,
     /// Timeout/retransmit/reconnect policy (see [`RetryPolicy`]).
     pub retry: RetryPolicy,
-    /// Optional live send counter: queriers add each drained batch's send
-    /// count here, so a long-running replay can be rate-sampled from the
-    /// outside (the §4.3 experiment reads it every two seconds) without
-    /// waiting for the final report.
-    pub progress: Option<Arc<AtomicU64>>,
     /// Optional span sink ([`ReplaySpans`]): when set, every pipeline
     /// stage a (sampled) query passes through — read, batched, scheduled,
     /// sent, retry, answered, gave-up — is recorded with a microsecond
@@ -252,7 +252,6 @@ impl LiveReplay {
             batch_size: 256,
             drain: Duration::from_millis(300),
             retry: RetryPolicy::default(),
-            progress: None,
             obs: None,
             telemetry: None,
         }
@@ -343,6 +342,7 @@ impl LiveReplay {
         // counters: stalls and queue-depth observations.
         let spans = self.obs.clone();
         let postman = tokio::task::spawn_blocking(move || {
+            ldp_telemetry::thread::set_name("reader-postman");
             let mut pstats: Vec<ShardStats> = (0..n_queriers).map(ShardStats::new).collect();
             let mut batcher: Batcher<TraceRecord> = Batcher::new(plan, batch_size, horizon_us);
             let mut flushes: Vec<(usize, Vec<TraceRecord>)> = Vec::new();
@@ -425,7 +425,6 @@ impl LiveReplay {
             max_sockets: self.max_sockets_per_querier,
             drain: self.drain,
             retry: self.retry.clone(),
-            progress: self.progress.clone(),
             obs: self.obs.as_ref().map(|spans| ObsCtx {
                 spans: spans.clone(),
                 shard,
@@ -710,6 +709,27 @@ struct Meta {
     error: Option<ReplayError>,
 }
 
+/// Where a run goes: the UDP socket slot or the source's TCP connection,
+/// or nowhere because the bind/connect failed.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    Udp(usize),
+    Tcp,
+    Failed(ReplayError),
+}
+
+/// Scratch for one run, reused across a batch's runs.
+#[derive(Default)]
+struct RunBuf {
+    /// Per record: its message id and its outcome (`None` = on the wire).
+    ids: Vec<u16>,
+    errs: Vec<Option<ReplayError>>,
+    /// UDP: one datagram per encoded record.
+    wires: Vec<Vec<u8>>,
+    /// TCP: every encoded record's frame, back to back.
+    framed: Vec<u8>,
+}
+
 struct QuerierTask {
     shard: usize,
     server: SocketAddr,
@@ -720,7 +740,6 @@ struct QuerierTask {
     max_sockets: usize,
     drain: Duration,
     retry: RetryPolicy,
-    progress: Option<Arc<AtomicU64>>,
     obs: Option<ObsCtx>,
     telemetry: Option<Arc<ldp_telemetry::Registry>>,
 }
@@ -808,6 +827,7 @@ impl ShardTele {
 /// Socket/connection state one querier owns, factored out so the batch
 /// loops can borrow it alongside the batch being drained.
 struct QuerierState {
+    shard: usize,
     server: SocketAddr,
     max_sockets: usize,
     udp: Vec<Arc<UdpSocket>>,
@@ -846,6 +866,7 @@ impl QuerierState {
         let s = if self.udp.len() < self.max_sockets {
             let socket = Arc::new(UdpSocket::bind("127.0.0.1:0").await.ok()?);
             self.recv_tasks.push(tokio::spawn(recv_udp(
+                self.shard,
                 socket.clone(),
                 self.pending.clone(),
                 self.latencies.clone(),
@@ -861,6 +882,18 @@ impl QuerierState {
         };
         self.udp_by_source.insert(src, s);
         Some(s)
+    }
+
+    /// The UDP socket slot `src` already maps to — its own socket, or a
+    /// shared one once the cap is reached — without binding a new one.
+    fn peek_udp_slot(&self, src: IpAddr) -> Option<usize> {
+        match self.udp_by_source.get(&src) {
+            Some(&s) => Some(s),
+            None if self.udp.len() >= self.max_sockets && !self.udp.is_empty() => {
+                Some(hash_ip(src) % self.udp.len())
+            }
+            None => None,
+        }
     }
 
     /// Live TCP connection for `src`, (re)opening — with capped backoff
@@ -930,16 +963,13 @@ impl QuerierState {
 /// (the offline runtime has no timer/IO racing, so expiry needs a
 /// dedicated driver); `stop` makes it exit within one tick once the
 /// querier has drained.
-fn spawn_sweeper(
-    pending: Pending,
-    registry: SocketRegistry,
-    server: SocketAddr,
-    policy: RetryPolicy,
-    counters: Arc<FaultCounters>,
-    stop: Arc<AtomicBool>,
-    obs: Option<ObsCtx>,
-) -> JoinHandle<()> {
+fn spawn_sweeper(state: &QuerierState, stop: Arc<AtomicBool>) -> JoinHandle<()> {
+    let (shard, server) = (state.shard, state.server);
+    let (pending, registry) = (state.pending.clone(), state.registry.clone());
+    let (policy, counters) = (state.policy.clone(), state.counters.clone());
+    let obs = state.obs.clone();
     tokio::spawn(async move {
+        ldp_telemetry::thread::set_name(&format!("sweeper-{shard}"));
         let mut due: Vec<(u16, u32)> = Vec::new();
         let mut resend: Vec<(u32, Box<[u8]>)> = Vec::new();
         while !stop.load(Ordering::Relaxed) {
@@ -981,6 +1011,8 @@ impl QuerierTask {
         depth: Arc<AtomicUsize>,
         recycle: mpsc::Sender<Vec<TraceRecord>>,
     ) -> (Vec<ReplayOutcome>, ShardStats) {
+        ldp_telemetry::thread::set_name(&format!("querier-{}", self.shard));
+        crate::timing::tighten_timer_slack();
         let mut stats = ShardStats::new(self.shard);
         let pending: Pending = Arc::new(Mutex::new(PendingTable::new(Instant::now())));
         let counters = Arc::new(FaultCounters::default());
@@ -991,6 +1023,7 @@ impl QuerierTask {
             .as_ref()
             .map(|reg| ShardTele::register(reg, self.shard, &counters, &pending));
         let mut state = QuerierState {
+            shard: self.shard,
             server: self.server,
             max_sockets: self.max_sockets,
             udp: Vec::new(),
@@ -1007,17 +1040,10 @@ impl QuerierTask {
             answered: tele.as_ref().map(|t| t.answered.clone()),
         };
         let stop = Arc::new(AtomicBool::new(false));
-        let sweeper = self.retry.is_enabled().then(|| {
-            spawn_sweeper(
-                state.pending.clone(),
-                state.registry.clone(),
-                self.server,
-                self.retry.clone(),
-                state.counters.clone(),
-                stop.clone(),
-                self.obs.clone(),
-            )
-        });
+        let sweeper = self
+            .retry
+            .is_enabled()
+            .then(|| spawn_sweeper(&state, stop.clone()));
         let mut meta: Vec<Meta> = Vec::new();
         let mut last_deadline_us: u64 = 0;
 
@@ -1032,26 +1058,15 @@ impl QuerierTask {
                 b
             };
             let drained_from = meta.len();
-            match self.mode {
-                ReplayMode::Timed { .. } => {
-                    self.drain_timed(
-                        &mut batch,
-                        base,
-                        &mut state,
-                        &mut meta,
-                        &mut stats,
-                        &mut last_deadline_us,
-                    )
-                    .await;
-                }
-                ReplayMode::Fast => {
-                    self.drain_fast(&mut batch, base, &mut state, &mut meta)
-                        .await;
-                }
-            }
-            if let Some(progress) = &self.progress {
-                progress.fetch_add((meta.len() - drained_from) as u64, Ordering::Relaxed);
-            }
+            self.drain(
+                &mut batch,
+                base,
+                &mut state,
+                &mut meta,
+                &mut stats,
+                &mut last_deadline_us,
+            )
+            .await;
             if let Some(t) = &tele {
                 // One pass over the batch's fresh meta, two fetch_adds:
                 // error-free sends, and (Timed mode) how far behind
@@ -1118,12 +1133,16 @@ impl QuerierTask {
         (outcomes, stats)
     }
 
-    /// `Timed` drain: every record is individually paced on the scaled
-    /// clock (batching only changed how records *arrive*, not when they
-    /// are sent), then sent exactly as the per-record engine did. Faults
-    /// never abort: a bind/connect/send failure degrades that record to a
-    /// [`ReplayError`] outcome and the loop moves on.
-    async fn drain_timed(
+    /// Drains one batch as a sequence of *runs*: consecutive records that
+    /// are due and map to the same UDP socket slot or the same TCP
+    /// connection. In `Fast` mode every record is due. In `Timed` mode the
+    /// run's first record is paced — a plain kernel sleep to its absolute
+    /// deadline — and a later record joins once its own deadline has
+    /// passed, so no record is ever sent early. Each run goes out as one
+    /// `sendmmsg` or one framed write. Faults never abort: a bind, connect,
+    /// encode or send failure degrades that record to a [`ReplayError`]
+    /// outcome and the loop moves on.
+    async fn drain(
         &self,
         batch: &mut [TraceRecord],
         base: usize,
@@ -1132,370 +1151,232 @@ impl QuerierTask {
         stats: &mut ShardStats,
         last_deadline_us: &mut u64,
     ) {
-        for (k, rec) in batch.iter_mut().enumerate() {
-            let now_us = self.epoch.elapsed().as_micros() as u64;
-            if let Some(o) = &self.obs {
-                o.record_at(base + k, Stage::Scheduled, now_us);
-            }
-            // Invariant: the plan feeds each querier records in trace
-            // order, so real-clock deadlines are monotone — a regression
-            // here would silently reorder the replayed stream.
-            let deadline = self.clock.target_real_us(rec.time_us);
-            debug_assert!(
-                deadline >= *last_deadline_us,
-                "deadline went backwards: {deadline} < {last_deadline_us}"
-            );
-            *last_deadline_us = deadline;
-            if let Some(delay) = self.clock.delay_us(rec.time_us, now_us) {
-                sleep_until_precise(Instant::now() + Duration::from_micros(delay)).await;
-            }
-
-            let id = state.fresh_id();
-            rec.message.header.id = id;
-            let Ok(wire) = rec.message.to_bytes() else {
-                continue;
-            };
-            let sent_at = Instant::now();
-            // The span's `Sent` stamp must be captured before the send is
-            // initiated: the receiver stamps `Answered` on its own task,
-            // and only a pre-send stamp is causally ordered before the
-            // answer (a post-send stamp can lose the race to a fast
-            // response on a loaded host). The report's `sent_offset_us`
-            // below still measures send *completion* for late accounting.
-            let wire_stamp_us = self.epoch.elapsed().as_micros() as u64;
-            let mut error = None;
-            match rec.protocol {
-                Protocol::Udp => match state.udp_slot(rec.src).await {
-                    None => {
-                        error = Some(ReplayError::Bind);
-                        state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Some(slot) => {
-                        let entry =
-                            state.in_flight(base + k, sent_at, SockRef::Udp(slot as u32), &wire);
-                        state.pending.lock().insert(id, entry);
-                        let socket = &state.udp[slot];
-                        if socket.send_to(&wire, self.server).await.is_err() {
-                            state.pending.lock().remove(id);
-                            error = Some(ReplayError::Send);
-                            state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                },
-                Protocol::Tcp | Protocol::Tls | Protocol::Quic => {
-                    // Live mode carries TLS/QUIC as TCP: handshake
-                    // emulation is a simulator concern; live TCP still
-                    // exercises framing and connection reuse. The entry
-                    // still gets an expiry deadline even though the send
-                    // path (not the sweeper) owns reconnection: without
-                    // one, a query lost to a reset connection would pin
-                    // the adaptive drain to its cap.
-                    let deadline = state
-                        .policy
-                        .is_enabled()
-                        .then(|| sent_at + state.policy.timeout);
-                    let mut resend = false;
-                    match state.tcp_conn(rec.src).await {
-                        None => {
-                            error = Some(ReplayError::Connect);
-                            state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Some(conn) => {
-                            conn.pending.lock().insert(
-                                id,
-                                InFlight {
-                                    slot: base + k,
-                                    sent_at,
-                                    deadline,
-                                    attempt: 0,
-                                    sock: SockRef::Tcp,
-                                    wire: None,
-                                },
-                            );
-                            if conn.send(&wire).await.is_err() {
-                                conn.mark_dead();
-                                resend = true;
-                            }
-                        }
-                    }
-                    if resend {
-                        // One reconnect-and-resend; a second failure
-                        // leaves the query to expire (`gave_up`).
-                        if let Some(conn) = state.tcp_conn(rec.src).await {
-                            if conn.send(&wire).await.is_err() {
-                                conn.mark_dead();
-                            }
-                        }
-                    }
-                }
-            }
-            let sent_offset_us = self.epoch.elapsed().as_micros() as u64;
-            if error.is_none() {
-                if let Some(o) = &self.obs {
-                    o.record_at(base + k, Stage::Sent, wire_stamp_us);
-                }
-            }
-            let target_offset_us = deadline;
-            if error.is_none() && sent_offset_us > target_offset_us + LATE_BUDGET_US {
-                stats.late += 1;
-            }
-            meta.push(Meta {
-                slot: base + k,
-                trace_offset_us: rec.time_us.saturating_sub(self.trace_epoch_us),
-                target_offset_us,
-                sent_offset_us,
-                src: rec.src,
-                protocol: rec.protocol,
-                error,
-            });
-        }
-    }
-
-    /// Degrades a whole run (fast-mode bind/connect failure) to errored
-    /// outcomes so every record is accounted for.
-    fn degrade_run(
-        &self,
-        batch: &[TraceRecord],
-        base: usize,
-        range: (usize, usize),
-        state: &QuerierState,
-        meta: &mut Vec<Meta>,
-        error: ReplayError,
-    ) {
-        let sent_offset_us = self.epoch.elapsed().as_micros() as u64;
-        for (k, rec) in batch.iter().enumerate().take(range.1).skip(range.0) {
-            state.counters.errors.fetch_add(1, Ordering::Relaxed);
-            meta.push(Meta {
-                slot: base + k,
-                trace_offset_us: rec.time_us.saturating_sub(self.trace_epoch_us),
-                target_offset_us: self.clock.target_real_us(rec.time_us),
-                sent_offset_us,
-                src: rec.src,
-                protocol: rec.protocol,
-                error: Some(error),
-            });
-        }
-    }
-
-    /// `Fast` drain: syscall-dense. Consecutive same-source same-protocol
-    /// records form a *run* (sticky routing makes runs long); each run
-    /// costs one socket lookup and one pending-map lock, and TCP runs
-    /// collapse all frames into a single write. Faults degrade (run- or
-    /// record-level) instead of aborting, and dead TCP connections are
-    /// reopened with the interrupted run's buffer re-sent.
-    async fn drain_fast(
-        &self,
-        batch: &mut [TraceRecord],
-        base: usize,
-        state: &mut QuerierState,
-        meta: &mut Vec<Meta>,
-    ) {
+        let timed = matches!(self.mode, ReplayMode::Timed { .. });
+        let mut run = RunBuf::default();
         let mut i = 0;
         while i < batch.len() {
+            if let Some(o) = &self.obs {
+                o.record_at(base + i, Stage::Scheduled, self.now_us());
+            }
+            if timed {
+                // Invariant: the plan feeds each querier records in trace
+                // order, so real-clock deadlines are monotone — a
+                // regression here would silently reorder the replay.
+                let deadline = self.clock.target_real_us(batch[i].time_us);
+                debug_assert!(
+                    deadline >= *last_deadline_us,
+                    "deadline went backwards: {deadline} < {last_deadline_us}"
+                );
+                *last_deadline_us = deadline;
+                let at = self.epoch + Duration::from_micros(deadline);
+                tokio::time::sleep_until(at.into()).await;
+            }
+
+            // Live mode carries TLS/QUIC as TCP: handshake emulation is a
+            // simulator concern; live TCP still exercises framing and
+            // connection reuse.
             let src = batch[i].src;
-            let protocol = batch[i].protocol;
+            let route = if batch[i].protocol == Protocol::Udp {
+                state
+                    .udp_slot(src)
+                    .await
+                    .map_or(Route::Failed(ReplayError::Bind), Route::Udp)
+            } else if state.tcp_conn(src).await.is_some() {
+                Route::Tcp
+            } else {
+                Route::Failed(ReplayError::Connect)
+            };
+            // Grow the run by every following record that is already due
+            // and rides the same socket or connection. A failed bind or
+            // connect degrades its record alone: the next record tries
+            // again.
+            let now_us = self.now_us();
             let mut j = i + 1;
-            while j < batch.len() && batch[j].src == src && batch[j].protocol == protocol {
+            while let Some(rec) = batch.get(j) {
+                let same = match route {
+                    Route::Udp(s) => {
+                        rec.protocol == Protocol::Udp && state.peek_udp_slot(rec.src) == Some(s)
+                    }
+                    Route::Tcp => rec.src == src && rec.protocol != Protocol::Udp,
+                    Route::Failed(_) => false,
+                };
+                if !same {
+                    break;
+                }
+                if timed {
+                    let deadline = self.clock.target_real_us(rec.time_us);
+                    if deadline > now_us {
+                        break;
+                    }
+                    *last_deadline_us = deadline;
+                }
+                if let Some(o) = &self.obs {
+                    o.record_at(base + j, Stage::Scheduled, now_us);
+                }
                 j += 1;
             }
-            if let Some(o) = &self.obs {
-                // One dequeue stamp for the whole run: fast mode blasts
-                // the run as a unit, so per-record scheduling is the run
-                // boundary.
-                let t_us = self.epoch.elapsed().as_micros() as u64;
-                for k in i..j {
-                    o.record_at(base + k, Stage::Scheduled, t_us);
-                }
-            }
-            match protocol {
-                Protocol::Udp => {
-                    let Some(slot) = state.udp_slot(src).await else {
-                        // Bind failed: the whole run degrades (the next
-                        // run for this source will try binding again).
-                        self.degrade_run(batch, base, (i, j), state, meta, ReplayError::Bind);
-                        i = j;
-                        continue;
-                    };
-                    // Encode the run and register every pending entry
-                    // under one lock; a record that fails to encode is
-                    // never registered, so the pending map only ever
-                    // holds ids that actually went on the wire.
-                    let mut wires: Vec<Vec<u8>> = Vec::with_capacity(j - i);
-                    let mut queued: Vec<usize> = Vec::with_capacity(j - i);
-                    let mut ids: Vec<u16> = Vec::with_capacity(j - i);
-                    {
-                        let sent_at = Instant::now();
-                        let deadline = state
-                            .policy
-                            .is_enabled()
-                            .then(|| sent_at + state.policy.timeout);
-                        let retain = state.policy.retains_wire();
-                        let mut p = state.pending.lock();
-                        for (k, rec) in batch.iter_mut().enumerate().take(j).skip(i) {
-                            state.next_id = state.next_id.wrapping_add(1);
-                            let id = state.next_id;
-                            rec.message.header.id = id;
-                            let Ok(wire) = rec.message.to_bytes() else {
-                                continue;
-                            };
-                            p.insert(
-                                id,
-                                InFlight {
-                                    slot: base + k,
-                                    sent_at,
-                                    deadline,
-                                    attempt: 0,
-                                    sock: SockRef::Udp(slot as u32),
-                                    wire: retain.then(|| wire.clone().into_boxed_slice()),
-                                },
-                            );
-                            wires.push(wire);
-                            queued.push(k);
-                            ids.push(id);
-                        }
+
+            let (wire_stamp_us, sent_offset_us) = self
+                .send_run(&mut batch[i..j], base + i, route, state, &mut run)
+                .await;
+            for (x, rec) in batch[i..j].iter().enumerate() {
+                let k = i + x;
+                let error = run.errs[x];
+                let target_offset_us = self.clock.target_real_us(rec.time_us);
+                if error.is_none() {
+                    if let Some(o) = &self.obs {
+                        o.record_at(base + k, Stage::Sent, wire_stamp_us);
                     }
-                    // One sendmmsg carries the whole run; any tail the
-                    // kernel refuses goes out individually, and a send
-                    // that still fails degrades that record. The span
-                    // stamp is captured pre-send so it is causally
-                    // ordered before any `Answered` stamp (the receiver
-                    // can beat a post-send stamp on a loaded host).
-                    let wire_stamp_us = self.epoch.elapsed().as_micros() as u64;
-                    let socket = state.udp[slot].clone();
-                    let refs: Vec<&[u8]> = wires.iter().map(Vec::as_slice).collect();
-                    let sent_n = socket.send_many_to(&refs, self.server).await.unwrap_or(0);
-                    let mut errs: Vec<Option<ReplayError>> = vec![None; queued.len()];
-                    for (x, wire) in refs.iter().enumerate().skip(sent_n) {
-                        if socket.send_to(wire, self.server).await.is_err() {
-                            errs[x] = Some(ReplayError::Send);
-                            state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    if errs.iter().any(Option::is_some) {
-                        let mut p = state.pending.lock();
-                        for (x, e) in errs.iter().enumerate() {
-                            if e.is_some() {
-                                p.remove(ids[x]);
-                            }
-                        }
-                    }
-                    let sent_offset_us = self.epoch.elapsed().as_micros() as u64;
-                    for (x, &k) in queued.iter().enumerate() {
-                        let rec = &batch[k];
-                        if errs[x].is_none() {
-                            if let Some(o) = &self.obs {
-                                o.record_at(base + k, Stage::Sent, wire_stamp_us);
-                            }
-                        }
-                        meta.push(Meta {
-                            slot: base + k,
-                            trace_offset_us: rec.time_us.saturating_sub(self.trace_epoch_us),
-                            target_offset_us: self.clock.target_real_us(rec.time_us),
-                            sent_offset_us,
-                            src,
-                            protocol,
-                            error: errs[x],
-                        });
+                    if timed && sent_offset_us > target_offset_us + LATE_BUDGET_US {
+                        stats.late += 1;
                     }
                 }
-                Protocol::Tcp | Protocol::Tls | Protocol::Quic => {
-                    // Open (or reuse) the run's connection up front; an
-                    // open that fails every reconnect attempt degrades
-                    // the whole run to `Connect` outcomes.
-                    if state.tcp_conn(src).await.is_none() {
-                        self.degrade_run(batch, base, (i, j), state, meta, ReplayError::Connect);
-                        i = j;
-                        continue;
-                    }
-                    // One frame buffer + one pending lock for the run,
-                    // then a single write carrying every frame.
-                    let mut buf = Vec::new();
-                    let mut queued: Vec<usize> = Vec::with_capacity(j - i);
-                    {
-                        let sent_at = Instant::now();
-                        let deadline = state
-                            .policy
-                            .is_enabled()
-                            .then(|| sent_at + state.policy.timeout);
-                        let Some(conn) = state.tcp.get_mut(&src) else {
-                            i = j;
-                            continue;
-                        };
-                        let mut p = conn.pending.lock();
-                        for (k, rec) in batch.iter_mut().enumerate().take(j).skip(i) {
-                            // Disjoint field borrows: ids advance while
-                            // the connection (state.tcp) is held.
-                            state.next_id = state.next_id.wrapping_add(1);
-                            let id = state.next_id;
-                            rec.message.header.id = id;
-                            let Ok(wire) = rec.message.to_bytes() else {
-                                continue;
-                            };
-                            let Ok(framed) = ldp_wire::framing::frame_message(&wire) else {
-                                continue;
-                            };
-                            p.insert(
-                                id,
-                                InFlight {
-                                    slot: base + k,
-                                    sent_at,
-                                    deadline,
-                                    attempt: 0,
-                                    sock: SockRef::Tcp,
-                                    wire: None,
-                                },
-                            );
-                            buf.extend_from_slice(&framed);
-                            queued.push(k);
-                        }
-                    }
-                    // Pre-send span stamp: causally ordered before any
-                    // `Answered` stamp, unlike a post-write stamp.
-                    let wire_stamp_us = self.epoch.elapsed().as_micros() as u64;
-                    if !buf.is_empty() {
-                        // On a write failure, reconnect (counted) and
-                        // re-send the interrupted run's buffer once;
-                        // responses come back through the new reader into
-                        // the same querier-wide pending table. Duplicate
-                        // answers are harmless — the first wins, the rest
-                        // find no pending entry.
-                        let mut attempts = 0;
-                        loop {
-                            let Some(conn) = state.tcp_conn(src).await else {
-                                break;
-                            };
-                            if conn.send_raw(&buf).await.is_ok() {
-                                break;
-                            }
-                            conn.mark_dead();
-                            attempts += 1;
-                            if attempts > 1 {
-                                // The re-sent run failed too: the queued
-                                // queries expire into `gave_up`.
-                                break;
-                            }
-                        }
-                    }
-                    let sent_offset_us = self.epoch.elapsed().as_micros() as u64;
-                    for k in queued {
-                        let rec = &batch[k];
-                        if let Some(o) = &self.obs {
-                            o.record_at(base + k, Stage::Sent, wire_stamp_us);
-                        }
-                        meta.push(Meta {
-                            slot: base + k,
-                            trace_offset_us: rec.time_us.saturating_sub(self.trace_epoch_us),
-                            target_offset_us: self.clock.target_real_us(rec.time_us),
-                            sent_offset_us,
-                            src,
-                            protocol,
-                            error: None,
-                        });
-                    }
-                }
+                meta.push(Meta {
+                    slot: base + k,
+                    trace_offset_us: rec.time_us.saturating_sub(self.trace_epoch_us),
+                    target_offset_us,
+                    sent_offset_us,
+                    src: rec.src,
+                    protocol: rec.protocol,
+                    error,
+                });
             }
             i = j;
         }
+    }
+
+    /// Stamps ids on one run, encodes it, registers its in-flight entries
+    /// under one pending-table lock, and puts it on the wire. Leaves one
+    /// result per record in `run.errs`. Returns the span stamp taken just
+    /// before the send and the send-completion offset (µs on the epoch).
+    async fn send_run(
+        &self,
+        recs: &mut [TraceRecord],
+        base: usize,
+        route: Route,
+        state: &mut QuerierState,
+        run: &mut RunBuf,
+    ) -> (u64, u64) {
+        run.errs.clear();
+        run.ids.clear();
+        run.wires.clear();
+        run.framed.clear();
+        let sock = match route {
+            Route::Failed(e) => {
+                run.errs.resize(recs.len(), Some(e));
+                state
+                    .counters
+                    .errors
+                    .fetch_add(recs.len() as u64, Ordering::Relaxed);
+                let now_us = self.now_us();
+                return (now_us, now_us);
+            }
+            Route::Udp(slot) => SockRef::Udp(slot as u32),
+            Route::Tcp => SockRef::Tcp,
+        };
+        // A record that fails to encode is never registered, so the
+        // pending table only ever holds ids that go on the wire.
+        for rec in recs.iter_mut() {
+            let id = state.fresh_id();
+            rec.message.header.id = id;
+            let error = match rec.message.to_bytes() {
+                Ok(wire) if sock == SockRef::Tcp => match ldp_wire::framing::frame_message(&wire) {
+                    Ok(framed) => {
+                        run.framed.extend_from_slice(&framed);
+                        None
+                    }
+                    Err(_) => Some(ReplayError::Encode),
+                },
+                Ok(wire) => {
+                    run.wires.push(wire);
+                    None
+                }
+                Err(_) => Some(ReplayError::Encode),
+            };
+            if error.is_some() {
+                state.counters.errors.fetch_add(1, Ordering::Relaxed);
+            }
+            run.ids.push(id);
+            run.errs.push(error);
+        }
+        {
+            // TCP entries get an expiry too, although the send path (not
+            // the sweeper) owns reconnection: without one, a query lost to
+            // a reset connection would pin the adaptive drain to its cap.
+            let sent_at = Instant::now();
+            let mut wires = run.wires.iter();
+            let mut p = state.pending.lock();
+            for (x, error) in run.errs.iter().enumerate() {
+                if error.is_none() {
+                    let wire = match sock {
+                        SockRef::Udp(_) => wires.next().map_or(&[][..], Vec::as_slice),
+                        SockRef::Tcp => &[],
+                    };
+                    p.insert(run.ids[x], state.in_flight(base + x, sent_at, sock, wire));
+                }
+            }
+        }
+
+        // The span's `Sent` stamp is captured before the send: the
+        // receiver stamps `Answered` on its own thread, and only a
+        // pre-send stamp is causally ordered before the answer. The
+        // report's `sent_offset_us` still measures send *completion*.
+        let wire_stamp_us = self.now_us();
+        match route {
+            Route::Udp(slot) => {
+                // One sendmmsg carries the whole run; any tail the kernel
+                // refuses goes out individually, and a send that still
+                // fails degrades that record.
+                let socket = &state.udp[slot];
+                let accepted = socket
+                    .send_many_to(&run.wires, self.server)
+                    .await
+                    .unwrap_or(0);
+                let mut w = 0;
+                for (x, error) in run.errs.iter_mut().enumerate() {
+                    if error.is_some() {
+                        continue;
+                    }
+                    w += 1;
+                    if w <= accepted {
+                        continue;
+                    }
+                    if socket
+                        .send_to(&run.wires[w - 1], self.server)
+                        .await
+                        .is_err()
+                    {
+                        *error = Some(ReplayError::Send);
+                        state.pending.lock().remove(run.ids[x]);
+                        state.counters.errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+            Route::Tcp if !run.framed.is_empty() => {
+                // On a write failure, reconnect (counted) and re-send the
+                // run's frames once; answers come back through the new
+                // reader into the same querier-wide pending table, and a
+                // duplicate answer finds no pending entry. A second
+                // failure leaves the run to expire into `gave_up`.
+                let src = recs[0].src;
+                for _ in 0..2 {
+                    let Some(conn) = state.tcp_conn(src).await else {
+                        break;
+                    };
+                    if conn.send(&run.framed).await.is_ok() {
+                        break;
+                    }
+                    conn.mark_dead();
+                }
+            }
+            Route::Tcp | Route::Failed(_) => {}
+        }
+        (wire_stamp_us, self.now_us())
+    }
+
+    /// Microseconds since the replay epoch.
+    fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
     }
 }
 
@@ -1516,12 +1397,14 @@ const RECV_BATCH: usize = 32;
 const RECV_BUF: usize = 2_048;
 
 async fn recv_udp(
+    shard: usize,
     socket: Arc<UdpSocket>,
     pending: Pending,
     latencies: Latencies,
     obs: Option<ObsCtx>,
     answered: Option<ldp_telemetry::Counter>,
 ) {
+    ldp_telemetry::thread::set_name(&format!("udp-recv-{shard}"));
     let mut bufs: Vec<Vec<u8>> = (0..RECV_BATCH).map(|_| vec![0u8; RECV_BUF]).collect();
     loop {
         let Ok(received) = socket.recv_many(&mut bufs).await else {
@@ -1559,7 +1442,6 @@ async fn recv_udp(
 struct TcpConn {
     writer: tokio::net::tcp::OwnedWriteHalf,
     reader: JoinHandle<()>,
-    pending: Pending,
     /// Set by the send path on a write failure *or* by the reader task on
     /// EOF/read error — a server that resets mid-conversation is usually
     /// noticed by the reader first, and the flag is what triggers a
@@ -1578,10 +1460,10 @@ impl TcpConn {
         let stream = tokio::net::TcpStream::connect(server).await?;
         stream.set_nodelay(true)?;
         let (mut read_half, writer) = stream.into_split();
-        let pending_r = pending.clone();
         let dead = Arc::new(AtomicBool::new(false));
         let dead_r = dead.clone();
         let reader = tokio::spawn(async move {
+            ldp_telemetry::thread::set_name("tcp-recv");
             loop {
                 let mut lenbuf = [0u8; 2];
                 if read_half.read_exact(&mut lenbuf).await.is_err() {
@@ -1598,7 +1480,7 @@ impl TcpConn {
                     continue;
                 }
                 let id = u16::from_be_bytes([msg[0], msg[1]]);
-                if let Some(f) = pending_r.lock().remove(id) {
+                if let Some(f) = pending.lock().remove(id) {
                     let now = Instant::now();
                     let latency = now.saturating_duration_since(f.sent_at).as_micros() as u64;
                     let mut l = latencies.lock();
@@ -1617,7 +1499,6 @@ impl TcpConn {
         Ok(TcpConn {
             writer,
             reader,
-            pending,
             dead,
         })
     }
@@ -1630,33 +1511,9 @@ impl TcpConn {
         self.dead.store(true, Ordering::Relaxed);
     }
 
-    async fn send(&mut self, wire: &[u8]) -> std::io::Result<()> {
-        let framed = ldp_wire::framing::frame_message(wire)
-            .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "oversized"))?;
-        self.writer.write_all(&framed).await
-    }
-
     /// Writes pre-framed bytes (a whole run's frames) in one call.
-    async fn send_raw(&mut self, framed: &[u8]) -> std::io::Result<()> {
+    async fn send(&mut self, framed: &[u8]) -> std::io::Result<()> {
         self.writer.write_all(framed).await
-    }
-}
-
-/// Coarse sleep to within ~1.5 ms of the target, then a *yielding* spin —
-/// tokio's timer wheel alone is too coarse for the ±2.5 ms quartile errors
-/// the paper reports, but a blocking spin would starve the other queriers
-/// sharing the worker pool (fatal on single-core hosts: every spin blocks
-/// every other querier's sends). `yield_now` re-polls the deadline each
-/// scheduler pass, so concurrent queriers interleave at ~µs granularity.
-async fn sleep_until_precise(target: Instant) {
-    const SPIN_WINDOW: Duration = Duration::from_micros(1500);
-    if let Some(coarse) = target.checked_sub(SPIN_WINDOW) {
-        if Instant::now() < coarse {
-            tokio::time::sleep_until(coarse.into()).await;
-        }
-    }
-    while Instant::now() < target {
-        tokio::task::yield_now().await;
     }
 }
 
@@ -1668,6 +1525,7 @@ mod tests {
     use ldp_wire::{Name, RrType};
     use ldp_workload::zones::wildcard_example_zone;
     use ldp_zone::ZoneSet;
+    use std::sync::atomic::AtomicU64;
 
     fn engine() -> Arc<AuthEngine> {
         let mut set = ZoneSet::new();
@@ -1733,10 +1591,6 @@ mod tests {
             let _ = self.task.await;
             let worst_ms = self.worst_us.load(Ordering::Relaxed) as f64 / 1e3;
             if worst_ms > 1.0 {
-                eprintln!(
-                    "note: probe saw {worst_ms:.2} ms sleep overshoot; \
-                     host too contended to judge replay timing"
-                );
                 return None;
             }
             Some(50.0 + 20.0 * worst_ms)
@@ -1991,6 +1845,103 @@ mod tests {
                 sends.windows(2).all(|w| w[0].1 <= w[1].1),
                 "source {src} reordered across batch boundaries"
             );
+        }
+    }
+
+    /// `timestamps` bursts of `burst` records each, `gap_us` apart. The
+    /// records of one burst share a timestamp and a source, so they land
+    /// on one querier and one socket or connection and are all due at
+    /// once: the pacer sends each burst as a coalesced run.
+    fn bursty_trace(
+        timestamps: u64,
+        burst: u64,
+        gap_us: u64,
+        protocol: Protocol,
+    ) -> Vec<TraceRecord> {
+        let mut records = trace(timestamps * burst, 0, protocol);
+        for (i, rec) in records.iter_mut().enumerate() {
+            let t = i as u64 / burst;
+            rec.time_us = t * gap_us;
+            rec.src = format!("10.0.0.{}", 1 + t % 5).parse().unwrap();
+        }
+        records
+    }
+
+    async fn timed_replay_is_never_early(protocol: Protocol) {
+        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
+            .await
+            .unwrap();
+        let report = LiveReplay::new(server.addr)
+            .run(bursty_trace(40, 5, 2_000, protocol))
+            .await
+            .unwrap();
+        assert_eq!(report.sent, 200);
+        for o in report.outcomes.iter().filter(|o| o.error.is_none()) {
+            assert!(
+                o.sent_offset_us >= o.target_offset_us,
+                "{protocol:?} record sent at {} µs, before its deadline {} µs",
+                o.sent_offset_us,
+                o.target_offset_us
+            );
+        }
+        // Records sent in one run share a send-completion stamp; most
+        // bursts (a batch boundary may split one) went out as one run.
+        let mut by_target: HashMap<u64, Vec<u64>> = HashMap::new();
+        for o in &report.outcomes {
+            by_target
+                .entry(o.target_offset_us)
+                .or_default()
+                .push(o.sent_offset_us);
+        }
+        let coalesced = by_target
+            .values()
+            .filter(|sent| sent.len() == 5 && sent.iter().all(|&s| s == sent[0]))
+            .count();
+        assert!(
+            coalesced >= 20,
+            "{protocol:?}: only {coalesced}/40 bursts coalesced"
+        );
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+    async fn timed_udp_runs_are_never_early() {
+        timed_replay_is_never_early(Protocol::Udp).await;
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+    async fn timed_tcp_runs_are_never_early() {
+        timed_replay_is_never_early(Protocol::Tcp).await;
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+    async fn unencodable_record_degrades_to_an_encode_error() {
+        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
+            .await
+            .unwrap();
+        for protocol in [Protocol::Udp, Protocol::Tcp] {
+            for mode in [ReplayMode::Timed { speed: 1.0 }, ReplayMode::Fast] {
+                let mut records = trace(30, 1_000, protocol);
+                // 65,536 questions overflow the 16-bit QDCOUNT.
+                let q = records[10].message.questions[0].clone();
+                records[10].message.questions.resize(65_536, q);
+                assert!(matches!(
+                    records[10].message.to_bytes(),
+                    Err(ldp_wire::WireError::MessageTooLong(65_536))
+                ));
+                let mut replay = LiveReplay::new(server.addr);
+                replay.mode = mode;
+                let report = replay.run(records).await.unwrap();
+                let what = format!("{protocol:?} {mode:?}");
+                assert_eq!(report.outcomes.len(), 30, "{what}");
+                assert_eq!(report.errors, 1, "{what}");
+                assert_eq!(report.sent, 29, "{what}");
+                let encode = report
+                    .outcomes
+                    .iter()
+                    .filter(|o| o.error == Some(ReplayError::Encode))
+                    .count();
+                assert_eq!(encode, 1, "{what}");
+            }
         }
     }
 

@@ -294,6 +294,8 @@ async fn serve_udp(
     stats: Arc<LiveStats>,
     chaos: Option<Arc<ChaosPolicy>>,
 ) {
+    // Every task owns its OS thread; naming it attributes its CPU.
+    ldp_telemetry::thread::set_name("server-udp");
     let socket = Arc::new(socket);
     let router = ReplyRouter {
         socket: socket.clone(),
@@ -368,6 +370,7 @@ async fn serve_tcp(
     stats: Arc<LiveStats>,
     chaos: Option<Arc<ChaosPolicy>>,
 ) {
+    ldp_telemetry::thread::set_name("server-tcp");
     loop {
         let Ok((stream, peer)) = listener.accept().await else {
             continue;
@@ -383,6 +386,7 @@ async fn serve_tcp(
         let stats = stats.clone();
         let chaos = chaos.clone();
         tokio::spawn(async move {
+            ldp_telemetry::thread::set_name("server-tcp");
             let _ = serve_tcp_conn(stream, peer, engine, stats, chaos).await;
         });
     }

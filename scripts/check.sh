@@ -15,6 +15,9 @@ cargo ldp-lint
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> perfbench self-test (its own workspace; builds against the crates)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> chaos smoke (lossy replay must recover via retries)"
 cargo run -q --release -p ldp-bench --bin chaos_smoke
 
