@@ -8,6 +8,7 @@
 //! | R3   | `blocking-async`   | `thread::sleep` / blocking I/O inside async bodies         |
 //! | R4   | `parser-roundtrip` | public parser entry points without a round-trip test       |
 //! | R5   | `swallowed-send`   | `let _ = …send…(…)` discarding I/O results in hot paths    |
+//! | R6   | `detached-task`    | `.abort()` on a task handle (it only detaches the thread)  |
 //!
 //! Escape hatch (requires a reason):
 //! `// ldp-lint: allow(r1) -- justification`, either trailing on the
@@ -36,6 +37,8 @@ const HOT_PATH_CRATES: &[&str] = &["wire", "server", "proxy"];
 /// ...plus these individual files.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/replay/src/engine.rs",
+    "crates/replay/src/ledger.rs",
+    "crates/replay/src/ready.rs",
     "crates/replay/src/retry.rs",
     "crates/netsim/src/tcp.rs",
     // The span ring records a stamp per query stage inside the send path;
@@ -68,6 +71,7 @@ pub fn workspace_scope(rel: &Path) -> FileScope {
         wire: in_crate_src("wire") || R2_WIRE_FILES.iter().any(|f| rel_str == *f),
         // All first-party async code must not block, wherever it lives.
         async_blocking: true,
+        task_handles: true,
     }
 }
 
@@ -197,6 +201,10 @@ mod tests {
         assert!(s.hot_path && !s.wire);
         let s = workspace_scope(Path::new("crates/replay/src/retry.rs"));
         assert!(s.hot_path, "the retry layer rides the engine hot path");
+        for f in ["ledger.rs", "ready.rs"] {
+            let s = workspace_scope(&Path::new("crates/replay/src").join(f));
+            assert!(s.hot_path, "{f} runs at every querier wake");
+        }
         let s = workspace_scope(Path::new("crates/replay/src/plan.rs"));
         assert!(!s.hot_path);
         let s = workspace_scope(Path::new("crates/netsim/src/tcp.rs"));
@@ -210,7 +218,7 @@ mod tests {
         let s = workspace_scope(Path::new("crates/telemetry/src/http.rs"));
         assert!(!s.hot_path, "scrape serving is off the send path");
         let s = workspace_scope(Path::new("crates/metrics/src/report.rs"));
-        assert!(!s.hot_path && !s.wire && s.async_blocking);
+        assert!(!s.hot_path && !s.wire && s.async_blocking && s.task_handles);
         // The trace on-disk writers are wire scope without being hot path.
         for f in ["capture.rs", "pcap.rs", "stream.rs"] {
             let s = workspace_scope(&Path::new("crates/trace/src").join(f));

@@ -1,4 +1,4 @@
-//! The five project rules. Each check walks the token stream of one file;
+//! The six project rules. Each check walks the token stream of one file;
 //! R4 additionally correlates parser entry points with round-trip tests
 //! across a whole crate.
 
@@ -23,6 +23,10 @@ pub enum Rule {
     /// No `let _ = ...send...(...)` in hot-path modules: a discarded send
     /// result silently swallows an I/O failure the replay must account for.
     R5,
+    /// No `.abort()` on a task handle: the vendored runtime runs each task
+    /// on its own thread and `abort` only detaches it, so a task blocked
+    /// on a socket lives on.
+    R6,
     /// Meta: a malformed or unknown `ldp-lint:` directive.
     Directive,
 }
@@ -35,6 +39,7 @@ impl Rule {
             "r3" | "blocking-async" => Some(Rule::R3),
             "r4" | "parser-roundtrip" => Some(Rule::R4),
             "r5" | "swallowed-send" => Some(Rule::R5),
+            "r6" | "detached-task" => Some(Rule::R6),
             _ => None,
         }
     }
@@ -46,6 +51,7 @@ impl Rule {
             Rule::R3 => "R3",
             Rule::R4 => "R4",
             Rule::R5 => "R5",
+            Rule::R6 => "R6",
             Rule::Directive => "directive",
         }
     }
@@ -89,6 +95,8 @@ pub struct FileScope {
     pub wire: bool,
     /// R3: async bodies in this file must not block.
     pub async_blocking: bool,
+    /// R6: task handles in this file must not be aborted.
+    pub task_handles: bool,
 }
 
 impl FileScope {
@@ -97,6 +105,7 @@ impl FileScope {
             hot_path: true,
             wire: true,
             async_blocking: true,
+            task_handles: true,
         }
     }
 }
@@ -141,7 +150,7 @@ impl FileAnalysis {
         });
     }
 
-    /// Runs the per-file rules (R1–R3 plus directive hygiene).
+    /// Runs the per-file rules (R1–R3, R5, R6 plus directive hygiene).
     pub fn check(&self, scope: FileScope) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
         for &(line, ref why) in &self.lexed.bad_directives {
@@ -156,6 +165,9 @@ impl FileAnalysis {
         }
         if scope.async_blocking {
             self.check_r3(&mut diags);
+        }
+        if scope.task_handles {
+            self.check_r6(&mut diags);
         }
         diags
     }
@@ -328,6 +340,33 @@ impl FileAnalysis {
                     );
                     break;
                 }
+            }
+        }
+    }
+
+    /// R6: `.abort()` outside `#[cfg(test)]`. The vendored runtime cannot
+    /// cancel a thread blocked in a syscall, so `abort` detaches the task:
+    /// a reader blocked on a socket outlives its owner, and the socket with
+    /// it. Let the task end on its own instead.
+    fn check_r6(&self, diags: &mut Vec<Diagnostic>) {
+        let toks = &self.lexed.tokens;
+        for (i, t) in toks.iter().enumerate() {
+            if !t.is_ident("abort") || in_any(&self.test_spans, t.line) {
+                continue;
+            }
+            let call = i > 0
+                && toks[i - 1].is_punct('.')
+                && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+                && toks.get(i + 2).is_some_and(|n| n.is_punct(')'));
+            if call {
+                self.diag(
+                    diags,
+                    t.line,
+                    Rule::R6,
+                    "`.abort()` only detaches a task in the thread-per-task runtime; \
+                     a task blocked on I/O outlives it — make the task end on its own"
+                        .to_string(),
+                );
             }
         }
     }

@@ -101,6 +101,13 @@ fn r5_fixtures() {
 }
 
 #[test]
+fn r6_fixtures() {
+    assert_violations(&["r6_violation.rs"], "R6", &[3, 5]);
+    assert_clean(&["r6_clean.rs"]);
+    assert_clean(&["r6_allowed.rs"]);
+}
+
+#[test]
 fn malformed_directives_are_diagnosed() {
     let out = run(&["bad_directive.rs"]);
     assert_eq!(out.status.code(), Some(1));

@@ -32,7 +32,7 @@ pub enum Stage {
     Scheduled = 2,
     /// First datagram / stream write for this query hit the socket.
     Sent = 3,
-    /// Timeout sweeper retransmitted it (one event per extra datagram).
+    /// Expiry retransmitted it (one event per extra datagram).
     Retry = 4,
     /// A matching answer came back.
     Answered = 5,

@@ -16,8 +16,8 @@
 //! cost to near zero, and each querier drains a whole batch per wakeup,
 //! reserving outcome slots once per batch. The drain sends *runs*:
 //! consecutive records that are due and share a UDP socket slot or a TCP
-//! connection go out as one `sendmmsg` or one framed write, under one
-//! pending-table lock. In [`ReplayMode::Fast`] every record is due. In
+//! connection go out as one `sendmmsg` or one framed write. In
+//! [`ReplayMode::Fast`] every record is due. In
 //! [`ReplayMode::Timed`] the querier sleeps to the run's first deadline
 //! on [`ReplayClock`] — a plain kernel sleep, with the querier thread's
 //! timer slack set to 1 ns — and records whose deadlines have passed by
@@ -30,15 +30,30 @@
 //! shard exports [`ShardStats`] — sent/answered/late counts, queue
 //! depths, postman stalls — so the Figure 9 experiments can see *where*
 //! the pipeline saturates.
+//!
+//! A querier is the only thread that touches its sockets: as in the
+//! paper, it takes the answers to the queries it sends. It reads them
+//! without blocking after each run it sends — never before, so reading
+//! cannot delay a send — and at every other wake: a batch's arrival, a
+//! timeout-wheel tick while queries can still expire, a drain poll. One
+//! `epoll_wait` with a zero timeout finds the sockets with answers queued,
+//! however many sockets the querier holds. Expiry reads the sockets first,
+//! so an answer still queued is never counted as lost. An answer may wait
+//! in its socket while the querier sleeps toward its next send, so its
+//! latency runs to the kernel's arrival stamp (`SO_TIMESTAMPNS`), not to
+//! the read: the stamp is converted to the [`Instant`] clock and clamped
+//! between the send and the read (off Linux, the read's time stands in).
+//! Over TCP the stamp is the arrival of the last segment a read returns:
+//! answers that arrive back to back while the querier sleeps share the
+//! later stamp, so their RTT is overstated by at most their arrival gap.
 
 use std::collections::HashMap;
 use std::net::{IpAddr, SocketAddr};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
-use parking_lot::Mutex;
-use tokio::io::{AsyncReadExt, AsyncWriteExt};
+use tokio::io::AsyncWriteExt;
 use tokio::net::UdpSocket;
 use tokio::sync::mpsc;
 use tokio::task::JoinHandle;
@@ -47,7 +62,9 @@ use ldp_metrics::ShardStats;
 use ldp_obs::{ReplaySpans, Stage};
 use ldp_trace::{Protocol, TraceRecord};
 
+use crate::ledger::{InFlight, Ledger, ObsCtx, PendingTable, ReadClock, SockRef};
 use crate::plan::{Batcher, ReplayPlan};
+use crate::ready::Readiness;
 use crate::retry::{FaultCounters, RetryPolicy};
 use crate::timing::ReplayClock;
 
@@ -503,200 +520,6 @@ const BATCH_HORIZON_US: u64 = 100_000;
 /// quartile window).
 const LATE_BUDGET_US: u64 = 10_000;
 
-/// Which transport an in-flight query went out on — what the timeout
-/// sweeper needs to retransmit (UDP, by socket index) or give up (TCP;
-/// reconnection is a send-path concern).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SockRef {
-    Udp(u32),
-    Tcp,
-}
-
-/// Everything the receive and timeout paths need to know about one
-/// outstanding query.
-struct InFlight {
-    /// Latency-slot index the answer lands in.
-    slot: usize,
-    /// Send time of the *latest* attempt (latency baseline).
-    sent_at: Instant,
-    /// When the current attempt expires; `None` when expiry is disabled.
-    deadline: Option<Instant>,
-    /// 0 on the first send; bumped per retransmit. Wheel entries carry
-    /// the attempt they were scheduled for, so an answered-and-resent id
-    /// can't be expired by a stale entry.
-    attempt: u32,
-    sock: SockRef,
-    /// Encoded query for retransmission (UDP with retries enabled only —
-    /// the no-retry hot path never clones wires).
-    wire: Option<Box<[u8]>>,
-}
-
-/// Querier-wide in-flight table indexed by message id: a flat 65 536-slot
-/// array instead of a `HashMap<u16, _>` — no hashing and no probing on
-/// the two hottest operations (insert on send, take on answer). The
-/// timeout wheel rides in the same struct so scheduling an expiry reuses
-/// the lock the sender already holds.
-struct PendingTable {
-    slots: Vec<Option<InFlight>>,
-    /// Outstanding queries; drives the adaptive post-send drain.
-    in_flight: usize,
-    wheel: crate::retry::TimeoutWheel,
-}
-
-impl PendingTable {
-    fn new(start: Instant) -> PendingTable {
-        PendingTable {
-            slots: (0..1 << 16).map(|_| None).collect(),
-            in_flight: 0,
-            wheel: crate::retry::TimeoutWheel::new(start),
-        }
-    }
-
-    /// Registers an in-flight id; a still-outstanding id that wrapped
-    /// around is overwritten, matching the map behavior it replaced.
-    fn insert(&mut self, id: u16, f: InFlight) {
-        let deadline = f.deadline;
-        let attempt = f.attempt;
-        if let Some(slot) = self.slots.get_mut(id as usize) {
-            if slot.replace(f).is_none() {
-                self.in_flight += 1;
-            }
-        }
-        if let Some(d) = deadline {
-            self.wheel.schedule(id, attempt, d);
-        }
-    }
-
-    fn remove(&mut self, id: u16) -> Option<InFlight> {
-        let f = self.slots.get_mut(id as usize)?.take();
-        if f.is_some() {
-            self.in_flight -= 1;
-        }
-        f
-    }
-
-    /// Processes every due wheel entry: validates against the live table,
-    /// re-schedules not-yet-due entries, retires exhausted queries
-    /// (`gave_up`), and collects UDP retransmits into `resend` for the
-    /// sweeper to put on the wire after releasing the lock.
-    /// Span note: `Retry`/`GaveUp` events are recorded here, under the
-    /// pending lock, rather than in the sweeper's async send path — sync
-    /// code can't be interrupted by task abort, so the events can never
-    /// be lost between the counter bump and the stamp. A `Retry` event
-    /// marks the decision to retransmit; the datagram itself goes out
-    /// (and `retries` is counted) after the lock is released.
-    fn sweep(
-        &mut self,
-        now: Instant,
-        policy: &RetryPolicy,
-        counters: &FaultCounters,
-        due: &mut Vec<(u16, u32)>,
-        resend: &mut Vec<(u32, Box<[u8]>)>,
-        obs: Option<&ObsCtx>,
-    ) {
-        due.clear();
-        self.wheel.due(now, due);
-        for &(id, attempt) in due.iter() {
-            enum Action {
-                Skip,
-                Reschedule(Instant),
-                Expire,
-            }
-            let action = match self.slots.get(id as usize).and_then(Option::as_ref) {
-                // Answered (or the id was re-used): stale entry.
-                Some(f) if f.attempt != attempt => Action::Skip,
-                None => Action::Skip,
-                Some(f) => match f.deadline {
-                    // Bucket came around a rotation early (or jitter):
-                    // keep the entry alive at its true deadline.
-                    Some(d) if d > now => Action::Reschedule(d),
-                    Some(_) => Action::Expire,
-                    None => Action::Skip,
-                },
-            };
-            match action {
-                Action::Skip => {}
-                Action::Reschedule(d) => self.wheel.schedule(id, attempt, d),
-                Action::Expire => {
-                    counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                    let retryable = self
-                        .slots
-                        .get(id as usize)
-                        .and_then(Option::as_ref)
-                        .is_some_and(|f| {
-                            matches!(f.sock, SockRef::Udp(_))
-                                && f.attempt < policy.max_udp_retries
-                                && f.wire.is_some()
-                        });
-                    if retryable {
-                        if let Some(f) = self.slots.get_mut(id as usize).and_then(Option::as_mut) {
-                            f.attempt += 1;
-                            f.sent_at = now;
-                            let d = now + policy.backoff.delay(f.attempt, u64::from(id));
-                            f.deadline = Some(d);
-                            if let (SockRef::Udp(s), Some(w)) = (f.sock, f.wire.as_ref()) {
-                                resend.push((s, w.clone()));
-                            }
-                            if let Some(o) = obs {
-                                o.record_instant(f.slot, Stage::Retry, now);
-                            }
-                            let a = f.attempt;
-                            self.wheel.schedule(id, a, d);
-                        }
-                    } else {
-                        // Out of attempts (or TCP): the server never
-                        // answered this query.
-                        if let Some(f) = self.remove(id) {
-                            if let Some(o) = obs {
-                                o.record_instant(f.slot, Stage::GaveUp, now);
-                            }
-                        }
-                        counters.gave_up.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Shared response bookkeeping: outcome slots + the querier's pending
-/// table.
-type Pending = Arc<Mutex<PendingTable>>;
-type Latencies = Arc<Mutex<Vec<Option<u64>>>>;
-/// Sweeper-visible registry of the querier's UDP sockets (indexed by
-/// [`SockRef::Udp`]); grows only when a socket is created.
-type SocketRegistry = Arc<Mutex<Vec<Arc<UdpSocket>>>>;
-
-/// One querier's handle on the replay's span sink: the shard index and
-/// the shared epoch are bound once so the hot paths record a stage with
-/// a single call. A query's span key is its latency-slot index, which
-/// equals its per-shard record ordinal — the same number the Postman
-/// counts on the read side, so both halves of the pipeline stamp the
-/// same span without any id exchange.
-#[derive(Clone)]
-struct ObsCtx {
-    spans: Arc<ReplaySpans>,
-    shard: usize,
-    epoch: Instant,
-}
-
-impl ObsCtx {
-    /// Records `stage` at an offset already measured on the epoch clock.
-    fn record_at(&self, seq: usize, stage: Stage, t_us: u64) {
-        self.spans.record(self.shard, seq as u64, stage, t_us);
-    }
-
-    /// Records `stage` at a captured instant (receive paths take one
-    /// timestamp per batch and reuse it).
-    fn record_instant(&self, seq: usize, stage: Stage, now: Instant) {
-        self.record_at(
-            seq,
-            stage,
-            now.saturating_duration_since(self.epoch).as_micros() as u64,
-        );
-    }
-}
-
 /// Per-send record: which latency slot the response will land in, plus
 /// the timing fields the final [`ReplayOutcome`] reports.
 struct Meta {
@@ -747,7 +570,7 @@ struct QuerierTask {
 /// One shard's telemetry handles, resolved once at querier start so the
 /// batch loop pays a relaxed `fetch_add`, never a registry lookup. The
 /// fault counters and in-flight depth are *observed* (closures over the
-/// atomics the pipeline already maintains) rather than double-counted.
+/// atomics the querier already maintains) rather than double-counted.
 struct ShardTele {
     sent: ldp_telemetry::Counter,
     send_lag_us: ldp_telemetry::Counter,
@@ -759,7 +582,6 @@ impl ShardTele {
         reg: &ldp_telemetry::Registry,
         shard: usize,
         counters: &Arc<FaultCounters>,
-        pending: &Pending,
     ) -> ShardTele {
         let shard_label = shard.to_string();
         let labels: [(&str, &str); 1] = [("shard", shard_label.as_str())];
@@ -809,12 +631,12 @@ impl ShardTele {
             &labels,
             move || c.errors.load(Ordering::Relaxed),
         );
-        let p = pending.clone();
+        let c = counters.clone();
         reg.observe_gauge(
             "ldp_replay_in_flight",
             "Outstanding queries awaiting an answer or expiry",
             &labels,
-            move || p.lock().in_flight as u64,
+            move || c.in_flight.load(Ordering::Relaxed),
         );
         ShardTele {
             sent,
@@ -824,56 +646,75 @@ impl ShardTele {
     }
 }
 
+/// Answers read per `recvmmsg`: a burst of responses costs one syscall,
+/// not one per answer. The buffers are deliberately tiny — only the
+/// 2-byte message id is read from an answer, so the kernel truncating an
+/// oversized datagram is harmless.
+const RECV_BATCH: usize = 32;
+const RECV_BUF: usize = 2_048;
+
+/// A TCP connection's read buffer starts this small and doubles while a
+/// frame does not fit, so a trace with thousands of sources stays cheap.
+const TCP_READ_BUF: usize = 4_096;
+
+/// Readiness tokens: a UDP socket slot as is, a TCP connection with this
+/// bit set.
+const TCP_TOKEN: u64 = 1 << 32;
+
+/// How often the post-send drain looks for answers.
+const DRAIN_POLL: Duration = Duration::from_millis(5);
+
+/// Scratch for reads and expiry, reused across wakes.
+struct ReadBufs {
+    /// Tokens of the sockets the last wait reported ready.
+    tokens: Vec<u64>,
+    /// UDP: one buffer per datagram, and each datagram's length and stamp.
+    datagrams: Vec<Vec<u8>>,
+    got: Vec<(usize, Option<SystemTime>)>,
+    /// Expiry: due wheel entries and the retransmits they call for.
+    due: Vec<(u16, u32)>,
+    resend: Vec<(u32, Box<[u8]>)>,
+}
+
 /// Socket/connection state one querier owns, factored out so the batch
-/// loops can borrow it alongside the batch being drained.
+/// loops can borrow it alongside the batch being drained. The querier is
+/// the only thread that touches any of it.
 struct QuerierState {
-    shard: usize,
     server: SocketAddr,
     max_sockets: usize,
-    udp: Vec<Arc<UdpSocket>>,
+    udp: Vec<UdpSocket>,
     udp_by_source: HashMap<IpAddr, usize>,
-    tcp: HashMap<IpAddr, TcpConn>,
-    recv_tasks: Vec<JoinHandle<()>>,
-    latencies: Latencies,
-    /// One in-flight table for the whole querier, shared by every socket
-    /// and connection: ids come from the querier-wide counter, so they are
+    /// One connection per source; `None` once it died, until the next
+    /// send to that source reopens it.
+    tcp: Vec<Option<TcpConn>>,
+    tcp_by_source: HashMap<IpAddr, usize>,
+    readiness: Readiness,
+    /// One ledger for the whole querier, shared by every socket and
+    /// connection: ids come from the querier-wide counter, so they are
     /// unique across the querier's sockets — and a single table stays a
     /// single table when a high-source trace fans out to hundreds of
     /// sockets.
-    pending: Pending,
-    registry: SocketRegistry,
+    ledger: Ledger,
+    bufs: ReadBufs,
     policy: RetryPolicy,
     counters: Arc<FaultCounters>,
     next_id: u16,
-    /// Span handle cloned into every receive task this querier spawns.
-    obs: Option<ObsCtx>,
-    /// Live answered-counter handle cloned into every receive task, so a
-    /// matched response bumps the shard's `ldp_replay_answered_total`
-    /// while both locks are already held.
-    answered: Option<ldp_telemetry::Counter>,
 }
 
 impl QuerierState {
-    /// UDP socket slot for `src`, creating one (with its receive task)
-    /// under the cap, sharing by hash beyond it. `None` means the bind
-    /// failed; the caller degrades the record(s) to
-    /// [`ReplayError::Bind`] outcomes — the failure is *not* cached, so
-    /// the next record for this source tries again.
+    /// UDP socket slot for `src`, creating one under the cap, sharing by
+    /// hash beyond it. `None` means the bind failed; the caller degrades
+    /// the record(s) to [`ReplayError::Bind`] outcomes — the failure is
+    /// *not* cached, so the next record for this source tries again.
     async fn udp_slot(&mut self, src: IpAddr) -> Option<usize> {
         if let Some(&s) = self.udp_by_source.get(&src) {
             return Some(s);
         }
         let s = if self.udp.len() < self.max_sockets {
-            let socket = Arc::new(UdpSocket::bind("127.0.0.1:0").await.ok()?);
-            self.recv_tasks.push(tokio::spawn(recv_udp(
-                self.shard,
-                socket.clone(),
-                self.pending.clone(),
-                self.latencies.clone(),
-                self.obs.clone(),
-                self.answered.clone(),
-            )));
-            self.registry.lock().push(socket.clone());
+            let socket = UdpSocket::bind("127.0.0.1:0").await.ok()?;
+            // Best effort: without stamps, a latency runs to its read.
+            let _ = socket.set_arrival_stamps();
+            self.readiness.add(&socket, self.udp.len() as u64);
             self.udp.push(socket);
             self.udp.len() - 1
         } else {
@@ -896,14 +737,14 @@ impl QuerierState {
         }
     }
 
-    /// Live TCP connection for `src`, (re)opening — with capped backoff
-    /// up to the policy's attempt budget — when absent or dead. `None`
-    /// means every attempt failed; the caller degrades the record(s) to
-    /// [`ReplayError::Connect`] outcomes.
-    async fn tcp_conn(&mut self, src: IpAddr) -> Option<&mut TcpConn> {
-        let prev_died = self.tcp.get(&src).map(TcpConn::is_dead);
-        if prev_died == Some(false) {
-            return self.tcp.get_mut(&src);
+    /// Index of a live TCP connection for `src`, (re)opening — with capped
+    /// backoff up to the policy's attempt budget — when absent or dead.
+    /// `None` means every attempt failed; the caller degrades the
+    /// record(s) to [`ReplayError::Connect`] outcomes.
+    async fn tcp_conn(&mut self, src: IpAddr) -> Option<usize> {
+        let known = self.tcp_by_source.get(&src).copied();
+        if let Some(i) = known.filter(|&i| matches!(self.tcp.get(i), Some(Some(_)))) {
+            return Some(i);
         }
         let attempts = self.policy.tcp_reconnect_attempts.max(1);
         for attempt in 0..attempts {
@@ -914,24 +755,25 @@ impl QuerierState {
                     .delay(attempt - 1, hash_ip(src) as u64);
                 tokio::time::sleep(pause).await;
             }
-            match TcpConn::open(
-                self.server,
-                self.latencies.clone(),
-                self.pending.clone(),
-                self.obs.clone(),
-                self.answered.clone(),
-            )
-            .await
-            {
-                Ok(c) => {
-                    if prev_died == Some(true) {
-                        self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.tcp.insert(src, c);
-                    return self.tcp.get_mut(&src);
+            let Ok(conn) = TcpConn::open(self.server).await else {
+                continue;
+            };
+            let i = match known {
+                Some(i) => {
+                    self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
+                    i
                 }
-                Err(_) => continue,
+                None => {
+                    self.tcp_by_source.insert(src, self.tcp.len());
+                    self.tcp.push(None);
+                    self.tcp.len() - 1
+                }
+            };
+            self.readiness.add(&conn.stream, TCP_TOKEN | i as u64);
+            if let Some(slot) = self.tcp.get_mut(i) {
+                *slot = Some(conn);
             }
+            return Some(i);
         }
         None
     }
@@ -956,52 +798,152 @@ impl QuerierState {
         self.next_id = self.next_id.wrapping_add(1);
         self.next_id
     }
-}
 
-/// Per-querier timeout sweeper: ticks at the wheel granularity, expires
-/// due attempts, and puts retransmits on the wire. Runs as its own task
-/// (the offline runtime has no timer/IO racing, so expiry needs a
-/// dedicated driver); `stop` makes it exit within one tick once the
-/// querier has drained.
-fn spawn_sweeper(state: &QuerierState, stop: Arc<AtomicBool>) -> JoinHandle<()> {
-    let (shard, server) = (state.shard, state.server);
-    let (pending, registry) = (state.pending.clone(), state.registry.clone());
-    let (policy, counters) = (state.policy.clone(), state.counters.clone());
-    let obs = state.obs.clone();
-    tokio::spawn(async move {
-        ldp_telemetry::thread::set_name(&format!("sweeper-{shard}"));
-        let mut due: Vec<(u16, u32)> = Vec::new();
-        let mut resend: Vec<(u32, Box<[u8]>)> = Vec::new();
-        while !stop.load(Ordering::Relaxed) {
-            tokio::time::sleep(crate::retry::TimeoutWheel::TICK).await;
-            resend.clear();
-            {
-                let mut p = pending.lock();
-                p.sweep(
-                    Instant::now(),
-                    &policy,
-                    &counters,
-                    &mut due,
-                    &mut resend,
-                    obs.as_ref(),
-                );
-            }
-            if resend.is_empty() {
-                continue;
-            }
-            let sockets: Vec<Arc<UdpSocket>> = registry.lock().clone();
-            for (s, wire) in resend.drain(..) {
-                let Some(socket) = sockets.get(s as usize) else {
-                    continue;
-                };
-                if socket.send_to(&wire, server).await.is_ok() {
-                    counters.retries.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    counters.errors.fetch_add(1, Ordering::Relaxed);
-                }
+    /// Reads every answer already queued on the querier's sockets, without
+    /// blocking, then expires the attempts that are due. Reading first
+    /// means an answer that arrived in time is never counted as lost.
+    async fn service(&mut self) {
+        let mut tokens = std::mem::take(&mut self.bufs.tokens);
+        self.readiness.ready(&mut tokens);
+        for &token in &tokens {
+            let i = (token & !TCP_TOKEN) as usize;
+            if token & TCP_TOKEN == 0 {
+                self.read_udp(i);
+            } else {
+                self.read_tcp(i);
             }
         }
-    })
+        self.bufs.tokens = tokens;
+        if self.policy.is_enabled() {
+            self.expire().await;
+        }
+        self.counters
+            .in_flight
+            .store(self.ledger.pending.in_flight as u64, Ordering::Relaxed);
+    }
+
+    /// Whether an in-flight query can still expire, so that a wait must
+    /// wake at each wheel tick.
+    fn expiring(&self) -> bool {
+        self.policy.is_enabled() && self.ledger.pending.in_flight > 0
+    }
+
+    /// Sleeps until `at`. While queries can still expire, wakes at each
+    /// wheel tick on the way, so expiry never waits on pacing.
+    async fn pause_until(&mut self, at: Instant) {
+        while self.expiring() {
+            let tick = Instant::now() + crate::retry::TimeoutWheel::TICK;
+            if tick >= at {
+                break;
+            }
+            tokio::time::sleep_until(tick.into()).await;
+            self.service().await;
+        }
+        tokio::time::sleep_until(at.into()).await;
+    }
+
+    /// The next batch from the Postman. A batch already queued is taken
+    /// at once; otherwise the wait wakes at each wheel tick while queries
+    /// can still expire, and the batch's arrival is a wake of its own.
+    async fn next_batch(
+        &mut self,
+        rx: &mut mpsc::Receiver<Vec<TraceRecord>>,
+    ) -> Option<Vec<TraceRecord>> {
+        if let Some(batch) = rx.try_recv() {
+            return Some(batch);
+        }
+        let batch = loop {
+            if !self.expiring() {
+                break rx.recv().await;
+            }
+            let tick = crate::retry::TimeoutWheel::TICK;
+            if let Ok(batch) = tokio::time::timeout(tick, rx.recv()).await {
+                break batch;
+            }
+            self.service().await;
+        };
+        self.service().await;
+        batch
+    }
+
+    /// Adaptive drain: polls until every in-flight query is answered,
+    /// retried out, or expired — `drain` is only the hard cap (and the
+    /// whole wait when expiry is disabled and answers were lost).
+    async fn finish(&mut self, drain: Duration) {
+        let hard_deadline = Instant::now() + drain;
+        loop {
+            self.service().await;
+            let left = hard_deadline.saturating_duration_since(Instant::now());
+            if self.ledger.pending.in_flight == 0 || left.is_zero() {
+                return;
+            }
+            tokio::time::sleep(DRAIN_POLL.min(left)).await;
+        }
+    }
+
+    fn read_udp(&mut self, slot: usize) {
+        let Some(socket) = self.udp.get(slot) else {
+            return;
+        };
+        let bufs = &mut self.bufs;
+        while let Ok(n) = socket.try_recv_many_stamped(&mut bufs.datagrams, &mut bufs.got) {
+            let read = ReadClock::now();
+            for (buf, &(len, stamp)) in bufs.datagrams.iter().zip(&bufs.got) {
+                if let (2.., [a, b, ..]) = (len, buf.as_slice()) {
+                    self.ledger
+                        .answer(u16::from_be_bytes([*a, *b]), stamp, read);
+                }
+            }
+            if n < bufs.datagrams.len() {
+                return;
+            }
+        }
+    }
+
+    /// Reads TCP connection `i`; EOF or a read error closes it.
+    fn read_tcp(&mut self, i: usize) {
+        if let Some(slot) = self.tcp.get_mut(i) {
+            if slot
+                .as_mut()
+                .is_some_and(|c| !c.read_answers(&mut self.ledger))
+            {
+                *slot = None;
+            }
+        }
+    }
+
+    /// Closes TCP connection `i` after a failed write, crediting the
+    /// answers it still holds first.
+    fn close_tcp(&mut self, i: usize) {
+        self.read_tcp(i);
+        if let Some(slot) = self.tcp.get_mut(i) {
+            *slot = None;
+        }
+    }
+
+    /// Expires the attempts that are due and puts their retransmits on
+    /// the wire.
+    async fn expire(&mut self) {
+        let bufs = &mut self.bufs;
+        self.ledger.pending.sweep(
+            Instant::now(),
+            &self.policy,
+            &self.counters,
+            &mut bufs.due,
+            &mut bufs.resend,
+            self.ledger.obs.as_ref(),
+        );
+        for (s, wire) in bufs.resend.drain(..) {
+            let Some(socket) = self.udp.get(s as usize) else {
+                continue;
+            };
+            if socket.send_to(&wire, self.server).await.is_ok() {
+                self.counters.retries.fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.counters.errors.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
 }
 
 impl QuerierTask {
@@ -1014,49 +956,46 @@ impl QuerierTask {
         ldp_telemetry::thread::set_name(&format!("querier-{}", self.shard));
         crate::timing::tighten_timer_slack();
         let mut stats = ShardStats::new(self.shard);
-        let pending: Pending = Arc::new(Mutex::new(PendingTable::new(Instant::now())));
         let counters = Arc::new(FaultCounters::default());
         // Handles resolved once, before the first batch: the hot loop
         // below never touches the registry again.
         let tele = self
             .telemetry
             .as_ref()
-            .map(|reg| ShardTele::register(reg, self.shard, &counters, &pending));
+            .map(|reg| ShardTele::register(reg, self.shard, &counters));
         let mut state = QuerierState {
-            shard: self.shard,
             server: self.server,
             max_sockets: self.max_sockets,
             udp: Vec::new(),
             udp_by_source: HashMap::new(),
-            tcp: HashMap::new(),
-            recv_tasks: Vec::new(),
-            latencies: Arc::new(Mutex::new(Vec::new())),
-            pending,
-            registry: Arc::new(Mutex::new(Vec::new())),
+            tcp: Vec::new(),
+            tcp_by_source: HashMap::new(),
+            readiness: Readiness::new(),
+            ledger: Ledger {
+                pending: PendingTable::new(Instant::now()),
+                latencies: Vec::new(),
+                obs: self.obs.clone(),
+                answered: tele.as_ref().map(|t| t.answered.clone()),
+            },
+            bufs: ReadBufs {
+                tokens: Vec::new(),
+                datagrams: (0..RECV_BATCH).map(|_| vec![0u8; RECV_BUF]).collect(),
+                got: Vec::with_capacity(RECV_BATCH),
+                due: Vec::new(),
+                resend: Vec::new(),
+            },
             policy: self.retry.clone(),
             counters,
             next_id: 0,
-            obs: self.obs.clone(),
-            answered: tele.as_ref().map(|t| t.answered.clone()),
         };
-        let stop = Arc::new(AtomicBool::new(false));
-        let sweeper = self
-            .retry
-            .is_enabled()
-            .then(|| spawn_sweeper(&state, stop.clone()));
         let mut meta: Vec<Meta> = Vec::new();
         let mut last_deadline_us: u64 = 0;
 
-        while let Some(mut batch) = rx.recv().await {
+        while let Some(mut batch) = state.next_batch(&mut rx).await {
             depth.fetch_sub(1, Ordering::Relaxed);
             stats.batches += 1;
-            // Reserve the batch's outcome slots under one lock.
-            let base = {
-                let mut l = state.latencies.lock();
-                let b = l.len();
-                l.resize(b + batch.len(), None);
-                b
-            };
+            let base = state.ledger.latencies.len();
+            state.ledger.latencies.resize(base + batch.len(), None);
             let drained_from = meta.len();
             self.drain(
                 &mut batch,
@@ -1089,32 +1028,9 @@ impl QuerierTask {
             // just means this spine gets reallocated.
             let _ = recycle.try_send(batch); // ldp-lint: allow(r5) -- spine recycling, not a query send
         }
+        state.finish(self.drain).await;
 
-        // Adaptive drain: wait until every in-flight query is answered,
-        // retried out, or expired — `drain` is only the hard cap (and the
-        // whole wait when expiry is disabled and answers were lost).
-        let hard_deadline = Instant::now() + self.drain;
-        loop {
-            if state.pending.lock().in_flight == 0 {
-                break;
-            }
-            if Instant::now() >= hard_deadline {
-                break;
-            }
-            tokio::time::sleep(Duration::from_millis(5)).await;
-        }
-        stop.store(true, Ordering::Relaxed);
-        if let Some(s) = sweeper {
-            s.abort();
-        }
-        for t in &state.recv_tasks {
-            t.abort();
-        }
-        for (_, conn) in state.tcp.iter() {
-            conn.reader.abort();
-        }
-
-        let latencies = state.latencies.lock();
+        let latencies = &state.ledger.latencies;
         stats.sent = meta.iter().filter(|m| m.error.is_none()).count() as u64;
         stats.answered = latencies.iter().filter(|l| l.is_some()).count() as u64;
         state.counters.fold_into(&mut stats);
@@ -1139,7 +1055,8 @@ impl QuerierTask {
     /// run's first record is paced — a plain kernel sleep to its absolute
     /// deadline — and a later record joins once its own deadline has
     /// passed, so no record is ever sent early. Each run goes out as one
-    /// `sendmmsg` or one framed write. Faults never abort: a bind, connect,
+    /// `sendmmsg` or one framed write, and the querier then reads whatever
+    /// answers have arrived. Faults never abort: a bind, connect,
     /// encode or send failure degrades that record to a [`ReplayError`]
     /// outcome and the loop moves on.
     async fn drain(
@@ -1168,8 +1085,9 @@ impl QuerierTask {
                     "deadline went backwards: {deadline} < {last_deadline_us}"
                 );
                 *last_deadline_us = deadline;
-                let at = self.epoch + Duration::from_micros(deadline);
-                tokio::time::sleep_until(at.into()).await;
+                state
+                    .pause_until(self.epoch + Duration::from_micros(deadline))
+                    .await;
             }
 
             // Live mode carries TLS/QUIC as TCP: handshake emulation is a
@@ -1181,10 +1099,11 @@ impl QuerierTask {
                     .udp_slot(src)
                     .await
                     .map_or(Route::Failed(ReplayError::Bind), Route::Udp)
-            } else if state.tcp_conn(src).await.is_some() {
-                Route::Tcp
             } else {
-                Route::Failed(ReplayError::Connect)
+                state
+                    .tcp_conn(src)
+                    .await
+                    .map_or(Route::Failed(ReplayError::Connect), |_| Route::Tcp)
             };
             // Grow the run by every following record that is already due
             // and rides the same socket or connection. A failed bind or
@@ -1219,6 +1138,9 @@ impl QuerierTask {
             let (wire_stamp_us, sent_offset_us) = self
                 .send_run(&mut batch[i..j], base + i, route, state, &mut run)
                 .await;
+            // Answers are read after each run, never before, so reading
+            // them cannot delay a send.
+            state.service().await;
             for (x, rec) in batch[i..j].iter().enumerate() {
                 let k = i + x;
                 let error = run.errs[x];
@@ -1299,29 +1221,27 @@ impl QuerierTask {
             run.ids.push(id);
             run.errs.push(error);
         }
-        {
-            // TCP entries get an expiry too, although the send path (not
-            // the sweeper) owns reconnection: without one, a query lost to
-            // a reset connection would pin the adaptive drain to its cap.
-            let sent_at = Instant::now();
-            let mut wires = run.wires.iter();
-            let mut p = state.pending.lock();
-            for (x, error) in run.errs.iter().enumerate() {
-                if error.is_none() {
-                    let wire = match sock {
-                        SockRef::Udp(_) => wires.next().map_or(&[][..], Vec::as_slice),
-                        SockRef::Tcp => &[],
-                    };
-                    p.insert(run.ids[x], state.in_flight(base + x, sent_at, sock, wire));
-                }
+        // TCP entries get an expiry too, although the send path (not
+        // expiry) owns reconnection: without one, a query lost to a reset
+        // connection would pin the adaptive drain to its cap.
+        let sent_at = Instant::now();
+        let mut wires = run.wires.iter();
+        for (x, error) in run.errs.iter().enumerate() {
+            if error.is_none() {
+                let wire = match sock {
+                    SockRef::Udp(_) => wires.next().map_or(&[][..], Vec::as_slice),
+                    SockRef::Tcp => &[],
+                };
+                let f = state.in_flight(base + x, sent_at, sock, wire);
+                state.ledger.pending.insert(run.ids[x], f);
             }
         }
 
-        // The span's `Sent` stamp is captured before the send: the
-        // receiver stamps `Answered` on its own thread, and only a
-        // pre-send stamp is causally ordered before the answer. The
-        // report's `sent_offset_us` still measures send *completion*.
-        let wire_stamp_us = self.now_us();
+        // The span's `Sent` stamp is the registration instant, taken
+        // before the send: an answer's arrival is clamped to no earlier
+        // than it, so `Answered` never precedes `Sent`. The report's
+        // `sent_offset_us` still measures send *completion*.
+        let wire_stamp_us = sent_at.saturating_duration_since(self.epoch).as_micros() as u64;
         match route {
             Route::Udp(slot) => {
                 // One sendmmsg carries the whole run; any tail the kernel
@@ -1347,26 +1267,28 @@ impl QuerierTask {
                         .is_err()
                     {
                         *error = Some(ReplayError::Send);
-                        state.pending.lock().remove(run.ids[x]);
+                        state.ledger.pending.remove(run.ids[x]);
                         state.counters.errors.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
             Route::Tcp if !run.framed.is_empty() => {
                 // On a write failure, reconnect (counted) and re-send the
-                // run's frames once; answers come back through the new
-                // reader into the same querier-wide pending table, and a
-                // duplicate answer finds no pending entry. A second
+                // run's frames once; answers come back on the new
+                // connection into the same querier-wide pending table, and
+                // a duplicate answer finds no pending entry. A second
                 // failure leaves the run to expire into `gave_up`.
                 let src = recs[0].src;
                 for _ in 0..2 {
-                    let Some(conn) = state.tcp_conn(src).await else {
+                    let Some(i) = state.tcp_conn(src).await else {
                         break;
                     };
-                    if conn.send(&run.framed).await.is_ok() {
-                        break;
+                    if let Some(Some(conn)) = state.tcp.get_mut(i) {
+                        if conn.send(&run.framed).await.is_ok() {
+                            break;
+                        }
                     }
-                    conn.mark_dead();
+                    state.close_tcp(i);
                 }
             }
             Route::Tcp | Route::Failed(_) => {}
@@ -1387,133 +1309,70 @@ fn hash_ip(ip: IpAddr) -> usize {
     h.finish() as usize
 }
 
-/// Answers drained per `recvmmsg` wakeup: a burst of responses costs one
-/// syscall, not one per answer. The buffers are deliberately tiny — only
-/// the 2-byte message id is read from an answer, so the kernel truncating
-/// an oversized datagram is harmless, and a high-source trace fanning out
-/// to hundreds of sockets (each with its own receive task) stays at
-/// kilobytes, not megabytes, of buffer per socket.
-const RECV_BATCH: usize = 32;
-const RECV_BUF: usize = 2_048;
-
-async fn recv_udp(
-    shard: usize,
-    socket: Arc<UdpSocket>,
-    pending: Pending,
-    latencies: Latencies,
-    obs: Option<ObsCtx>,
-    answered: Option<ldp_telemetry::Counter>,
-) {
-    ldp_telemetry::thread::set_name(&format!("udp-recv-{shard}"));
-    let mut bufs: Vec<Vec<u8>> = (0..RECV_BATCH).map(|_| vec![0u8; RECV_BUF]).collect();
-    loop {
-        let Ok(received) = socket.recv_many(&mut bufs).await else {
-            continue;
-        };
-        if received.is_empty() {
-            continue;
-        }
-        let now = Instant::now();
-        let mut p = pending.lock();
-        let mut l = latencies.lock();
-        for (i, &(len, _)) in received.iter().enumerate() {
-            if len < 2 {
-                continue;
-            }
-            let id = u16::from_be_bytes([bufs[i][0], bufs[i][1]]);
-            if let Some(f) = p.remove(id) {
-                let latency = now.saturating_duration_since(f.sent_at).as_micros() as u64;
-                if let Some(slot) = l.get_mut(f.slot) {
-                    *slot = Some(latency);
-                }
-                // Stamped while both locks are held, so an abort at drain
-                // can't split a recorded latency from its Answered event.
-                if let Some(o) = &obs {
-                    o.record_instant(f.slot, Stage::Answered, now);
-                }
-                if let Some(a) = &answered {
-                    a.inc();
-                }
-            }
-        }
-    }
-}
-
+/// One source's TCP connection. Only the querier reads it, without
+/// blocking, into a buffer reused across reads.
 struct TcpConn {
-    writer: tokio::net::tcp::OwnedWriteHalf,
-    reader: JoinHandle<()>,
-    /// Set by the send path on a write failure *or* by the reader task on
-    /// EOF/read error — a server that resets mid-conversation is usually
-    /// noticed by the reader first, and the flag is what triggers a
-    /// reconnect on the next use of this source's connection.
-    dead: Arc<AtomicBool>,
+    stream: tokio::net::TcpStream,
+    /// Bytes read but not yet credited: a frame still arriving.
+    buf: Vec<u8>,
+    filled: usize,
 }
 
 impl TcpConn {
-    async fn open(
-        server: SocketAddr,
-        latencies: Latencies,
-        pending: Pending,
-        obs: Option<ObsCtx>,
-        answered: Option<ldp_telemetry::Counter>,
-    ) -> std::io::Result<TcpConn> {
+    async fn open(server: SocketAddr) -> std::io::Result<TcpConn> {
         let stream = tokio::net::TcpStream::connect(server).await?;
         stream.set_nodelay(true)?;
-        let (mut read_half, writer) = stream.into_split();
-        let dead = Arc::new(AtomicBool::new(false));
-        let dead_r = dead.clone();
-        let reader = tokio::spawn(async move {
-            ldp_telemetry::thread::set_name("tcp-recv");
-            loop {
-                let mut lenbuf = [0u8; 2];
-                if read_half.read_exact(&mut lenbuf).await.is_err() {
-                    dead_r.store(true, Ordering::Relaxed);
-                    return;
-                }
-                let len = u16::from_be_bytes(lenbuf) as usize;
-                let mut msg = vec![0u8; len];
-                if read_half.read_exact(&mut msg).await.is_err() {
-                    dead_r.store(true, Ordering::Relaxed);
-                    return;
-                }
-                if msg.len() < 2 {
-                    continue;
-                }
-                let id = u16::from_be_bytes([msg[0], msg[1]]);
-                if let Some(f) = pending.lock().remove(id) {
-                    let now = Instant::now();
-                    let latency = now.saturating_duration_since(f.sent_at).as_micros() as u64;
-                    let mut l = latencies.lock();
-                    if let Some(slot) = l.get_mut(f.slot) {
-                        *slot = Some(latency);
-                    }
-                    if let Some(o) = &obs {
-                        o.record_instant(f.slot, Stage::Answered, now);
-                    }
-                    if let Some(a) = &answered {
-                        a.inc();
-                    }
-                }
-            }
-        });
+        // Best effort: without stamps, a latency runs to its read.
+        let _ = stream.set_arrival_stamps();
         Ok(TcpConn {
-            writer,
-            reader,
-            dead,
+            stream,
+            buf: vec![0; TCP_READ_BUF],
+            filled: 0,
         })
-    }
-
-    fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::Relaxed)
-    }
-
-    fn mark_dead(&self) {
-        self.dead.store(true, Ordering::Relaxed);
     }
 
     /// Writes pre-framed bytes (a whole run's frames) in one call.
     async fn send(&mut self, framed: &[u8]) -> std::io::Result<()> {
-        self.writer.write_all(framed).await
+        self.stream.write_all(framed).await
+    }
+
+    /// Reads whatever has arrived and credits every whole frame in it; a
+    /// partial frame waits in the buffer for the next read. Each answer
+    /// takes the stamp of the read that completed it: the arrival of the
+    /// last segment that read returned. Returns `false` once the peer has
+    /// closed or the read failed.
+    fn read_answers(&mut self, ledger: &mut Ledger) -> bool {
+        loop {
+            if self.filled == self.buf.len() {
+                self.buf.resize(self.buf.len() * 2, 0);
+            }
+            let space = self.buf.len() - self.filled;
+            let (n, stamp) = match self.stream.try_read_stamped(&mut self.buf[self.filled..]) {
+                Ok((0, _)) => return false,
+                Ok(read) => read,
+                Err(e) => {
+                    return matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+                    )
+                }
+            };
+            let read = ReadClock::now();
+            self.filled += n;
+            let mut rest = &self.buf[..self.filled];
+            while let Some((msg, tail)) = ldp_wire::framing::split_frame(rest) {
+                if let [a, b, ..] = *msg {
+                    ledger.answer(u16::from_be_bytes([a, b]), stamp, read);
+                }
+                rest = tail;
+            }
+            let used = self.filled - rest.len();
+            self.buf.copy_within(used..self.filled, 0);
+            self.filled -= used;
+            if n < space {
+                return true;
+            }
+        }
     }
 }
 
@@ -1525,7 +1384,7 @@ mod tests {
     use ldp_wire::{Name, RrType};
     use ldp_workload::zones::wildcard_example_zone;
     use ldp_zone::ZoneSet;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
 
     fn engine() -> Arc<AuthEngine> {
         let mut set = ZoneSet::new();

@@ -1,0 +1,290 @@
+//! What a querier knows about its outstanding queries: the in-flight
+//! table with its timeout wheel, and each record's answer latency.
+//!
+//! The querier is the only thread that touches its [`Ledger`]. It sends a
+//! query, registers it here, and later reads the answer itself — possibly
+//! long after it arrived, if the querier was asleep until its next send.
+//! Latency keeps its meaning through the kernel's arrival stamp: an
+//! answer is credited at the instant it reached the socket ([`ReadClock`]),
+//! not at the read.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Instant, SystemTime};
+
+use ldp_obs::{ReplaySpans, Stage};
+
+use crate::retry::{FaultCounters, RetryPolicy};
+
+/// Which transport an in-flight query went out on — what expiry needs to
+/// retransmit (UDP, by socket index) or give up (TCP; reconnection is a
+/// send-path concern).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SockRef {
+    Udp(u32),
+    Tcp,
+}
+
+/// Everything the answer and timeout paths need to know about one
+/// outstanding query.
+pub(crate) struct InFlight {
+    /// Latency-slot index the answer lands in.
+    pub(crate) slot: usize,
+    /// Send time of the *latest* attempt (latency baseline).
+    pub(crate) sent_at: Instant,
+    /// When the current attempt expires; `None` when expiry is disabled.
+    pub(crate) deadline: Option<Instant>,
+    /// 0 on the first send; bumped per retransmit. Wheel entries carry
+    /// the attempt they were scheduled for, so an answered-and-resent id
+    /// can't be expired by a stale entry.
+    pub(crate) attempt: u32,
+    pub(crate) sock: SockRef,
+    /// Encoded query for retransmission (UDP with retries enabled only —
+    /// the no-retry hot path never clones wires).
+    pub(crate) wire: Option<Box<[u8]>>,
+}
+
+/// Querier-wide in-flight table indexed by message id: a flat 65 536-slot
+/// array instead of a `HashMap<u16, _>` — no hashing and no probing on
+/// the two hottest operations (insert on send, take on answer). The
+/// timeout wheel rides in the same struct, so scheduling an expiry is one
+/// push next to the insert.
+pub(crate) struct PendingTable {
+    slots: Vec<Option<InFlight>>,
+    /// Outstanding queries; drives the adaptive post-send drain.
+    pub(crate) in_flight: usize,
+    wheel: crate::retry::TimeoutWheel,
+}
+
+impl PendingTable {
+    pub(crate) fn new(start: Instant) -> PendingTable {
+        PendingTable {
+            slots: (0..1 << 16).map(|_| None).collect(),
+            in_flight: 0,
+            wheel: crate::retry::TimeoutWheel::new(start),
+        }
+    }
+
+    /// Registers an in-flight id; a still-outstanding id that wrapped
+    /// around is overwritten, matching the map behavior it replaced.
+    pub(crate) fn insert(&mut self, id: u16, f: InFlight) {
+        let deadline = f.deadline;
+        let attempt = f.attempt;
+        if let Some(slot) = self.slots.get_mut(id as usize) {
+            if slot.replace(f).is_none() {
+                self.in_flight += 1;
+            }
+        }
+        if let Some(d) = deadline {
+            self.wheel.schedule(id, attempt, d);
+        }
+    }
+
+    pub(crate) fn remove(&mut self, id: u16) -> Option<InFlight> {
+        let f = self.slots.get_mut(id as usize)?.take();
+        if f.is_some() {
+            self.in_flight -= 1;
+        }
+        f
+    }
+
+    /// Processes every due wheel entry: validates against the live table,
+    /// re-schedules not-yet-due entries, retires exhausted queries
+    /// (`gave_up`), and collects UDP retransmits into `resend` for the
+    /// querier to put on the wire. A `Retry` span event marks the decision
+    /// to retransmit; the datagram goes out (and `retries` is counted)
+    /// right after.
+    pub(crate) fn sweep(
+        &mut self,
+        now: Instant,
+        policy: &RetryPolicy,
+        counters: &FaultCounters,
+        due: &mut Vec<(u16, u32)>,
+        resend: &mut Vec<(u32, Box<[u8]>)>,
+        obs: Option<&ObsCtx>,
+    ) {
+        due.clear();
+        self.wheel.due(now, due);
+        for &(id, attempt) in due.iter() {
+            enum Action {
+                Skip,
+                Reschedule(Instant),
+                Expire,
+            }
+            let action = match self.slots.get(id as usize).and_then(Option::as_ref) {
+                // Answered (or the id was re-used): stale entry.
+                Some(f) if f.attempt != attempt => Action::Skip,
+                None => Action::Skip,
+                Some(f) => match f.deadline {
+                    // Bucket came around a rotation early (or jitter):
+                    // keep the entry alive at its true deadline.
+                    Some(d) if d > now => Action::Reschedule(d),
+                    Some(_) => Action::Expire,
+                    None => Action::Skip,
+                },
+            };
+            match action {
+                Action::Skip => {}
+                Action::Reschedule(d) => self.wheel.schedule(id, attempt, d),
+                Action::Expire => {
+                    counters.timeouts.fetch_add(1, Ordering::Relaxed);
+                    let retryable = self
+                        .slots
+                        .get(id as usize)
+                        .and_then(Option::as_ref)
+                        .is_some_and(|f| {
+                            matches!(f.sock, SockRef::Udp(_))
+                                && f.attempt < policy.max_udp_retries
+                                && f.wire.is_some()
+                        });
+                    if retryable {
+                        if let Some(f) = self.slots.get_mut(id as usize).and_then(Option::as_mut) {
+                            f.attempt += 1;
+                            f.sent_at = now;
+                            let d = now + policy.backoff.delay(f.attempt, u64::from(id));
+                            f.deadline = Some(d);
+                            if let (SockRef::Udp(s), Some(w)) = (f.sock, f.wire.as_ref()) {
+                                resend.push((s, w.clone()));
+                            }
+                            if let Some(o) = obs {
+                                o.record_instant(f.slot, Stage::Retry, now);
+                            }
+                            let a = f.attempt;
+                            self.wheel.schedule(id, a, d);
+                        }
+                    } else {
+                        // Out of attempts (or TCP): the server never
+                        // answered this query.
+                        if let Some(f) = self.remove(id) {
+                            if let Some(o) = obs {
+                                o.record_instant(f.slot, Stage::GaveUp, now);
+                            }
+                        }
+                        counters.gave_up.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// What the querier has learned about its queries: the in-flight table
+/// and each record slot's answer latency. Only the querier's own thread
+/// touches it.
+pub(crate) struct Ledger {
+    pub(crate) pending: PendingTable,
+    /// Per record slot: the answer's latency (µs), once read.
+    pub(crate) latencies: Vec<Option<u64>>,
+    pub(crate) obs: Option<ObsCtx>,
+    /// Live answered-counter handle, bumped per matched answer.
+    pub(crate) answered: Option<ldp_telemetry::Counter>,
+}
+
+impl Ledger {
+    /// Credits the answer with message id `id` to its in-flight query, at
+    /// the instant the kernel stamped its arrival. A stale or duplicate
+    /// answer finds no entry and is ignored.
+    pub(crate) fn answer(&mut self, id: u16, stamp: Option<SystemTime>, read: ReadClock) {
+        let Some(f) = self.pending.remove(id) else {
+            return;
+        };
+        let arrived = read.arrival(stamp, f.sent_at);
+        if let Some(slot) = self.latencies.get_mut(f.slot) {
+            *slot = Some(arrived.saturating_duration_since(f.sent_at).as_micros() as u64);
+        }
+        if let Some(o) = &self.obs {
+            o.record_instant(f.slot, Stage::Answered, arrived);
+        }
+        if let Some(a) = &self.answered {
+            a.inc();
+        }
+    }
+}
+
+/// The moment of a read on both clocks. Kernel arrival stamps are
+/// wall-clock time (`CLOCK_REALTIME`) while the engine measures on
+/// [`Instant`], so a stamp converts through the pair taken right after
+/// the read.
+#[derive(Clone, Copy)]
+pub(crate) struct ReadClock {
+    at: Instant,
+    wall: SystemTime,
+}
+
+impl ReadClock {
+    pub(crate) fn now() -> ReadClock {
+        ReadClock {
+            at: Instant::now(),
+            wall: SystemTime::now(),
+        }
+    }
+
+    /// When an answer stamped `stamp` arrived, on the [`Instant`] clock,
+    /// clamped to [`sent_at`, the read]: never before its query left,
+    /// never after it was read. No stamp (off Linux) means the read.
+    fn arrival(self, stamp: Option<SystemTime>, sent_at: Instant) -> Instant {
+        stamp
+            .and_then(|s| self.wall.duration_since(s).ok())
+            .and_then(|age| self.at.checked_sub(age))
+            .unwrap_or(self.at)
+            .max(sent_at)
+            .min(self.at)
+    }
+}
+
+/// One querier's handle on the replay's span sink: the shard index and
+/// the shared epoch are bound once so the hot paths record a stage with
+/// a single call. A query's span key is its latency-slot index, which
+/// equals its per-shard record ordinal — the same number the Postman
+/// counts on the read side, so both halves of the pipeline stamp the
+/// same span without any id exchange.
+#[derive(Clone)]
+pub(crate) struct ObsCtx {
+    pub(crate) spans: Arc<ReplaySpans>,
+    pub(crate) shard: usize,
+    pub(crate) epoch: Instant,
+}
+
+impl ObsCtx {
+    /// Records `stage` at an offset already measured on the epoch clock.
+    pub(crate) fn record_at(&self, seq: usize, stage: Stage, t_us: u64) {
+        self.spans.record(self.shard, seq as u64, stage, t_us);
+    }
+
+    /// Records `stage` at a captured instant (an answer's arrival, an
+    /// expiry's sweep).
+    pub(crate) fn record_instant(&self, seq: usize, stage: Stage, now: Instant) {
+        self.record_at(
+            seq,
+            stage,
+            now.saturating_duration_since(self.epoch).as_micros() as u64,
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn arrival_converts_a_stamp_and_clamps_it_to_send_and_read() {
+        let sent_at = Instant::now();
+        let read = ReadClock {
+            at: sent_at + Duration::from_millis(200),
+            wall: SystemTime::now(),
+        };
+        let ago = |ms| read.wall.checked_sub(Duration::from_millis(ms));
+        // Stamped 150 ms before the read: arrived 50 ms after the send.
+        assert_eq!(
+            read.arrival(ago(150), sent_at),
+            sent_at + Duration::from_millis(50)
+        );
+        // A stamp before the send (clock step) clamps to the send.
+        assert_eq!(read.arrival(ago(500), sent_at), sent_at);
+        // A stamp after the read, or none at all, means the read.
+        let later = read.wall.checked_add(Duration::from_millis(5));
+        assert_eq!(read.arrival(later, sent_at), read.at);
+        assert_eq!(read.arrival(None, sent_at), read.at);
+    }
+}

@@ -25,7 +25,9 @@
 #![deny(rust_2018_idioms, unsafe_op_in_unsafe_fn, unreachable_pub)]
 
 pub mod engine;
+mod ledger;
 pub mod plan;
+mod ready;
 pub mod retry;
 pub mod simclient;
 pub mod timing;

@@ -9,11 +9,11 @@
 //!   budget with exponential backoff + jitter (via [`ldp_netsim::Backoff`],
 //!   the same model the simulator uses), and TCP reconnect attempts.
 //! * [`TimeoutWheel`] — a coarse hashed timer wheel over in-flight query
-//!   ids. Scheduling is one `Vec` push under the pending-table lock the
-//!   sender already holds, so the no-fault hot path pays near zero; a
-//!   per-querier sweeper task drains due buckets every tick.
-//! * [`FaultCounters`] — shared atomics the sender, receiver, and sweeper
-//!   all bump, folded into [`ldp_metrics::ShardStats`] at the end.
+//!   ids. Scheduling is one `Vec` push next to the pending-table insert,
+//!   so the no-fault hot path pays near zero; the querier drains due
+//!   buckets when it wakes, waking at each tick while queries can expire.
+//! * [`FaultCounters`] — atomics the querier bumps and telemetry reads,
+//!   folded into [`ldp_metrics::ShardStats`] at the end.
 //!
 //! Fidelity note: a retransmit keeps its original query's message id and
 //! outcome slot. It is never counted as a new trace query — `sent` counts
@@ -97,8 +97,9 @@ impl serde::Serialize for RetryPolicy {
     }
 }
 
-/// Fault counters shared between a querier's send path, receive tasks,
-/// and timeout sweeper; folded into [`ShardStats`] when the querier ends.
+/// A querier's fault counters, bumped by its send, answer and expiry
+/// paths and read live by telemetry; folded into [`ShardStats`] when the
+/// querier ends.
 #[derive(Debug, Default)]
 pub struct FaultCounters {
     pub timeouts: AtomicU64,
@@ -106,6 +107,9 @@ pub struct FaultCounters {
     pub reconnects: AtomicU64,
     pub gave_up: AtomicU64,
     pub errors: AtomicU64,
+    /// Outstanding queries: a gauge the querier publishes at each wake,
+    /// not folded into [`ShardStats`].
+    pub in_flight: AtomicU64,
 }
 
 impl FaultCounters {
@@ -122,7 +126,7 @@ impl FaultCounters {
 ///
 /// Entries are `(id, attempt)` pairs hashed into [`TimeoutWheel::BUCKETS`]
 /// buckets by deadline tick. The wheel itself never decides expiry — the
-/// sweeper re-checks the authoritative deadline stored in the pending
+/// querier re-checks the authoritative deadline stored in the pending
 /// table, so stale entries (the id was answered, or re-used by a later
 /// attempt) cost one skipped lookup, and an entry more than one rotation
 /// out is simply re-scheduled when its bucket comes around early.
@@ -136,9 +140,10 @@ pub(crate) struct TimeoutWheel {
 
 impl TimeoutWheel {
     pub(crate) const BUCKETS: usize = 64;
-    /// Bucket granularity; also the sweeper's poll interval. Coarse on
-    /// purpose: expiry a few ms late is invisible next to a 250 ms
-    /// timeout, and coarse ticks keep the sweeper nearly idle.
+    /// Bucket granularity; also how often a waiting querier wakes while
+    /// queries can expire. Coarse on purpose: expiry a few ms late is
+    /// invisible next to a 250 ms timeout, and coarse ticks keep an idle
+    /// querier asleep.
     pub(crate) const TICK: Duration = Duration::from_millis(16);
 
     pub(crate) fn new(start: Instant) -> TimeoutWheel {

@@ -1,0 +1,88 @@
+//! A querier reads its own answers only when it wakes: after a send, at a
+//! batch's arrival, at a timeout-wheel tick or a drain poll. An answer may
+//! therefore wait in its socket while the querier sleeps to the next
+//! record. These tests check that such an answer keeps its true latency
+//! (the kernel's arrival stamp, not the read) and is never expired while
+//! it waits.
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use ldp_replay::{LiveReplay, ReplayMode, ReplayReport, RetryPolicy};
+use ldp_server::auth::AuthEngine;
+use ldp_server::live::LiveServer;
+use ldp_trace::{Protocol, TraceRecord};
+use ldp_wire::{Name, RrType};
+use ldp_workload::zones::wildcard_example_zone;
+use ldp_zone::ZoneSet;
+
+/// Two queries from one source, 50 ms apart in the trace. Replayed at a
+/// quarter of the trace's speed they go out 200 ms apart, yet travel in
+/// one batch, so no batch arrival wakes the querier between them: it
+/// sleeps with the first answer queued.
+fn two_far_apart(protocol: Protocol) -> Vec<TraceRecord> {
+    (0..2u64)
+        .map(|i| {
+            let mut rec = TraceRecord::udp_query(
+                i * 50_000,
+                "10.0.0.1".parse().unwrap(),
+                1024,
+                Name::parse(&format!("q{i}.example.com")).unwrap(),
+                RrType::A,
+            );
+            rec.protocol = protocol;
+            rec
+        })
+        .collect()
+}
+
+async fn replay(protocol: Protocol, retry: RetryPolicy) -> ReplayReport {
+    let mut zones = ZoneSet::new();
+    zones.insert(wildcard_example_zone());
+    let engine = Arc::new(AuthEngine::with_zones(Arc::new(zones)));
+    let server = LiveServer::spawn(engine, "127.0.0.1:0".parse().unwrap())
+        .await
+        .unwrap();
+    let replay = LiveReplay {
+        mode: ReplayMode::Timed { speed: 4.0 },
+        queriers_per_distributor: 1,
+        retry,
+        ..LiveReplay::new(server.addr)
+    };
+    replay.run(two_far_apart(protocol)).await.unwrap()
+}
+
+#[tokio::test(flavor = "multi_thread")]
+async fn an_answer_read_late_keeps_its_arrival_latency() {
+    for protocol in [Protocol::Udp, Protocol::Tcp] {
+        // Without expiry nothing wakes the querier between the sends, so
+        // the first answer is read only after the second query goes out.
+        let report = replay(protocol, RetryPolicy::disabled()).await;
+        assert_eq!(report.sent, 2, "{protocol:?}");
+        assert_eq!(report.answered, 2, "{protocol:?}");
+        let first = report.outcomes.iter().min_by_key(|o| o.trace_offset_us);
+        let latency_us = first.and_then(|o| o.latency_us).unwrap();
+        assert!(
+            latency_us < 20_000,
+            "{protocol:?}: first answer's latency {latency_us} µs is the time to its read"
+        );
+    }
+}
+
+#[tokio::test(flavor = "multi_thread")]
+async fn a_queued_answer_never_expires() {
+    for protocol in [Protocol::Udp, Protocol::Tcp] {
+        // The first query's 50 ms timeout falls while the querier sleeps
+        // toward the second; expiry reads the socket first and finds it
+        // answered.
+        let retry = RetryPolicy {
+            timeout: Duration::from_millis(50),
+            ..RetryPolicy::default()
+        };
+        let report = replay(protocol, retry).await;
+        assert_eq!(report.sent, 2, "{protocol:?}");
+        assert_eq!(report.answered, report.sent, "{protocol:?}");
+        assert_eq!(report.timeouts, 0, "{protocol:?}");
+        assert_eq!(report.retries, 0, "{protocol:?}");
+    }
+}

@@ -41,7 +41,8 @@ pub struct LiveStats {
     /// Server-side handle time (µs) per query: parse through response
     /// encode, excluding the outbound send. UDP amortizes one measurement
     /// across each `recvmmsg` batch (the lock is taken per batch, not per
-    /// query); TCP records each query individually.
+    /// query); TCP records each query individually, even when one read
+    /// carried several.
     handle_us: Mutex<LogHistogram>,
 }
 
@@ -70,6 +71,7 @@ pub struct LiveServer {
 impl Drop for LiveServer {
     fn drop(&mut self) {
         for t in &self.tasks {
+            // ldp-lint: allow(r6) -- the serving loops block in accept/recv and have no stop signal yet; they leak until exit
             t.abort();
         }
     }
@@ -97,9 +99,19 @@ impl LiveServer {
         bind: SocketAddr,
         chaos: Option<Arc<ChaosPolicy>>,
     ) -> io::Result<LiveServer> {
-        let udp = UdpSocket::bind(bind).await?;
-        let addr = udp.local_addr()?;
-        let tcp = TcpListener::bind(addr).await?;
+        let mut tries = 0;
+        let (udp, addr, tcp) = loop {
+            let udp = UdpSocket::bind(bind).await?;
+            let addr = udp.local_addr()?;
+            match TcpListener::bind(addr).await {
+                Ok(tcp) => break (udp, addr, tcp),
+                // An ephemeral port free for UDP can still be held on the
+                // TCP side (say, by a client connection in TIME_WAIT):
+                // take another.
+                Err(_) if bind.port() == 0 && tries < 8 => tries += 1,
+                Err(e) => return Err(e),
+            }
+        };
         let stats = Arc::new(LiveStats::default());
 
         let udp_task = tokio::spawn(serve_udp(udp, engine.clone(), stats.clone(), chaos.clone()));
@@ -392,6 +404,14 @@ async fn serve_tcp(
     }
 }
 
+/// A connection's read buffer: a whole frame (2 + 65,535 bytes) always
+/// fits once the frames before it are answered, and a pipelining client
+/// gets many frames per read.
+const TCP_READ_BUF: usize = 2 * 65_537;
+
+/// Serves one TCP connection: each read takes whatever has arrived, every
+/// whole frame in it is answered, and the answers go back in one write. A
+/// partial frame waits in the buffer for the next read.
 async fn serve_tcp_conn(
     mut stream: tokio::net::TcpStream,
     peer: SocketAddr,
@@ -401,37 +421,60 @@ async fn serve_tcp_conn(
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let mut served = 0u64;
+    let mut buf = vec![0u8; TCP_READ_BUF];
+    let mut filled = 0;
+    let mut answers = Vec::new();
     loop {
+        let n = stream.read(&mut buf[filled..]).await?;
+        if n == 0 {
+            return Ok(()); // peer closed
+        }
+        filled += n;
+        answers.clear();
         // RFC 1035 §4.2.2 framing: 2-byte length, then the message.
-        let mut lenbuf = [0u8; 2];
-        match stream.read_exact(&mut lenbuf).await {
-            Ok(_) => {}
-            Err(_) => return Ok(()), // peer closed
+        let mut rest = &buf[..filled];
+        let mut close = None;
+        while let Some((msg, tail)) = ldp_wire::framing::split_frame(rest) {
+            rest = tail;
+            let handle_start = Instant::now();
+            let Ok(query) = Message::from_bytes(msg) else {
+                stats.malformed.fetch_add(1, Ordering::Relaxed);
+                continue;
+            };
+            stats.tcp_queries.fetch_add(1, Ordering::Relaxed);
+            let resp = engine.respond(peer.ip(), &query, true);
+            let Ok(bytes) = resp.to_bytes() else { continue };
+            stats
+                .response_bytes
+                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+            let Ok(len) = u16::try_from(bytes.len()) else {
+                close = Some(Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "oversized response",
+                )));
+                break;
+            };
+            answers.extend_from_slice(&len.to_be_bytes());
+            answers.extend_from_slice(&bytes);
+            stats.record_handle(handle_start.elapsed().as_micros() as u64, 1);
+            served += 1;
+            // Injected mid-conversation reset: close after serving the
+            // configured number of queries on this connection, even when
+            // more frames are already buffered.
+            if chaos.as_ref().is_some_and(|c| c.should_reset(served)) {
+                close = Some(Ok(()));
+                break;
+            }
         }
-        let len = u16::from_be_bytes(lenbuf) as usize;
-        let mut msg = vec![0u8; len];
-        stream.read_exact(&mut msg).await?;
-        let handle_start = Instant::now();
-        let Ok(query) = Message::from_bytes(&msg) else {
-            stats.malformed.fetch_add(1, Ordering::Relaxed);
-            continue;
-        };
-        stats.tcp_queries.fetch_add(1, Ordering::Relaxed);
-        let resp = engine.respond(peer.ip(), &query, true);
-        let Ok(bytes) = resp.to_bytes() else { continue };
-        stats
-            .response_bytes
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        let framed = ldp_wire::framing::frame_message(&bytes)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "oversized response"))?;
-        stats.record_handle(handle_start.elapsed().as_micros() as u64, 1);
-        stream.write_all(&framed).await?;
-        served += 1;
-        // Injected mid-conversation reset: close after serving the
-        // configured number of queries on this connection.
-        if chaos.as_ref().is_some_and(|c| c.should_reset(served)) {
-            return Ok(());
+        let used = filled - rest.len();
+        if !answers.is_empty() {
+            stream.write_all(&answers).await?;
         }
+        if let Some(result) = close {
+            return result;
+        }
+        buf.copy_within(used..filled, 0);
+        filled -= used;
     }
 }
 
@@ -514,6 +557,62 @@ mod tests {
             3,
             "one handle-time sample per TCP query"
         );
+    }
+
+    fn framed_query(id: u16) -> Vec<u8> {
+        let q = Message::query(id, n(&format!("q{id}.wild.example.com")), RrType::A);
+        ldp_wire::framing::frame_message(&q.to_bytes().unwrap()).unwrap()
+    }
+
+    /// Reads one framed answer; `None` once the server has closed.
+    async fn read_answer(stream: &mut tokio::net::TcpStream) -> Option<Message> {
+        let mut lenbuf = [0u8; 2];
+        stream.read_exact(&mut lenbuf).await.ok()?;
+        let mut msg = vec![0u8; u16::from_be_bytes(lenbuf) as usize];
+        stream.read_exact(&mut msg).await.ok()?;
+        Message::from_bytes(&msg).ok()
+    }
+
+    #[tokio::test]
+    async fn tcp_answers_every_frame_of_a_write_in_order() {
+        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
+            .await
+            .unwrap();
+        let mut stream = tokio::net::TcpStream::connect(server.addr).await.unwrap();
+        // Three frames in one write, then a fourth split mid-frame across
+        // two writes.
+        let burst: Vec<u8> = (0..3).flat_map(framed_query).collect();
+        stream.write_all(&burst).await.unwrap();
+        let split = framed_query(3);
+        stream.write_all(&split[..5]).await.unwrap();
+        let mut ids = Vec::new();
+        for _ in 0..3 {
+            ids.push(read_answer(&mut stream).await.unwrap().header.id);
+        }
+        stream.write_all(&split[5..]).await.unwrap();
+        ids.push(read_answer(&mut stream).await.unwrap().header.id);
+        assert_eq!(ids, [0, 1, 2, 3]);
+        assert_eq!(server.stats.tcp_queries.load(Ordering::Relaxed), 4);
+        assert_eq!(server.stats.handle_hist().count(), 4);
+    }
+
+    #[tokio::test]
+    async fn tcp_reset_after_n_closes_mid_buffer_after_exactly_n_answers() {
+        let chaos = Arc::new(ChaosPolicy::new(3).reset_after(2));
+        let server =
+            LiveServer::spawn_with_chaos(engine(), "127.0.0.1:0".parse().unwrap(), chaos.clone())
+                .await
+                .unwrap();
+        let mut stream = tokio::net::TcpStream::connect(server.addr).await.unwrap();
+        // Five frames land in one buffer; the reset falls after the second.
+        let burst: Vec<u8> = (0..5).flat_map(framed_query).collect();
+        stream.write_all(&burst).await.unwrap();
+        let mut ids = Vec::new();
+        while let Some(answer) = read_answer(&mut stream).await {
+            ids.push(answer.header.id);
+        }
+        assert_eq!(ids, [0, 1], "exactly n answers, then the close");
+        assert_eq!(chaos.stats.resets.load(Ordering::Relaxed), 1);
     }
 
     #[tokio::test]

@@ -21,6 +21,15 @@ pub fn frame_message(msg: &[u8]) -> Result<Vec<u8>, WireError> {
     Ok(out)
 }
 
+/// Splits the first whole frame off `bytes`: its message and the bytes
+/// after it. `None` while that frame has not fully arrived. Lets a reader
+/// answer every whole frame in a buffer without copying any of them.
+pub fn split_frame(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let (len, rest) = bytes.split_first_chunk::<2>()?;
+    let len = usize::from(u16::from_be_bytes(*len));
+    (rest.len() >= len).then(|| rest.split_at(len))
+}
+
 /// Incremental decoder for a stream of length-prefixed DNS messages.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
@@ -44,15 +53,9 @@ impl FrameDecoder {
 
     /// Pops the next complete message, if one is buffered.
     pub fn next_frame(&mut self) -> Option<Vec<u8>> {
-        if self.buf.len() < 2 {
-            return None;
-        }
-        let len = u16::from_be_bytes([self.buf[0], self.buf[1]]) as usize;
-        if self.buf.len() < 2 + len {
-            return None;
-        }
-        let frame = self.buf[2..2 + len].to_vec();
-        self.buf.drain(..2 + len);
+        let (msg, rest) = split_frame(&self.buf)?;
+        let (frame, used) = (msg.to_vec(), self.buf.len() - rest.len());
+        self.buf.drain(..used);
         Some(frame)
     }
 
@@ -69,6 +72,20 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn split_frame_walks_whole_frames_and_stops_at_a_partial_one() {
+        let mut bytes = frame_message(b"one").unwrap();
+        bytes.extend(frame_message(b"").unwrap());
+        bytes.extend(&frame_message(b"three").unwrap()[..4]);
+        let (first, rest) = split_frame(&bytes).unwrap();
+        assert_eq!(first, b"one");
+        let (second, rest) = split_frame(rest).unwrap();
+        assert_eq!(second, b"");
+        assert_eq!(rest, &[0, 5, b't', b'h']);
+        assert!(split_frame(rest).is_none());
+        assert!(split_frame(&[0]).is_none());
+    }
 
     #[test]
     fn frame_and_decode() {

@@ -1,10 +1,11 @@
-//! Timed pacing must sleep between sends, not spin. A replay whose
+//! Timed pacing must sleep between sends, not spin, and each wake must
+//! stay cheap however many sockets the querier holds. A replay whose
 //! records are 2 ms apart leaves its querier idle almost all the time,
 //! so the process should use a small share of one CPU. This is a test
-//! binary of its own so that the process CPU it reads is this replay's
+//! binary of its own so that the process CPU it reads is its replays'
 //! alone.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ldplayer::replay::{LiveReplay, ReplayMode, RetryPolicy};
@@ -27,22 +28,24 @@ fn process_cpu() -> Duration {
     tv(usage.ru_utime) + tv(usage.ru_stime)
 }
 
-#[tokio::test(flavor = "multi_thread")]
-async fn timed_pacing_sleeps_between_sends() {
+/// Replays 200 records at 2 ms gaps (Timed, one querier, retries off)
+/// from `sources` sources asking one name, so the server answers from its
+/// packet cache and little but the querier's wakes costs CPU. Returns the
+/// process CPU used over the replay as a share of its wall time.
+async fn pacing_cpu_share(sources: u64) -> f64 {
     let mut zones = ZoneSet::new();
     zones.insert(wildcard_example_zone());
     let engine = Arc::new(AuthEngine::with_zones(Arc::new(zones)));
     let server = LiveServer::spawn(engine, "127.0.0.1:0".parse().unwrap())
         .await
         .unwrap();
-    // One source asking one name: a single querier paces every record,
-    // and the server answers from its packet cache, so little but the
-    // pacing itself costs CPU.
     let records: Vec<TraceRecord> = (0..200u64)
         .map(|i| {
             TraceRecord::udp_query(
                 i * 2_000,
-                "10.0.0.1".parse().unwrap(),
+                format!("10.0.{}.{}", i % sources / 256, 1 + i % sources % 256)
+                    .parse()
+                    .unwrap(),
                 1024 + i as u16,
                 Name::parse("www.example.com").unwrap(),
                 RrType::A,
@@ -71,9 +74,32 @@ async fn timed_pacing_sleeps_between_sends() {
 
     assert_eq!(report.sent, 200);
     let share = cpu.as_secs_f64() / wall.as_secs_f64();
-    assert!(
-        share < 0.25,
-        "replay used {cpu:?} of CPU in {wall:?} of wall time ({:.0}%)",
+    println!(
+        "{sources} sources: {cpu:?} of CPU in {wall:?} of wall time ({:.0}%)",
         share * 100.0
     );
+    share
+}
+
+/// The tests measure the whole process's CPU, so they take turns.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+// The guard must span the replay: that is what serializes the tests.
+#[allow(clippy::await_holding_lock)]
+#[tokio::test(flavor = "multi_thread")]
+async fn timed_pacing_sleeps_between_sends() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let share = pacing_cpu_share(1).await;
+    assert!(share < 0.25, "replay used {:.0}% of one CPU", share * 100.0);
+}
+
+/// With 128 sources the querier holds 128 sockets. It must find the one
+/// with an answer queued in one call, not by trying every socket at every
+/// wake.
+#[allow(clippy::await_holding_lock)]
+#[tokio::test(flavor = "multi_thread")]
+async fn waking_with_many_sockets_stays_cheap() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let share = pacing_cpu_share(128).await;
+    assert!(share < 0.25, "replay used {:.0}% of one CPU", share * 100.0);
 }
