@@ -55,6 +55,22 @@ fn bench_respond(c: &mut Criterion) {
         })
     });
     g.finish();
+
+    // The live servers' path: query bytes in, response bytes appended to
+    // a reused buffer, nothing allocated.
+    let mut out = Vec::with_capacity(4096);
+    let mut g = c.benchmark_group("server/answer_wire");
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("referral_signed_do", |b| {
+        b.iter(|| {
+            out.clear();
+            signed
+                .answer_wire(client, black_box(&wire_q), false, &mut out)
+                .unwrap();
+            out.len()
+        })
+    });
+    g.finish();
 }
 
 criterion_group!(benches, bench_respond);

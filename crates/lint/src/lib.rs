@@ -48,6 +48,11 @@ const HOT_PATH_FILES: &[&str] = &[
     // Telemetry counter/gauge handles are bumped on every send/receive;
     // the registry's hot-path methods must stay panic-free and lock-free.
     "crates/telemetry/src/registry.rs",
+    // Zone lookup runs on every answer the server computes.
+    "crates/zone/src/lookup.rs",
+    "crates/zone/src/zone.rs",
+    "crates/zone/src/zoneset.rs",
+    "crates/zone/src/view.rs",
 ];
 
 /// Crates whose parser entry points R4 audits.
@@ -217,6 +222,14 @@ mod tests {
         assert!(s.hot_path, "counter handles are bumped per send/receive");
         let s = workspace_scope(Path::new("crates/telemetry/src/http.rs"));
         assert!(!s.hot_path, "scrape serving is off the send path");
+        for f in ["lookup.rs", "zone.rs", "zoneset.rs", "view.rs"] {
+            let s = workspace_scope(&Path::new("crates/zone/src").join(f));
+            assert!(s.hot_path && !s.wire, "{f} runs on every answer");
+        }
+        for f in ["master.rs", "dnssec.rs"] {
+            let s = workspace_scope(&Path::new("crates/zone/src").join(f));
+            assert!(!s.hot_path, "{f} runs at zone build, not per answer");
+        }
         let s = workspace_scope(Path::new("crates/metrics/src/report.rs"));
         assert!(!s.hot_path && !s.wire && s.async_blocking && s.task_handles);
         // The trace on-disk writers are wire scope without being hot path.

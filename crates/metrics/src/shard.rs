@@ -122,6 +122,11 @@ pub struct ShardStats {
     /// socket bind errors, connection opens that exhausted their retries,
     /// and send errors. "The replay broke", as opposed to `timeouts`.
     pub errors: u64,
+    /// Queries sent under a message id another query still held, which
+    /// overwrote that query's in-flight entry: only happens once all
+    /// 65,536 ids are outstanding. An answer to the overwritten query can
+    /// then be credited to the new one.
+    pub id_collisions: u64,
     /// Batches drained from this shard's queue.
     pub batches: u64,
     /// Times the postman found this shard's queue full and had to wait —
@@ -144,7 +149,7 @@ impl ShardStats {
     /// One-line rendering for the experiment binaries' shard tables.
     pub fn row(&self) -> String {
         format!(
-            "shard {:<3} sent={:<9} answered={:<9} late={:<7} timeouts={:<6} retries={:<6} reconnects={:<4} gave_up={:<6} errors={:<5} batches={:<7} stalls={:<6} maxdepth={:<4} meandepth={:.2}",
+            "shard {:<3} sent={:<9} answered={:<9} late={:<7} timeouts={:<6} retries={:<6} reconnects={:<4} gave_up={:<6} errors={:<5} id_collisions={:<5} batches={:<7} stalls={:<6} maxdepth={:<4} meandepth={:.2}",
             self.shard,
             self.sent,
             self.answered,
@@ -154,6 +159,7 @@ impl ShardStats {
             self.reconnects,
             self.gave_up,
             self.errors,
+            self.id_collisions,
             self.batches,
             self.postman_stalls,
             self.max_queue_depth,

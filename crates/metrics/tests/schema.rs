@@ -29,6 +29,7 @@ fn shard_stats_schema() {
             "reconnects",
             "gave_up",
             "errors",
+            "id_collisions",
             "batches",
             "postman_stalls",
             "max_queue_depth",

@@ -626,6 +626,13 @@ impl ShardTele {
         );
         let c = counters.clone();
         reg.observe_counter(
+            "ldp_replay_id_collisions_total",
+            "Queries overwritten because all 65,536 message ids were in flight",
+            &labels,
+            move || c.id_collisions.load(Ordering::Relaxed),
+        );
+        let c = counters.clone();
+        reg.observe_counter(
             "ldp_replay_errors_total",
             "Bind/connect/send failures degraded to error outcomes",
             &labels,
@@ -794,8 +801,14 @@ impl QuerierState {
         }
     }
 
+    /// The next message id with no query in flight. Only when all 65,536
+    /// ids are outstanding is one reused: the query holding it is
+    /// overwritten, and the overwrite counted in `id_collisions`.
     fn fresh_id(&mut self) -> u16 {
-        self.next_id = self.next_id.wrapping_add(1);
+        self.next_id = self
+            .ledger
+            .pending
+            .allot_id(self.next_id, &self.counters.id_collisions);
         self.next_id
     }
 

@@ -8,7 +8,7 @@
 //! answer is credited at the instant it reached the socket ([`ReadClock`]),
 //! not at the read.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Instant, SystemTime};
 
@@ -51,28 +51,69 @@ pub(crate) struct InFlight {
 /// push next to the insert.
 pub(crate) struct PendingTable {
     slots: Vec<Option<InFlight>>,
+    /// One bit per id, set while its slot is occupied: finding a free id
+    /// skips 64 busy ids per word instead of touching their slots.
+    occupied: Vec<u64>,
     /// Outstanding queries; drives the adaptive post-send drain.
     pub(crate) in_flight: usize,
     wheel: crate::retry::TimeoutWheel,
 }
 
+/// Number of message ids.
+const IDS: usize = 1 << 16;
+
 impl PendingTable {
     pub(crate) fn new(start: Instant) -> PendingTable {
         PendingTable {
-            slots: (0..1 << 16).map(|_| None).collect(),
+            slots: (0..IDS).map(|_| None).collect(),
+            occupied: vec![0; IDS / 64],
             in_flight: 0,
             wheel: crate::retry::TimeoutWheel::new(start),
         }
     }
 
-    /// Registers an in-flight id; a still-outstanding id that wrapped
-    /// around is overwritten, matching the map behavior it replaced.
+    /// The first id after `after` (wrapping) whose slot is free; `None`
+    /// when all 65,536 ids are outstanding.
+    pub(crate) fn next_free(&self, after: u16) -> Option<u16> {
+        if self.in_flight >= IDS {
+            return None;
+        }
+        let start = usize::from(after.wrapping_add(1));
+        let (word, bit) = (start / 64, start % 64);
+        // The first word from `bit` on, every other word, then the first
+        // word's low bits.
+        let words = self.occupied.len();
+        let probes = std::iter::once((word, !0u64 << bit))
+            .chain((1..words).map(|k| ((word + k) % words, !0u64)))
+            .chain(std::iter::once((word, !(!0u64 << bit))));
+        probes
+            .filter_map(|(w, mask)| {
+                let free = !self.occupied.get(w)? & mask;
+                (free != 0).then(|| w * 64 + free.trailing_zeros() as usize)
+            })
+            .find_map(|id| u16::try_from(id).ok())
+    }
+
+    /// The id to send the next query under: the first free id after
+    /// `last`. Only when all 65,536 ids are in flight is `last + 1` reused
+    /// — its query will be overwritten — and the reuse counted in
+    /// `collisions`.
+    pub(crate) fn allot_id(&self, last: u16, collisions: &AtomicU64) -> u16 {
+        self.next_free(last).unwrap_or_else(|| {
+            collisions.fetch_add(1, Ordering::Relaxed);
+            last.wrapping_add(1)
+        })
+    }
+
+    /// Registers an in-flight id, overwriting a still-outstanding query
+    /// under the same id (see [`PendingTable::allot_id`]).
     pub(crate) fn insert(&mut self, id: u16, f: InFlight) {
         let deadline = f.deadline;
         let attempt = f.attempt;
         if let Some(slot) = self.slots.get_mut(id as usize) {
             if slot.replace(f).is_none() {
                 self.in_flight += 1;
+                self.mark(id, true);
             }
         }
         if let Some(d) = deadline {
@@ -84,8 +125,21 @@ impl PendingTable {
         let f = self.slots.get_mut(id as usize)?.take();
         if f.is_some() {
             self.in_flight -= 1;
+            self.mark(id, false);
         }
         f
+    }
+
+    fn mark(&mut self, id: u16, busy: bool) {
+        let id = usize::from(id);
+        if let Some(word) = self.occupied.get_mut(id / 64) {
+            let bit = 1u64 << (id % 64);
+            if busy {
+                *word |= bit;
+            } else {
+                *word &= !bit;
+            }
+        }
     }
 
     /// Processes every due wheel entry: validates against the live table,
@@ -266,6 +320,66 @@ impl ObsCtx {
 mod tests {
     use super::*;
     use std::time::Duration;
+
+    fn in_flight(at: Instant) -> InFlight {
+        InFlight {
+            slot: 0,
+            sent_at: at,
+            deadline: None,
+            attempt: 0,
+            sock: SockRef::Udp(0),
+            wire: None,
+        }
+    }
+
+    #[test]
+    fn next_free_skips_ids_in_flight_and_wraps() {
+        let now = Instant::now();
+        let mut t = PendingTable::new(now);
+        assert_eq!(t.next_free(0), Some(1));
+        for id in [1u16, 2, 3, 70] {
+            t.insert(id, in_flight(now));
+        }
+        assert_eq!(t.next_free(0), Some(4), "1..=3 are in flight");
+        assert_eq!(t.next_free(69), Some(71), "70 is in flight");
+        t.insert(u16::MAX, in_flight(now));
+        t.insert(0, in_flight(now));
+        assert_eq!(
+            t.next_free(u16::MAX - 1),
+            Some(4),
+            "wraps past 65535, 0..=3"
+        );
+        t.remove(2);
+        assert_eq!(t.next_free(0), Some(2), "an answered id is free again");
+    }
+
+    #[test]
+    fn only_a_full_table_reuses_an_id_and_counts_the_collision() {
+        let now = Instant::now();
+        let mut t = PendingTable::new(now);
+        let collisions = AtomicU64::new(0);
+        // Ids 0..=9 stay in flight; the allocator walks around them.
+        for id in 0..10 {
+            t.insert(id, in_flight(now));
+        }
+        let mut last = 5;
+        for _ in 0..IDS - 10 {
+            last = t.allot_id(last, &collisions);
+            assert!(last >= 10, "id {last} is still in flight");
+            t.insert(last, in_flight(now));
+        }
+        assert_eq!(t.in_flight, IDS);
+        assert_eq!(collisions.load(Ordering::Relaxed), 0, "no reuse until full");
+        assert_eq!(t.next_free(123), None);
+        // Full: the next id is reused, and counted.
+        assert_eq!(t.allot_id(u16::MAX, &collisions), 0);
+        assert_eq!(collisions.load(Ordering::Relaxed), 1);
+        // An answer frees its id, which is then handed out again.
+        t.remove(40_000);
+        assert_eq!(t.allot_id(123, &collisions), 40_000);
+        assert_eq!(t.allot_id(u16::MAX, &collisions), 40_000);
+        assert_eq!(collisions.load(Ordering::Relaxed), 1);
+    }
 
     #[test]
     fn arrival_converts_a_stamp_and_clamps_it_to_send_and_read() {

@@ -107,6 +107,9 @@ pub struct FaultCounters {
     pub reconnects: AtomicU64,
     pub gave_up: AtomicU64,
     pub errors: AtomicU64,
+    /// Message ids reused while still in flight (see
+    /// [`ShardStats::id_collisions`]).
+    pub id_collisions: AtomicU64,
     /// Outstanding queries: a gauge the querier publishes at each wake,
     /// not folded into [`ShardStats`].
     pub in_flight: AtomicU64,
@@ -119,6 +122,7 @@ impl FaultCounters {
         stats.reconnects = self.reconnects.load(Ordering::Relaxed);
         stats.gave_up = self.gave_up.load(Ordering::Relaxed);
         stats.errors = self.errors.load(Ordering::Relaxed);
+        stats.id_collisions = self.id_collisions.load(Ordering::Relaxed);
     }
 }
 
@@ -260,11 +264,19 @@ mod tests {
         c.reconnects.store(2, Ordering::Relaxed);
         c.gave_up.store(1, Ordering::Relaxed);
         c.errors.store(5, Ordering::Relaxed);
+        c.id_collisions.store(6, Ordering::Relaxed);
         let mut s = ShardStats::new(0);
         c.fold_into(&mut s);
         assert_eq!(
-            (s.timeouts, s.retries, s.reconnects, s.gave_up, s.errors),
-            (4, 3, 2, 1, 5)
+            (
+                s.timeouts,
+                s.retries,
+                s.reconnects,
+                s.gave_up,
+                s.errors,
+                s.id_collisions
+            ),
+            (4, 3, 2, 1, 5, 6)
         );
     }
 }

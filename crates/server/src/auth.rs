@@ -1,16 +1,24 @@
 //! The authoritative answer engine.
 //!
-//! Pure logic: (client address, query message) → response message. The same
-//! engine backs the simulated server node, the live tokio server, and unit
-//! tests. Zone selection is split-horizon by client address when a
-//! [`ViewTable`] is supplied (the meta-DNS-server configuration of §2.4) or
-//! a single shared [`ZoneSet`] otherwise (plain authoritative replay, §4).
+//! One answering function, [`AuthEngine::answer_wire`]: query bytes in,
+//! response bytes appended to a caller-owned buffer. It reads a borrowed
+//! [`QueryView`] of the query, runs a borrowed zone lookup, and encodes
+//! the referenced rrsets straight into the buffer — no `Message` and no
+//! record copies in between, so a warmed-up buffer answers without
+//! allocating. The live UDP and TCP loops and the simulated server call
+//! it directly; [`AuthEngine::respond`] wraps it for callers holding a
+//! [`Message`]. Zone selection is split-horizon by client address when a
+//! [`ViewTable`] is supplied (the meta-DNS-server configuration of §2.4)
+//! or a single shared [`ZoneSet`] otherwise (plain authoritative replay,
+//! §4).
 
 use std::net::IpAddr;
 use std::sync::Arc;
 
-use ldp_wire::{Message, Opcode, Rcode};
-use ldp_zone::{LookupOutcome, ViewTable, ZoneSet};
+use ldp_wire::{
+    encode_rr, Edns, Header, Message, Opcode, QueryView, Rcode, RrClass, WireError, WireWriter,
+};
+use ldp_zone::{LookupOutcome, RrRef, ViewTable, ZoneSet};
 
 /// How the engine finds zones for a client.
 enum ZoneSource {
@@ -23,6 +31,24 @@ pub struct AuthEngine {
     source: ZoneSource,
     /// Maximum UDP response size when the query carries no EDNS.
     plain_udp_limit: usize,
+}
+
+/// Why [`AuthEngine::answer_wire`] produced no response.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NoAnswer {
+    /// The query did not parse.
+    Malformed(WireError),
+    /// The response could not be encoded: over a stream it would exceed
+    /// 65,535 bytes, or the zone data itself does not encode.
+    Unencodable(WireError),
+}
+
+/// Record counts of the three record sections.
+#[derive(Default)]
+struct Counts {
+    answer: usize,
+    authority: usize,
+    additional: usize,
 }
 
 impl AuthEngine {
@@ -49,91 +75,170 @@ impl AuthEngine {
         }
     }
 
-    /// Produces the response for a query. `over_stream` disables UDP
-    /// truncation (TCP/TLS carry any size).
-    pub fn respond(&self, client: IpAddr, query: &Message, over_stream: bool) -> Message {
-        let mut resp = Message::response_for(query);
-        if query.header.opcode != Opcode::Query {
-            resp.header.rcode = Rcode::NotImp;
-            return resp;
+    /// Answers the query in `query`, appending the response to `out`.
+    /// `over_stream` disables UDP truncation (TCP/TLS carry any size).
+    ///
+    /// The response mirrors the query's id, opcode, RD bit and question
+    /// section (names lowercased, as every `Name` is), and carries an OPT
+    /// record (4096-byte payload, the query's DO bit) when the query did.
+    /// Over UDP, a response longer than the client's limit — its EDNS
+    /// payload size, and never less than 512 — is cut back to the end of
+    /// the question section and marked TC. On error `out` is left as it
+    /// was and nothing should be sent.
+    pub fn answer_wire(
+        &self,
+        client: IpAddr,
+        query: &[u8],
+        over_stream: bool,
+        out: &mut Vec<u8>,
+    ) -> Result<(), NoAnswer> {
+        let view = QueryView::parse(query).map_err(NoAnswer::Malformed)?;
+        let start = out.len();
+        let mut w = WireWriter::append_to(std::mem::take(out));
+        let written = self.write_response(client, &view, over_stream, &mut w);
+        *out = w.into_bytes();
+        if written.is_err() {
+            out.truncate(start);
         }
-        let Some(question) = query.question() else {
-            resp.header.rcode = Rcode::FormErr;
-            return resp;
-        };
-        let Some(zones) = self.zones_for(client) else {
-            resp.header.rcode = Rcode::Refused;
-            return resp;
-        };
-        let dnssec_ok = query.dnssec_ok();
-        match zones.lookup(&question.qname, question.qtype, dnssec_ok) {
-            None => {
-                resp.header.rcode = Rcode::Refused;
-            }
-            Some((_zone, outcome)) => match outcome {
-                LookupOutcome::Answer {
-                    records,
-                    authority,
-                    additional,
-                } => {
-                    resp.header.authoritative = true;
-                    resp.answers = records;
-                    resp.authorities = authority;
-                    resp.additionals = additional;
-                }
-                LookupOutcome::Delegation(referral) => {
-                    // Referrals are not authoritative answers: AA clear,
-                    // NS of the child zone in authority, glue additional.
-                    resp.header.authoritative = false;
-                    resp.authorities = referral.ns_records;
-                    resp.authorities.extend(referral.ds_records);
-                    resp.additionals = referral.glue;
-                }
-                LookupOutcome::NoData { soa, denial } => {
-                    resp.header.authoritative = true;
-                    resp.authorities.extend(soa);
-                    resp.authorities.extend(denial);
-                }
-                LookupOutcome::NxDomain { soa, denial } => {
-                    resp.header.authoritative = true;
-                    resp.header.rcode = Rcode::NxDomain;
-                    resp.authorities.extend(soa);
-                    resp.authorities.extend(denial);
-                }
-                LookupOutcome::OutOfZone => {
-                    resp.header.rcode = Rcode::Refused;
-                }
-            },
-        }
-        if !over_stream {
-            self.truncate_if_needed(query, &mut resp);
-        }
-        resp
+        written.map_err(NoAnswer::Unencodable)
     }
 
-    /// RFC 2181 §9 truncation: if the encoded response exceeds the client's
-    /// advertised limit, strip the record sections and set TC so the client
-    /// retries over TCP.
-    fn truncate_if_needed(&self, query: &Message, resp: &mut Message) {
-        let limit = query
-            .edns
-            .as_ref()
-            .map(|e| e.udp_payload_size as usize)
+    /// [`AuthEngine::answer_wire`] over a stream, with the response
+    /// behind its 2-byte length prefix (RFC 1035 §4.2.2).
+    pub fn answer_framed(
+        &self,
+        client: IpAddr,
+        query: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), NoAnswer> {
+        let at = out.len();
+        out.extend_from_slice(&[0, 0]);
+        if let Err(e) = self.answer_wire(client, query, true, out) {
+            out.truncate(at);
+            return Err(e);
+        }
+        // `answer_wire` never produces more than 65,535 bytes.
+        let len = u16::try_from(out.len() - at - 2).unwrap_or(u16::MAX);
+        out[at..at + 2].copy_from_slice(&len.to_be_bytes());
+        Ok(())
+    }
+
+    fn write_response(
+        &self,
+        client: IpAddr,
+        view: &QueryView<'_>,
+        over_stream: bool,
+        w: &mut WireWriter,
+    ) -> Result<(), WireError> {
+        let mut header = Header {
+            id: view.header().id,
+            response: true,
+            opcode: view.header().opcode,
+            recursion_desired: view.header().recursion_desired,
+            ..Header::default()
+        };
+        w.put_u16(header.id);
+        w.put_u16(0); // flags, patched below
+        w.put_u16(view.question_count());
+        w.put_u16(0); // ANCOUNT, NSCOUNT, ARCOUNT: patched below
+        w.put_u16(0);
+        w.put_u16(0);
+        for q in view.questions() {
+            w.put_name_ref(q.qname.as_name_ref())?;
+            w.put_u16(q.qtype.code());
+            w.put_u16(q.qclass.code());
+        }
+        let questions_end = w.len();
+
+        // Only answers that reached a zone set are size-checked; the
+        // header-only refusals (NOTIMP, FORMERR, no view) never carry
+        // records to drop.
+        let mut sized = false;
+        let counts = match (view.question(), self.zones_for(client)) {
+            _ if header.opcode != Opcode::Query => Err(Rcode::NotImp),
+            (None, _) => Err(Rcode::FormErr),
+            (Some(_), None) => Err(Rcode::Refused),
+            (Some(q), Some(zones)) => {
+                sized = true;
+                zones
+                    .lookup(q.qname.as_name_ref(), q.qtype, view.dnssec_ok())
+                    .map(|(_zone, outcome)| write_outcome(w, &outcome, &mut header))
+                    .ok_or(Rcode::Refused)
+            }
+        };
+        let counts = counts.unwrap_or_else(|rcode| {
+            header.rcode = rcode;
+            Ok(Counts::default())
+        });
+        let edns = view.edns().map(|e| Edns {
+            udp_payload_size: ldp_wire::DEFAULT_EDNS_PAYLOAD,
+            dnssec_ok: e.dnssec_ok,
+            ..Edns::default()
+        });
+        let limit = view
+            .edns()
+            .map(|e| usize::from(e.udp_payload_size))
             .unwrap_or(self.plain_udp_limit)
             .max(self.plain_udp_limit);
-        if resp.wire_size_estimate() <= limit {
-            return;
-        }
-        // Check the real encoding (compression may fit under the limit).
-        match resp.to_bytes() {
-            Ok(bytes) if bytes.len() <= limit => {}
-            _ => {
-                resp.answers.clear();
-                resp.authorities.clear();
-                resp.additionals.clear();
-                resp.header.truncated = true;
+        // Over UDP, record sections that overflow the client's limit, or
+        // that could not be encoded, are dropped with TC set (RFC 2181 §9).
+        let truncate = !over_stream && sized;
+        let counts = match counts {
+            Ok(counts) => {
+                if let Some(e) = &edns {
+                    e.encode(w)?;
+                }
+                let too_long = w.len() > usize::from(u16::MAX);
+                if too_long && !truncate {
+                    return Err(WireError::MessageTooLong(w.len()));
+                }
+                let overflows = too_long || (truncate && w.len() > limit);
+                (!overflows).then_some(counts)
             }
+            Err(e) if !truncate => return Err(e),
+            Err(_) => None,
+        };
+        let counts = match counts {
+            Some(counts) => counts,
+            None => {
+                w.truncate(questions_end);
+                header.truncated = true;
+                if let Some(e) = &edns {
+                    e.encode(w)?;
+                }
+                Counts::default()
+            }
+        };
+        w.patch_u16(2, header.flags_word());
+        let additional = counts.additional + usize::from(edns.is_some());
+        for (at, count) in [(6, counts.answer), (8, counts.authority), (10, additional)] {
+            w.patch_u16(
+                at,
+                u16::try_from(count).map_err(|_| WireError::MessageTooLong(count))?,
+            );
         }
+        Ok(())
+    }
+
+    /// Produces the response for a query as a [`Message`]: the query is
+    /// encoded, answered by [`AuthEngine::answer_wire`], and the response
+    /// decoded. For callers that hold `Message`s (tests, the recursive
+    /// resolver, zone construction); servers call `answer_wire`.
+    ///
+    /// A query that cannot be encoded, or whose answer cannot be, gets an
+    /// empty SERVFAIL response.
+    pub fn respond(&self, client: IpAddr, query: &Message, over_stream: bool) -> Message {
+        let mut out = Vec::new();
+        let answered = query.to_bytes().ok().and_then(|wire| {
+            self.answer_wire(client, &wire, over_stream, &mut out)
+                .ok()?;
+            Message::from_bytes(&out).ok()
+        });
+        answered.unwrap_or_else(|| {
+            let mut resp = Message::response_for(query);
+            resp.header.rcode = Rcode::ServFail;
+            resp
+        })
     }
 
     /// Serves the canonical emulation scenario: is this engine configured
@@ -141,6 +246,63 @@ impl AuthEngine {
     pub fn is_split_horizon(&self) -> bool {
         matches!(self.source, ZoneSource::Views(_))
     }
+}
+
+/// Writes the record sections of a lookup outcome and sets the AA bit and
+/// rcode it calls for.
+fn write_outcome(
+    w: &mut WireWriter,
+    outcome: &LookupOutcome<'_>,
+    header: &mut Header,
+) -> Result<Counts, WireError> {
+    let mut counts = Counts::default();
+    match outcome {
+        LookupOutcome::Answer {
+            records,
+            authority,
+            additional,
+        } => {
+            header.authoritative = true;
+            counts.answer = write_rrs(w, records.iter())?;
+            counts.authority = write_rrs(w, authority.iter())?;
+            counts.additional = write_rrs(w, additional.iter())?;
+        }
+        LookupOutcome::Delegation(referral) => {
+            // Referrals are not authoritative answers: AA clear, NS of
+            // the child zone (and its DS) in authority, glue additional.
+            counts.authority = write_rrs(
+                w,
+                referral.ns_records.iter().chain(referral.ds_records.iter()),
+            )?;
+            counts.additional = write_rrs(w, referral.glue.iter())?;
+        }
+        LookupOutcome::NoData { soa, denial } => {
+            header.authoritative = true;
+            counts.authority = write_rrs(w, soa.iter().copied().chain(denial.iter()))?;
+        }
+        LookupOutcome::NxDomain { soa, denial } => {
+            header.authoritative = true;
+            header.rcode = Rcode::NxDomain;
+            counts.authority = write_rrs(w, soa.iter().copied().chain(denial.iter()))?;
+        }
+        LookupOutcome::OutOfZone => header.rcode = Rcode::Refused,
+    }
+    Ok(counts)
+}
+
+/// Encodes every record the references stand for; returns how many.
+fn write_rrs<'a>(
+    w: &mut WireWriter,
+    rrs: impl Iterator<Item = RrRef<'a>>,
+) -> Result<usize, WireError> {
+    let mut n = 0;
+    for rr in rrs {
+        for rdata in rr.rdatas() {
+            encode_rr(w, rr.owner, rr.rtype, RrClass::In, rr.set.ttl, rdata)?;
+            n += 1;
+        }
+    }
+    Ok(n)
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 
 use std::io;
 use std::net::SocketAddr;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -17,10 +18,9 @@ use tokio::net::{TcpListener, UdpSocket};
 use tokio::task::JoinHandle;
 
 use ldp_metrics::LogHistogram;
-use ldp_wire::Message;
 use parking_lot::Mutex;
 
-use crate::auth::AuthEngine;
+use crate::auth::{AuthEngine, NoAnswer};
 use crate::chaos::{ChaosPolicy, ResponseFate};
 use crate::pktcache::{CacheStats, PacketCache};
 
@@ -255,6 +255,9 @@ impl LiveServer {
 /// syscall cost from two per query to two per batch.
 const UDP_BATCH: usize = 64;
 
+/// Where a queued UDP response sits in the batch's answer buffer.
+type Reply = (Range<usize>, SocketAddr);
+
 /// Routes each UDP response through the chaos policy's fate for it (or
 /// delivers unconditionally when no policy is installed).
 struct ReplyRouter {
@@ -265,14 +268,15 @@ struct ReplyRouter {
 }
 
 impl ReplyRouter {
-    /// Queues one response onto `replies` (delayed fates are sent out of
-    /// band). `query_wire` must be the id-zeroed query so retransmits of
-    /// the same query share a sighting sequence.
+    /// Queues the response at `answers[at]` onto `replies` (delayed fates
+    /// are sent out of band). `query_wire` must be the id-zeroed query so
+    /// retransmits of the same query share a sighting sequence.
     fn queue(
         &self,
-        replies: &mut Vec<(Vec<u8>, SocketAddr)>,
+        replies: &mut Vec<Reply>,
         query_wire: &[u8],
-        bytes: Vec<u8>,
+        answers: &[u8],
+        at: Range<usize>,
         peer: SocketAddr,
     ) {
         let fate = match &self.chaos {
@@ -280,15 +284,16 @@ impl ReplyRouter {
             None => ResponseFate::Deliver,
         };
         match fate {
-            ResponseFate::Deliver => replies.push((bytes, peer)),
+            ResponseFate::Deliver => replies.push((at, peer)),
             ResponseFate::Drop => {}
             ResponseFate::Duplicate => {
-                replies.push((bytes.clone(), peer));
-                replies.push((bytes, peer));
+                replies.push((at.clone(), peer));
+                replies.push((at, peer));
             }
             ResponseFate::Delay(by) => {
                 let socket = self.socket.clone();
                 let stats = self.stats.clone();
+                let bytes = answers.get(at).unwrap_or_default().to_vec();
                 tokio::spawn(async move {
                     tokio::time::sleep(by).await;
                     if socket.send_to(&bytes, peer).await.is_err() {
@@ -316,7 +321,10 @@ async fn serve_udp(
         started: Instant::now(),
     };
     let mut bufs: Vec<Vec<u8>> = (0..UDP_BATCH).map(|_| vec![0u8; 65_535]).collect();
-    let mut replies: Vec<(Vec<u8>, SocketAddr)> = Vec::with_capacity(UDP_BATCH);
+    // A batch's responses, back to back in one reused buffer; `replies`
+    // says where each one sits and where it goes.
+    let mut answers: Vec<u8> = Vec::with_capacity(UDP_BATCH * 512);
+    let mut replies: Vec<Reply> = Vec::with_capacity(UDP_BATCH);
     // Answers are deterministic over static zones, so identical query
     // wires (ignoring the id) short-circuit the parse → lookup → encode
     // path entirely; see [`crate::pktcache`].
@@ -327,46 +335,50 @@ async fn serve_udp(
         };
         let handle_start = Instant::now();
         let queries_before = stats.udp_queries.load(Ordering::Relaxed);
+        answers.clear();
         replies.clear();
         for (i, &(len, peer)) in received.iter().enumerate() {
-            let buf = &mut bufs[i];
-            if len >= 2 {
-                // Zero the id in place: the cache key must match across
-                // retransmits, and parsing doesn't need it (the response
-                // id is patched from `id` either way).
-                let id = u16::from_be_bytes([buf[0], buf[1]]);
-                buf[0] = 0;
-                buf[1] = 0;
-                if let Some(bytes) = cache.get(peer.ip(), &buf[..len], id) {
-                    stats.udp_queries.fetch_add(1, Ordering::Relaxed);
-                    stats
-                        .response_bytes
-                        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                    router.queue(&mut replies, &buf[..len], bytes, peer);
-                    continue;
-                }
-                let Ok(query) = Message::from_bytes(&buf[..len]) else {
-                    stats.malformed.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                };
-                stats.udp_queries.fetch_add(1, Ordering::Relaxed);
-                let resp = engine.respond(peer.ip(), &query, false);
-                if let Ok(mut bytes) = resp.to_bytes() {
-                    cache.put(peer.ip(), &buf[..len], &bytes);
-                    bytes[0..2].copy_from_slice(&id.to_be_bytes());
-                    stats
-                        .response_bytes
-                        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                    router.queue(&mut replies, &buf[..len], bytes, peer);
-                }
-            } else {
+            let Some(query) = bufs.get_mut(i).and_then(|b| b.get_mut(..len)) else {
+                continue;
+            };
+            if len < 2 {
                 stats.malformed.fetch_add(1, Ordering::Relaxed);
+                continue;
             }
+            // Zero the id in place: the cache key must match across
+            // retransmits, and the response id is patched from `id`
+            // either way.
+            let id = u16::from_be_bytes([query[0], query[1]]);
+            query[..2].fill(0);
+            let at = answers.len();
+            if !cache.get_into(peer.ip(), query, id, &mut answers) {
+                match engine.answer_wire(peer.ip(), query, false, &mut answers) {
+                    Err(NoAnswer::Malformed(_)) => {
+                        stats.malformed.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
+                    Err(NoAnswer::Unencodable(_)) => {
+                        stats.udp_queries.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
+                    Ok(()) => {
+                        cache.put(peer.ip(), query, &answers[at..]);
+                        answers[at..at + 2].copy_from_slice(&id.to_be_bytes());
+                    }
+                }
+            }
+            stats.udp_queries.fetch_add(1, Ordering::Relaxed);
+            stats
+                .response_bytes
+                .fetch_add((answers.len() - at) as u64, Ordering::Relaxed);
+            router.queue(&mut replies, query, &answers, at..answers.len(), peer);
         }
         let handled = stats.udp_queries.load(Ordering::Relaxed) - queries_before;
         stats.record_handle(handle_start.elapsed().as_micros() as u64, handled);
-        let msgs: Vec<(&[u8], SocketAddr)> =
-            replies.iter().map(|(b, p)| (b.as_slice(), *p)).collect();
+        let msgs: Vec<(&[u8], SocketAddr)> = replies
+            .iter()
+            .filter_map(|(at, peer)| Some((answers.get(at.clone())?, *peer)))
+            .collect();
         let sent = socket.send_many_to_each(&msgs).await.unwrap_or(0);
         for (bytes, peer) in &msgs[sent..] {
             if socket.send_to(bytes, *peer).await.is_err() {
@@ -410,8 +422,9 @@ async fn serve_tcp(
 const TCP_READ_BUF: usize = 2 * 65_537;
 
 /// Serves one TCP connection: each read takes whatever has arrived, every
-/// whole frame in it is answered, and the answers go back in one write. A
-/// partial frame waits in the buffer for the next read.
+/// whole frame in it is answered straight into the reused `answers`
+/// buffer, and the answers go back in one write. A partial frame waits in
+/// the buffer for the next read.
 async fn serve_tcp_conn(
     mut stream: tokio::net::TcpStream,
     peer: SocketAddr,
@@ -433,36 +446,33 @@ async fn serve_tcp_conn(
         answers.clear();
         // RFC 1035 §4.2.2 framing: 2-byte length, then the message.
         let mut rest = &buf[..filled];
-        let mut close = None;
+        let mut close = false;
         while let Some((msg, tail)) = ldp_wire::framing::split_frame(rest) {
             rest = tail;
             let handle_start = Instant::now();
-            let Ok(query) = Message::from_bytes(msg) else {
-                stats.malformed.fetch_add(1, Ordering::Relaxed);
-                continue;
-            };
+            let at = answers.len();
+            match engine.answer_framed(peer.ip(), msg, &mut answers) {
+                Err(NoAnswer::Malformed(_)) => {
+                    stats.malformed.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                Err(NoAnswer::Unencodable(_)) => {
+                    stats.tcp_queries.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                Ok(()) => {}
+            }
             stats.tcp_queries.fetch_add(1, Ordering::Relaxed);
-            let resp = engine.respond(peer.ip(), &query, true);
-            let Ok(bytes) = resp.to_bytes() else { continue };
             stats
                 .response_bytes
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-            let Ok(len) = u16::try_from(bytes.len()) else {
-                close = Some(Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "oversized response",
-                )));
-                break;
-            };
-            answers.extend_from_slice(&len.to_be_bytes());
-            answers.extend_from_slice(&bytes);
+                .fetch_add((answers.len() - at - 2) as u64, Ordering::Relaxed);
             stats.record_handle(handle_start.elapsed().as_micros() as u64, 1);
             served += 1;
             // Injected mid-conversation reset: close after serving the
             // configured number of queries on this connection, even when
             // more frames are already buffered.
             if chaos.as_ref().is_some_and(|c| c.should_reset(served)) {
-                close = Some(Ok(()));
+                close = true;
                 break;
             }
         }
@@ -470,8 +480,8 @@ async fn serve_tcp_conn(
         if !answers.is_empty() {
             stream.write_all(&answers).await?;
         }
-        if let Some(result) = close {
-            return result;
+        if close {
+            return Ok(());
         }
         buf.copy_within(used..filled, 0);
         filled -= used;
@@ -481,7 +491,7 @@ async fn serve_tcp_conn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_wire::{Name, RData, Record, RrType};
+    use ldp_wire::{Message, Name, RData, Record, RrType};
     use ldp_zone::{Zone, ZoneSet};
 
     fn n(s: &str) -> Name {

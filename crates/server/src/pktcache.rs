@@ -60,14 +60,30 @@ impl PacketCache {
     /// Looks up `wire` (already id-zeroed) for `client`. On a hit, returns
     /// the response bytes with `id` patched in.
     pub fn get(&mut self, client: IpAddr, wire: &[u8], id: u16) -> Option<Vec<u8>> {
+        let mut bytes = self.template(client, wire)?.to_vec();
+        patch_id(&mut bytes, id);
+        Some(bytes)
+    }
+
+    /// Like [`PacketCache::get`], but appends the response to `out` (a
+    /// batch's reused answer buffer); returns whether it hit.
+    pub fn get_into(&mut self, client: IpAddr, wire: &[u8], id: u16, out: &mut Vec<u8>) -> bool {
+        let Some(template) = self.template(client, wire) else {
+            return false;
+        };
+        let at = out.len();
+        out.extend_from_slice(template);
+        patch_id(&mut out[at..], id);
+        true
+    }
+
+    /// The cached response for (`client`, `wire`), counting the hit or
+    /// miss.
+    fn template(&mut self, client: IpAddr, wire: &[u8]) -> Option<&[u8]> {
         match self.map.get(wire) {
             Some((ip, template)) if *ip == client => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                let mut bytes = template.clone();
-                if bytes.len() >= 2 {
-                    bytes[0..2].copy_from_slice(&id.to_be_bytes());
-                }
-                Some(bytes)
+                Some(template)
             }
             _ => {
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -85,9 +101,7 @@ impl PacketCache {
             self.map.clear();
         }
         let mut template = response.to_vec();
-        if template.len() >= 2 {
-            template[0..2].copy_from_slice(&[0, 0]);
-        }
+        patch_id(&mut template, 0);
         self.map.insert(wire.to_vec(), (client, template));
     }
 
@@ -109,6 +123,13 @@ impl PacketCache {
 
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
+    }
+}
+
+/// Writes `id` over a response's first two bytes (when it has them).
+fn patch_id(response: &mut [u8], id: u16) {
+    if let Some(head) = response.get_mut(..2) {
+        head.copy_from_slice(&id.to_be_bytes());
     }
 }
 

@@ -10,10 +10,10 @@ use ldp_netsim::{
     ConnKey, Ctx, Node, NodeEvent, Packet, Payload, SimDuration, SimTime, TcpConfig, TcpEvent,
     TcpStack, TlsEndpoint, TlsOutput, TlsRole,
 };
-use ldp_wire::framing::{frame_message, FrameDecoder};
+use ldp_wire::framing::FrameDecoder;
 use ldp_wire::{Message, DNS_PORT, DNS_TLS_PORT};
 
-use crate::auth::AuthEngine;
+use crate::auth::{AuthEngine, NoAnswer};
 use crate::recursive::{ResolverCore, ResolverStep};
 use crate::resource::{ResourceModel, ResourceUsage};
 
@@ -136,16 +136,18 @@ impl AuthServerNode {
                     return;
                 }
                 let dns = &data[2..];
-                let Ok(query) = Message::from_bytes(dns) else {
-                    self.malformed += 1;
-                    return;
-                };
-                self.usage.stream_queries += 1;
-                let resp = self.engine.respond(packet.src.ip(), &query, true);
-                let Ok(bytes) = resp.to_bytes() else { return };
-                let Ok(framed) = frame_message(&bytes) else {
-                    return;
-                };
+                let mut framed = Vec::new();
+                match self.engine.answer_framed(packet.src.ip(), dns, &mut framed) {
+                    Err(NoAnswer::Malformed(_)) => {
+                        self.malformed += 1;
+                        return;
+                    }
+                    Err(NoAnswer::Unencodable(_)) => {
+                        self.usage.stream_queries += 1;
+                        return;
+                    }
+                    Ok(()) => self.usage.stream_queries += 1,
+                }
                 let reply = quic::encode(&QuicFrame::App {
                     conn_id,
                     data: framed,
@@ -181,31 +183,37 @@ impl AuthServerNode {
     }
 
     fn answer_udp(&mut self, ctx: &mut Ctx, packet: &Packet, data: &[u8]) {
-        let Ok(query) = Message::from_bytes(data) else {
-            self.malformed += 1;
-            return;
-        };
-        self.usage.udp_queries += 1;
-        let resp = self.engine.respond(packet.src.ip(), &query, false);
-        if let Ok(bytes) = resp.to_bytes() {
-            self.response_bytes += 28 + bytes.len() as u64;
-            ctx.send(Packet::udp(packet.dst, packet.src, bytes));
+        let mut bytes = Vec::new();
+        match self
+            .engine
+            .answer_wire(packet.src.ip(), data, false, &mut bytes)
+        {
+            Err(NoAnswer::Malformed(_)) => self.malformed += 1,
+            Err(NoAnswer::Unencodable(_)) => self.usage.udp_queries += 1,
+            Ok(()) => {
+                self.usage.udp_queries += 1;
+                self.response_bytes += 28 + bytes.len() as u64;
+                ctx.send(Packet::udp(packet.dst, packet.src, bytes));
+            }
         }
     }
 
     fn answer_stream(&mut self, ctx: &mut Ctx, key: ConnKey, dns_bytes: &[u8], is_tls: bool) {
-        let Ok(query) = Message::from_bytes(dns_bytes) else {
-            self.malformed += 1;
-            return;
-        };
-        self.usage.stream_queries += 1;
-        let resp = self.engine.respond(key.remote.ip(), &query, true);
-        let Ok(bytes) = resp.to_bytes() else {
-            return;
-        };
-        let Ok(framed) = frame_message(&bytes) else {
-            return;
-        };
+        let mut framed = Vec::new();
+        match self
+            .engine
+            .answer_framed(key.remote.ip(), dns_bytes, &mut framed)
+        {
+            Err(NoAnswer::Malformed(_)) => {
+                self.malformed += 1;
+                return;
+            }
+            Err(NoAnswer::Unencodable(_)) => {
+                self.usage.stream_queries += 1;
+                return;
+            }
+            Ok(()) => self.usage.stream_queries += 1,
+        }
         self.response_bytes += 40 + framed.len() as u64;
         if is_tls {
             if let Some(tls) = self.tls.get_mut(&key) {

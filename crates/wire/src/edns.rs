@@ -89,27 +89,13 @@ impl Edns {
         class_field: u16,
         ttl_field: u32,
     ) -> Result<Edns, WireError> {
-        let rdlen = r.read_u16("opt rdlength")? as usize;
-        let end = r.position() + rdlen;
-        if r.remaining() < rdlen {
-            return Err(WireError::Truncated {
-                context: "opt rdata",
-            });
-        }
         let mut options = Vec::new();
-        while r.position() < end {
-            let code = r.read_u16("opt option code")?;
-            let len = r.read_u16("opt option length")? as usize;
-            if r.position() + len > end {
-                return Err(WireError::Truncated {
-                    context: "opt option data",
-                });
-            }
+        read_opt_options(r, |code, data| {
             options.push(EdnsOption {
                 code,
-                data: r.read_bytes(len, "opt option data")?.to_vec(),
-            });
-        }
+                data: data.to_vec(),
+            })
+        })?;
         Ok(Edns {
             udp_payload_size: class_field,
             extended_rcode: (ttl_field >> 24) as u8, // ldp-lint: allow(r2) -- high byte of TTL field
@@ -124,6 +110,32 @@ impl Edns {
     pub fn wire_size(&self) -> usize {
         11 + self.options.iter().map(|o| 4 + o.data.len()).sum::<usize>()
     }
+}
+
+/// Reads the OPT rdata at the cursor (RDLENGTH first), handing each
+/// option's code and data to `each`.
+pub(crate) fn read_opt_options<'a>(
+    r: &mut WireReader<'a>,
+    mut each: impl FnMut(u16, &'a [u8]),
+) -> Result<(), WireError> {
+    let rdlen = r.read_u16("opt rdlength")? as usize;
+    let end = r.position() + rdlen;
+    if r.remaining() < rdlen {
+        return Err(WireError::Truncated {
+            context: "opt rdata",
+        });
+    }
+    while r.position() < end {
+        let code = r.read_u16("opt option code")?;
+        let len = r.read_u16("opt option length")? as usize;
+        if r.position() + len > end {
+            return Err(WireError::Truncated {
+                context: "opt option data",
+            });
+        }
+        each(code, r.read_bytes(len, "opt option data")?);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

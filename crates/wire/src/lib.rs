@@ -22,6 +22,7 @@ pub mod error;
 pub mod framing;
 pub mod message;
 pub mod name;
+pub mod query;
 pub mod rdata;
 pub mod record;
 pub mod rr;
@@ -30,9 +31,10 @@ mod wirebuf;
 pub use edns::{Edns, EdnsOption};
 pub use error::WireError;
 pub use message::{Header, Message, Opcode, Question, Rcode};
-pub use name::Name;
+pub use name::{Name, NameBuf, NameRef};
+pub use query::{EdnsView, QueryView, QuestionView};
 pub use rdata::{RData, SoaData};
-pub use record::Record;
+pub use record::{encode_rr, Record};
 pub use rr::{RrClass, RrType};
 pub use wirebuf::{WireReader, WireWriter};
 

@@ -142,7 +142,9 @@ impl Default for Header {
 }
 
 impl Header {
-    fn flags_word(&self) -> u16 {
+    /// The 16-bit flags word (QR, opcode, AA, TC, RD, RA, Z, AD, CD,
+    /// rcode) as it goes on the wire.
+    pub fn flags_word(&self) -> u16 {
         u16::from(self.response) << 15
             | (u16::from(self.opcode.code()) & 0xF) << 11
             | u16::from(self.authoritative) << 10
@@ -155,7 +157,8 @@ impl Header {
             | u16::from(self.rcode.code()) & 0xF
     }
 
-    fn from_flags_word(id: u16, w: u16) -> Header {
+    /// The header with id `id` and wire flags word `w`.
+    pub fn from_flags_word(id: u16, w: u16) -> Header {
         Header {
             id,
             response: w >> 15 & 1 == 1,
@@ -258,9 +261,11 @@ impl Message {
         self.edns.as_ref().map(|e| e.dnssec_ok).unwrap_or(false)
     }
 
-    /// Encodes to wire format with name compression.
+    /// Encodes to wire format with name compression. The output buffer is
+    /// sized up front from the uncompressed size, so encoding allocates it
+    /// once and never grows it.
     pub fn to_bytes(&self) -> Result<Vec<u8>, WireError> {
-        self.encode_with(WireWriter::new())
+        self.encode_with(WireWriter::with_capacity(self.wire_size_estimate()))
     }
 
     /// Encodes without name compression (ablation path).

@@ -1,33 +1,299 @@
 //! Domain names.
 //!
-//! A [`Name`] is a sequence of labels stored lowercase (DNS names compare
-//! case-insensitively; LDplayer normalizes on construction so that zone
-//! lookups and trace matching are plain byte comparisons).
+//! A [`Name`] is one buffer holding the name's labels in uncompressed
+//! wire form — each label a length octet followed by its bytes — stored
+//! lowercase, without the root label's terminating zero octet. DNS names
+//! compare case-insensitively; normalizing on construction makes zone
+//! lookups and trace matching plain byte comparisons.
+//!
+//! Because the labels run left to right, every ancestor of a name is a
+//! suffix of its buffer (`example.com` is the tail of `www.example.com`,
+//! and the root is the empty tail). [`NameRef`] borrows such a slice, so
+//! walking up the tree or probing a hash map for an ancestor allocates
+//! nothing; [`NameBuf`] holds a name read off the wire in a fixed array.
 
 use crate::error::WireError;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 /// Maximum length of a single label in octets (RFC 1035 §2.3.4).
 pub const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a name in wire form, including the root length octet.
 pub const MAX_NAME_LEN: usize = 255;
+/// Maximum length of a name's label bytes (its wire form less the root
+/// octet).
+const MAX_LABELS_LEN: usize = MAX_NAME_LEN - 1;
+/// Upper bound on the number of labels in a valid name (each label takes
+/// at least two octets).
+const MAX_LABELS: usize = MAX_LABELS_LEN / 2;
 
-/// A fully-qualified domain name.
+/// A fully-qualified domain name, owning its wire-form label bytes.
 ///
-/// Internally stored as a vector of lowercase labels; the root name has zero
-/// labels. Display form always includes the trailing dot for the root and
-/// omits it otherwise only when empty (i.e. `.` for root, `example.com.`
-/// style otherwise), matching zone-file conventions.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+/// `Hash` and `Eq` are those of the label bytes, and `Name` implements
+/// `Borrow<[u8]>`, so hash maps keyed by `Name` can be probed with any
+/// [`NameRef::as_wire`] slice. `Ord` compares label by label from the
+/// leftmost (most specific) label, byte-wise within a label, with a name
+/// that runs out of labels first sorting first. Display form always ends
+/// in a dot (`.` for the root, `example.com.` otherwise), matching
+/// zone-file conventions.
+#[derive(Clone, Default)]
 pub struct Name {
-    labels: Vec<Box<[u8]>>,
+    wire: Box<[u8]>,
+}
+
+/// A borrowed name: a valid, lowercase label sequence in wire form (see
+/// [`Name`]). Ancestors of a `NameRef` are `NameRef`s into the same bytes.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct NameRef<'a> {
+    wire: &'a [u8],
+}
+
+/// A name decoded into a fixed buffer — the allocation-free landing spot
+/// for names read off the wire (see `WireReader::read_name_into`).
+#[derive(Clone)]
+pub struct NameBuf {
+    buf: [u8; MAX_LABELS_LEN],
+    len: usize,
+}
+
+impl Default for NameBuf {
+    fn default() -> Self {
+        NameBuf {
+            buf: [0; MAX_LABELS_LEN],
+            len: 0,
+        }
+    }
+}
+
+impl NameBuf {
+    /// An empty buffer (the root name).
+    pub fn new() -> NameBuf {
+        NameBuf::default()
+    }
+
+    /// The name held.
+    pub fn as_name_ref(&self) -> NameRef<'_> {
+        NameRef {
+            wire: &self.buf[..self.len],
+        }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Appends one label, lowercased. Returns false, leaving the buffer
+    /// unchanged, when the label would not fit.
+    pub(crate) fn push_label(&mut self, label: &[u8]) -> bool {
+        let Ok(len) = u8::try_from(label.len()) else {
+            return false;
+        };
+        let end = self.len + 1 + label.len();
+        if label.len() > MAX_LABEL_LEN || end > MAX_LABELS_LEN {
+            return false;
+        }
+        self.buf[self.len] = len;
+        let dst = &mut self.buf[self.len + 1..end];
+        dst.copy_from_slice(label);
+        dst.make_ascii_lowercase();
+        self.len = end;
+        true
+    }
+}
+
+/// Iterator over the labels of a wire-form label sequence.
+#[derive(Clone)]
+pub struct Labels<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&len, tail) = self.rest.split_first()?;
+        let len = usize::from(len).min(tail.len());
+        let (label, rest) = tail.split_at(len);
+        self.rest = rest;
+        Some(label)
+    }
+}
+
+/// Iterator over a name and its ancestors, longest first, ending with the
+/// root.
+#[derive(Clone)]
+pub struct Suffixes<'a> {
+    rest: Option<&'a [u8]>,
+}
+
+impl<'a> Iterator for Suffixes<'a> {
+    type Item = NameRef<'a>;
+
+    fn next(&mut self) -> Option<NameRef<'a>> {
+        let wire = self.rest?;
+        self.rest = skip_label(wire);
+        Some(NameRef { wire })
+    }
+}
+
+/// The label sequence after the first label; `None` for the root.
+fn skip_label(wire: &[u8]) -> Option<&[u8]> {
+    let (&len, tail) = wire.split_first()?;
+    tail.get(usize::from(len)..)
+}
+
+/// Label-by-label order (see [`Name`]).
+fn label_order(a: &[u8], b: &[u8]) -> Ordering {
+    Labels { rest: a }.cmp(Labels { rest: b })
+}
+
+impl<'a> NameRef<'a> {
+    /// Validates `wire` as a lowercase label sequence (no terminating
+    /// zero) and borrows it.
+    pub fn from_wire(wire: &'a [u8]) -> Result<NameRef<'a>, WireError> {
+        if wire.len() > MAX_LABELS_LEN {
+            return Err(WireError::NameTooLong(wire.len() + 1));
+        }
+        let mut rest = wire;
+        while let Some((&len, tail)) = rest.split_first() {
+            let len = usize::from(len);
+            if len == 0 {
+                return Err(WireError::BadText("empty label".into()));
+            }
+            if len > MAX_LABEL_LEN {
+                return Err(WireError::LabelTooLong(len));
+            }
+            let label = tail
+                .get(..len)
+                .ok_or(WireError::Truncated { context: "label" })?;
+            if label.iter().any(u8::is_ascii_uppercase) {
+                return Err(WireError::BadText("upper-case label".into()));
+            }
+            rest = &tail[len..];
+        }
+        Ok(NameRef { wire })
+    }
+
+    /// The label bytes in wire form, without the root octet.
+    pub fn as_wire(&self) -> &'a [u8] {
+        self.wire
+    }
+
+    /// True for the root name.
+    pub fn is_root(&self) -> bool {
+        self.wire.is_empty()
+    }
+
+    /// Iterates over labels from leftmost (most specific) to rightmost.
+    pub fn labels(&self) -> Labels<'a> {
+        Labels { rest: self.wire }
+    }
+
+    /// Number of labels (0 for the root).
+    pub fn label_count(&self) -> usize {
+        self.labels().count()
+    }
+
+    /// The leftmost label, if any.
+    pub fn first_label(&self) -> Option<&'a [u8]> {
+        self.labels().next()
+    }
+
+    /// This name, then each ancestor up to and including the root.
+    pub fn suffixes(&self) -> Suffixes<'a> {
+        Suffixes {
+            rest: Some(self.wire),
+        }
+    }
+
+    /// The immediate parent; `None` for the root.
+    pub fn parent(&self) -> Option<NameRef<'a>> {
+        skip_label(self.wire).map(|wire| NameRef { wire })
+    }
+
+    /// The ancestor made of the rightmost `keep_rightmost` labels; `None`
+    /// when the name has fewer labels.
+    pub fn ancestor(&self, keep_rightmost: usize) -> Option<NameRef<'a>> {
+        let count = self.label_count();
+        self.suffixes().nth(count.checked_sub(keep_rightmost)?)
+    }
+
+    /// True if `self` is equal to or a subdomain of `ancestor`.
+    pub fn is_subdomain_of(&self, ancestor: NameRef<'_>) -> bool {
+        // The tail must start at a label boundary, not inside a label
+        // whose bytes happen to spell the ancestor.
+        self.suffixes()
+            .find(|s| s.wire.len() <= ancestor.wire.len())
+            .is_some_and(|s| s.wire == ancestor.wire)
+    }
+
+    /// True if the leftmost label is `*`.
+    pub fn is_wildcard(&self) -> bool {
+        self.first_label() == Some(b"*".as_ref())
+    }
+
+    /// Canonical DNS ordering (RFC 4034 §6.1): compare label sequences
+    /// right-to-left.
+    pub fn canonical_cmp(&self, other: NameRef<'_>) -> Ordering {
+        let (a, mut i) = label_starts(self.wire);
+        let (b, mut j) = label_starts(other.wire);
+        loop {
+            match (i, j) {
+                (0, 0) => return Ordering::Equal,
+                (0, _) => return Ordering::Less,
+                (_, 0) => return Ordering::Greater,
+                _ => {
+                    i -= 1;
+                    j -= 1;
+                    match label_at(self.wire, a[i]).cmp(label_at(other.wire, b[j])) {
+                        Ordering::Equal => continue,
+                        ord => return ord,
+                    }
+                }
+            }
+        }
+    }
+
+    /// An owned copy.
+    pub fn to_name(&self) -> Name {
+        Name {
+            wire: self.wire.into(),
+        }
+    }
+}
+
+/// The label whose length octet sits at `start`.
+fn label_at(wire: &[u8], start: u8) -> &[u8] {
+    Labels {
+        rest: wire.get(usize::from(start)..).unwrap_or_default(),
+    }
+    .next()
+    .unwrap_or_default()
+}
+
+/// Offsets of each label's length octet, leftmost first.
+fn label_starts(wire: &[u8]) -> ([u8; MAX_LABELS], usize) {
+    let mut starts = [0u8; MAX_LABELS];
+    let mut n = 0;
+    let mut pos = 0usize;
+    while let Some(&len) = wire.get(pos) {
+        if n == MAX_LABELS {
+            break;
+        }
+        starts[n] = u8::try_from(pos).unwrap_or(u8::MAX);
+        n += 1;
+        pos += 1 + usize::from(len);
+    }
+    (starts, n)
 }
 
 impl Name {
     /// The root name (`.`).
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name::default()
     }
 
     /// Builds a name from raw labels. Labels are lowercased; empty labels are
@@ -37,23 +303,31 @@ impl Name {
         I: IntoIterator<Item = L>,
         L: AsRef<[u8]>,
     {
-        let mut out: Vec<Box<[u8]>> = Vec::new();
+        let mut wire: Vec<u8> = Vec::new();
         for l in labels {
             let l = l.as_ref();
             if l.is_empty() {
                 return Err(WireError::BadText("empty label".into()));
             }
-            if l.len() > MAX_LABEL_LEN {
-                return Err(WireError::LabelTooLong(l.len()));
-            }
-            out.push(l.to_ascii_lowercase().into_boxed_slice());
+            let len = u8::try_from(l.len())
+                .ok()
+                .filter(|&len| usize::from(len) <= MAX_LABEL_LEN)
+                .ok_or(WireError::LabelTooLong(l.len()))?;
+            wire.push(len);
+            wire.extend(l.iter().map(u8::to_ascii_lowercase));
         }
-        let name = Name { labels: out };
-        let wire = name.wire_len();
-        if wire > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wire));
+        Name::from_label_bytes(wire)
+    }
+
+    /// Wraps label bytes already validated label by label, checking the
+    /// total length.
+    fn from_label_bytes(wire: Vec<u8>) -> Result<Self, WireError> {
+        if wire.len() > MAX_LABELS_LEN {
+            return Err(WireError::NameTooLong(wire.len() + 1));
         }
-        Ok(name)
+        Ok(Name {
+            wire: wire.into_boxed_slice(),
+        })
     }
 
     /// Parses dotted text form. Accepts an optional trailing dot. `"."` and
@@ -64,8 +338,20 @@ impl Name {
             return Ok(Name::root());
         }
         let bytes = text.as_bytes();
-        let mut labels: Vec<Vec<u8>> = Vec::new();
-        let mut cur: Vec<u8> = Vec::new();
+        let mut wire: Vec<u8> = Vec::with_capacity(bytes.len() + 1);
+        // Offset of the current label's length octet.
+        let mut start = 0usize;
+        wire.push(0);
+        // The first over-long label; reported once the whole text parsed,
+        // as escape and empty-label errors take precedence.
+        let mut too_long: Option<usize> = None;
+        let mut close = |wire: &mut Vec<u8>, start: usize| {
+            let len = wire.len() - start - 1;
+            if len > MAX_LABEL_LEN && too_long.is_none() {
+                too_long = Some(len);
+            }
+            wire[start] = u8::try_from(len).unwrap_or(u8::MAX);
+        };
         let mut i = 0;
         while i < bytes.len() {
             match bytes[i] {
@@ -89,144 +375,193 @@ impl Name {
                         let byte = u8::try_from(v).map_err(|_| {
                             WireError::BadText(format!("\\ddd escape out of range in {text:?}"))
                         })?;
-                        cur.push(byte);
+                        wire.push(byte.to_ascii_lowercase());
                         i += 4;
                     } else {
-                        cur.push(c);
+                        wire.push(c.to_ascii_lowercase());
                         i += 2;
                     }
                 }
                 b'.' => {
-                    if cur.is_empty() {
+                    if wire.len() == start + 1 {
                         return Err(WireError::BadText(format!("empty label in {text:?}")));
                     }
-                    labels.push(std::mem::take(&mut cur));
+                    close(&mut wire, start);
+                    start = wire.len();
+                    wire.push(0);
                     i += 1;
                 }
                 c => {
-                    cur.push(c);
+                    wire.push(c.to_ascii_lowercase());
                     i += 1;
                 }
             }
         }
-        if !cur.is_empty() {
-            labels.push(cur);
+        if wire.len() == start + 1 {
+            // Trailing dot: drop the placeholder of the label never begun.
+            wire.pop();
+        } else {
+            close(&mut wire, start);
         }
-        Name::from_labels(labels)
+        if let Some(len) = too_long {
+            return Err(WireError::LabelTooLong(len));
+        }
+        Name::from_label_bytes(wire)
+    }
+
+    /// The borrowed form of this name.
+    pub fn as_name_ref(&self) -> NameRef<'_> {
+        NameRef { wire: &self.wire }
+    }
+
+    /// The label bytes in wire form, without the root octet.
+    pub fn as_wire(&self) -> &[u8] {
+        &self.wire
     }
 
     /// Number of labels (0 for the root).
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.as_name_ref().label_count()
     }
 
     /// True for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.is_empty()
     }
 
     /// Iterates over labels from leftmost (most specific) to rightmost.
-    pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        self.labels.iter().map(|l| l.as_ref())
+    pub fn labels(&self) -> Labels<'_> {
+        self.as_name_ref().labels()
     }
 
     /// The leftmost label, if any.
     pub fn first_label(&self) -> Option<&[u8]> {
-        self.labels.first().map(|l| l.as_ref())
+        self.as_name_ref().first_label()
     }
 
     /// Length of the wire encoding (uncompressed), including the root octet.
     pub fn wire_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| l.len() + 1).sum::<usize>()
+        self.wire.len() + 1
     }
 
     /// True if `self` is equal to or a subdomain of `ancestor`
     /// (`www.example.com` is within `example.com` and `.`).
     pub fn is_subdomain_of(&self, ancestor: &Name) -> bool {
-        if ancestor.labels.len() > self.labels.len() {
-            return false;
-        }
-        let skip = self.labels.len() - ancestor.labels.len();
-        self.labels[skip..] == ancestor.labels[..]
+        self.as_name_ref().is_subdomain_of(ancestor.as_name_ref())
     }
 
     /// The immediate parent (`example.com` → `com`); `None` for the root.
     pub fn parent(&self) -> Option<Name> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(Name {
-                labels: self.labels[1..].to_vec(),
-            })
-        }
+        self.as_name_ref().parent().map(|p| p.to_name())
     }
 
-    /// Strips `suffix` labels from the right, keeping the leftmost
-    /// `label_count() - suffix` labels.
+    /// Strips labels from the left, keeping the rightmost `keep_rightmost`
+    /// labels; `None` when the name has fewer.
     pub fn ancestor(&self, keep_rightmost: usize) -> Option<Name> {
-        if keep_rightmost > self.labels.len() {
-            return None;
-        }
-        Some(Name {
-            labels: self.labels[self.labels.len() - keep_rightmost..].to_vec(),
-        })
+        self.as_name_ref()
+            .ancestor(keep_rightmost)
+            .map(|a| a.to_name())
     }
 
     /// Prepends a label (`www` + `example.com` → `www.example.com`).
     pub fn prepend(&self, label: &[u8]) -> Result<Name, WireError> {
-        let mut labels: Vec<&[u8]> = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label);
-        labels.extend(self.labels());
-        Name::from_labels(labels)
+        Name::from_labels(std::iter::once(label).chain(self.labels()))
     }
 
     /// Concatenates `self` (as the left part) with `suffix`
     /// (`www` ⊕ `example.com` → `www.example.com`).
     pub fn concat(&self, suffix: &Name) -> Result<Name, WireError> {
-        Name::from_labels(self.labels().chain(suffix.labels()))
+        let mut wire = Vec::with_capacity(self.wire.len() + suffix.wire.len());
+        wire.extend_from_slice(&self.wire);
+        wire.extend_from_slice(&suffix.wire);
+        Name::from_label_bytes(wire)
     }
 
     /// Replaces the leftmost label with `*`, used for wildcard synthesis.
     pub fn to_wildcard(&self) -> Option<Name> {
-        if self.labels.is_empty() {
-            return None;
-        }
-        let mut labels: Vec<&[u8]> = vec![b"*"];
-        labels.extend(self.labels().skip(1));
-        Name::from_labels(labels).ok()
+        let parent = self.as_name_ref().parent()?;
+        let mut wire = Vec::with_capacity(2 + parent.wire.len());
+        wire.extend_from_slice(&[1, b'*']);
+        wire.extend_from_slice(parent.wire);
+        Name::from_label_bytes(wire).ok()
     }
 
     /// True if the leftmost label is `*`.
     pub fn is_wildcard(&self) -> bool {
-        self.first_label() == Some(b"*".as_ref())
+        self.as_name_ref().is_wildcard()
     }
 
     /// Canonical DNS ordering (RFC 4034 §6.1): compare label sequences
     /// right-to-left. Used for NSEC chains and sorted zone walks.
-    pub fn canonical_cmp(&self, other: &Name) -> std::cmp::Ordering {
-        let mut a = self.labels.iter().rev();
-        let mut b = other.labels.iter().rev();
-        loop {
-            match (a.next(), b.next()) {
-                (None, None) => return std::cmp::Ordering::Equal,
-                (None, Some(_)) => return std::cmp::Ordering::Less,
-                (Some(_), None) => return std::cmp::Ordering::Greater,
-                (Some(x), Some(y)) => match x.cmp(y) {
-                    std::cmp::Ordering::Equal => continue,
-                    ord => return ord,
-                },
-            }
-        }
+    pub fn canonical_cmp(&self, other: &Name) -> Ordering {
+        self.as_name_ref().canonical_cmp(other.as_name_ref())
     }
 }
 
-impl fmt::Display for Name {
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        self.wire == other.wire
+    }
+}
+
+impl Eq for Name {}
+
+impl Hash for Name {
+    // Must hash exactly like the `[u8]` it borrows as.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_wire().hash(state);
+    }
+}
+
+impl Borrow<[u8]> for Name {
+    fn borrow(&self) -> &[u8] {
+        &self.wire
+    }
+}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Name) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Name) -> Ordering {
+        label_order(&self.wire, &other.wire)
+    }
+}
+
+impl PartialOrd for NameRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for NameRef<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        label_order(self.wire, other.wire)
+    }
+}
+
+impl<'a> From<&'a Name> for NameRef<'a> {
+    fn from(name: &'a Name) -> NameRef<'a> {
+        name.as_name_ref()
+    }
+}
+
+impl PartialEq<Name> for NameRef<'_> {
+    fn eq(&self, other: &Name) -> bool {
+        *self.wire == *other.wire
+    }
+}
+
+impl fmt::Display for NameRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return f.write_str(".");
         }
-        for l in &self.labels {
-            for &b in l.iter() {
+        for l in self.labels() {
+            for &b in l {
                 match b {
                     b'.' | b'\\' => write!(f, "\\{}", b as char)?,
                     0x21..=0x7e => write!(f, "{}", b as char)?,
@@ -236,6 +571,18 @@ impl fmt::Display for Name {
             f.write_str(".")?;
         }
         Ok(())
+    }
+}
+
+impl fmt::Debug for NameRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self, f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&self.as_name_ref(), f)
     }
 }
 
@@ -330,6 +677,14 @@ mod tests {
     }
 
     #[test]
+    fn subdomain_needs_a_label_boundary() {
+        // The label `x\001b` ends in bytes that spell the label `b`.
+        let tricky = Name::from_labels([b"x\x01b".as_ref()]).unwrap();
+        assert_eq!(tricky.as_wire(), b"\x03x\x01b");
+        assert!(!tricky.is_subdomain_of(&n("b")));
+    }
+
+    #[test]
     fn parent_and_ancestor() {
         assert_eq!(n("www.example.com").parent().unwrap(), n("example.com"));
         assert_eq!(n("com").parent().unwrap(), Name::root());
@@ -337,6 +692,17 @@ mod tests {
         assert_eq!(n("a.b.c.d").ancestor(2).unwrap(), n("c.d"));
         assert_eq!(n("a.b").ancestor(0).unwrap(), Name::root());
         assert!(n("a.b").ancestor(3).is_none());
+    }
+
+    #[test]
+    fn suffixes_walk_to_the_root() {
+        let name = n("www.example.com");
+        let all: Vec<String> = name
+            .as_name_ref()
+            .suffixes()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(all, ["www.example.com.", "example.com.", "com.", "."]);
     }
 
     #[test]
@@ -390,5 +756,14 @@ mod tests {
     #[test]
     fn wire_len() {
         assert_eq!(n("example.com").wire_len(), 13); // 7+1 + 3+1 + 1
+    }
+
+    #[test]
+    fn from_wire_validates() {
+        assert!(NameRef::from_wire(b"\x03www\x07example").is_ok());
+        assert!(NameRef::from_wire(b"\x03WWW").is_err(), "upper case");
+        assert!(NameRef::from_wire(b"\x05ab").is_err(), "truncated label");
+        assert!(NameRef::from_wire(b"\x00").is_err(), "empty label");
+        assert!(NameRef::from_wire(&[64; 65]).is_err(), "label over 63");
     }
 }

@@ -144,9 +144,7 @@ impl RData {
                 w.put_u16(*weight);
                 w.put_u16(*port);
                 // RFC 2782: target must not be compressed.
-                let mut uw = WireWriter::uncompressed();
-                uw.put_name(target)?;
-                w.put_slice(uw.as_slice());
+                w.put_name_uncompressed(target.as_name_ref())?;
             }
             RData::Dnskey {
                 flags,
@@ -178,9 +176,7 @@ impl RData {
                 w.put_u32(*inception);
                 w.put_u16(*key_tag);
                 // RFC 4034 §3.1.7: signer name is never compressed.
-                let mut uw = WireWriter::uncompressed();
-                uw.put_name(signer)?;
-                w.put_slice(uw.as_slice());
+                w.put_name_uncompressed(signer.as_name_ref())?;
                 w.put_slice(signature);
             }
             RData::Ds {
@@ -195,9 +191,7 @@ impl RData {
                 w.put_slice(digest);
             }
             RData::Nsec { next, type_bitmaps } => {
-                let mut uw = WireWriter::uncompressed();
-                uw.put_name(next)?;
-                w.put_slice(uw.as_slice());
+                w.put_name_uncompressed(next.as_name_ref())?;
                 w.put_slice(type_bitmaps);
             }
             RData::Unknown(raw) => w.put_slice(raw),

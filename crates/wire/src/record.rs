@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::error::WireError;
-use crate::name::Name;
+use crate::name::{Name, NameRef};
 use crate::rdata::RData;
 use crate::rr::{RrClass, RrType};
 use crate::wirebuf::{WireReader, WireWriter};
@@ -45,20 +45,14 @@ impl Record {
 
     /// Encodes the record, compressing names against the writer state.
     pub fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        w.put_name(&self.name)?;
-        w.put_u16(self.rtype.code());
-        w.put_u16(self.class.code());
-        w.put_u32(self.ttl);
-        let len_at = w.len();
-        w.put_u16(0); // RDLENGTH placeholder
-        let rdata_start = w.len();
-        self.rdata.encode(w)?;
-        let rdlen = w.len() - rdata_start;
-        w.patch_u16(
-            len_at,
-            u16::try_from(rdlen).map_err(|_| WireError::MessageTooLong(rdlen))?,
-        );
-        Ok(())
+        encode_rr(
+            w,
+            self.name.as_name_ref(),
+            self.rtype,
+            self.class,
+            self.ttl,
+            &self.rdata,
+        )
     }
 
     /// Decodes one record at the reader cursor.
@@ -82,6 +76,33 @@ impl Record {
     pub fn wire_size_estimate(&self) -> usize {
         self.name.wire_len() + 10 + self.rdata.wire_size_estimate()
     }
+}
+
+/// Encodes one resource record from its parts — the single record encoder
+/// behind [`Record::encode`] and the answer paths that write zone data
+/// without building `Record`s.
+pub fn encode_rr(
+    w: &mut WireWriter,
+    owner: NameRef<'_>,
+    rtype: RrType,
+    class: RrClass,
+    ttl: u32,
+    rdata: &RData,
+) -> Result<(), WireError> {
+    w.put_name_ref(owner)?;
+    w.put_u16(rtype.code());
+    w.put_u16(class.code());
+    w.put_u32(ttl);
+    let len_at = w.len();
+    w.put_u16(0); // RDLENGTH placeholder
+    let rdata_start = w.len();
+    rdata.encode(w)?;
+    let rdlen = w.len() - rdata_start;
+    w.patch_u16(
+        len_at,
+        u16::try_from(rdlen).map_err(|_| WireError::MessageTooLong(rdlen))?,
+    );
+    Ok(())
 }
 
 impl fmt::Display for Record {

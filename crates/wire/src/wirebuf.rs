@@ -4,37 +4,95 @@
 //! occurrences with pointers (RFC 1035 §4.1.4). [`WireReader`] resolves
 //! pointers with a hop limit to reject loops.
 
-use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use crate::error::WireError;
-use crate::name::Name;
+use crate::name::{Name, NameBuf, NameRef};
 
 /// Maximum pointer hops while decompressing one name; real messages need a
 /// handful, so this comfortably rejects loops without false positives.
 const MAX_POINTER_HOPS: usize = 64;
 
-/// Growable output buffer that records name positions for compression.
+/// Name positions kept inline before the table spills to the heap; a
+/// referral or an answer with its glue records a few dozen.
+const INLINE_NAME_OFFSETS: usize = 64;
+
+/// Where the compressible name suffixes of a message start.
+///
+/// One entry per label written literally by [`WireWriter::put_name`]: the
+/// message offset of its length octet, which begins the suffix made of
+/// that label and everything after it. Only offsets < 0x4000 fit in a
+/// pointer, so only those are kept.
+#[derive(Debug, Clone)]
+struct NameTable {
+    inline: [u16; INLINE_NAME_OFFSETS],
+    len: usize,
+    spill: Vec<u16>,
+}
+
+impl Default for NameTable {
+    fn default() -> Self {
+        NameTable {
+            inline: [0; INLINE_NAME_OFFSETS],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+}
+
+impl NameTable {
+    fn push(&mut self, offset: u16) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => {
+                *slot = offset;
+                self.len += 1;
+            }
+            None => self.spill.push(offset),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u16> + '_ {
+        self.inline[..self.len]
+            .iter()
+            .chain(self.spill.iter())
+            .copied()
+    }
+
+    /// Forgets every position at or after `end` (the message was cut
+    /// back to `end` bytes).
+    fn forget_from(&mut self, end: usize) {
+        self.spill.retain(|&o| usize::from(o) < end);
+        while self.len > 0 && usize::from(self.inline[self.len - 1]) >= end {
+            self.len -= 1;
+        }
+    }
+}
+
+/// Output buffer that records name positions for compression.
+///
+/// The message may start part-way into the buffer (see
+/// [`WireWriter::append_to`]): every offset the writer deals in — its
+/// length, patch positions, compression pointers — is relative to the
+/// message start.
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
-    /// Map from name suffix (length-prefixed label bytes, already lowercase)
-    /// to the offset of its first occurrence. Only offsets < 0x4000 are
-    /// usable as pointers.
-    name_offsets: HashMap<Vec<u8>, u16>,
-    /// When false, names are always written uncompressed (ablation knob and
-    /// required inside RRSIG rdata per RFC 4034 §3.1.7).
+    /// Where the message starts in `buf`.
+    base: usize,
+    names: NameTable,
+    /// When false, names are always written uncompressed (ablation knob).
     compress: bool,
 }
 
 impl WireWriter {
     /// New writer with compression enabled.
     pub fn new() -> Self {
-        WireWriter {
-            buf: Vec::with_capacity(512),
-            name_offsets: HashMap::new(),
-            compress: true,
-        }
+        WireWriter::with_capacity(512)
+    }
+
+    /// New writer with compression enabled and room for `capacity` bytes.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        WireWriter::append_to(Vec::with_capacity(capacity))
     }
 
     /// New writer with compression disabled.
@@ -45,24 +103,45 @@ impl WireWriter {
         }
     }
 
-    /// Bytes written so far.
+    /// A compressing writer whose message starts at the end of `buf`:
+    /// what `buf` already holds is kept, and [`WireWriter::into_bytes`]
+    /// hands back the whole buffer. Writing into a reused buffer this way
+    /// allocates nothing once the buffer has grown to size.
+    pub fn append_to(buf: Vec<u8>) -> Self {
+        WireWriter {
+            base: buf.len(),
+            buf,
+            names: NameTable::default(),
+            compress: true,
+        }
+    }
+
+    /// Message bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.base
     }
 
     /// True when nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
-    /// Consumes the writer, returning the encoded bytes.
+    /// Consumes the writer, returning the buffer (with anything it held
+    /// before the message).
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
-    /// Current contents as a slice.
+    /// The message written so far.
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf
+        &self.buf[self.base..]
+    }
+
+    /// Cuts the message back to its first `len` bytes, forgetting the
+    /// name positions past the cut.
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(self.base + len);
+        self.names.forget_from(len);
     }
 
     pub fn put_u8(&mut self, v: u8) {
@@ -89,55 +168,115 @@ impl WireWriter {
         self.buf.extend_from_slice(&v.octets());
     }
 
-    /// Overwrites the two bytes at `offset` (used to patch RDLENGTH after
-    /// the rdata is written, since compression makes lengths unpredictable).
+    /// Overwrites the two bytes at message offset `offset` (used to patch
+    /// RDLENGTH after the rdata is written, since compression makes
+    /// lengths unpredictable). Offsets past the end are ignored.
     pub fn patch_u16(&mut self, offset: usize, v: u16) {
-        self.buf[offset..offset + 2].copy_from_slice(&v.to_be_bytes());
+        let at = self.base + offset;
+        if let Some(dst) = self.buf.get_mut(at..at + 2) {
+            dst.copy_from_slice(&v.to_be_bytes());
+        }
     }
 
     /// Writes a domain name, compressing against previously written names
     /// when enabled.
     pub fn put_name(&mut self, name: &Name) -> Result<(), WireError> {
-        let labels: Vec<&[u8]> = name.labels().collect();
-        for i in 0..labels.len() {
-            // Try to point at an already-written suffix starting at label i.
-            if self.compress {
-                let suffix = suffix_key(&labels[i..]);
-                if let Some(&off) = self.name_offsets.get(&suffix) {
-                    self.put_u16(0xC000 | off);
-                    return Ok(());
-                }
-                // Remember this suffix position for future compression; only
-                // offsets representable in a 14-bit pointer are usable.
-                if let Ok(off) = u16::try_from(self.buf.len()) {
-                    if off < 0x4000 {
-                        self.name_offsets.insert(suffix, off);
-                    }
+        self.put_name_ref(name.as_name_ref())
+    }
+
+    /// [`WireWriter::put_name`] for a borrowed name.
+    ///
+    /// Compression rule: the longest suffix of `name` already written as a
+    /// name (or name tail) becomes a pointer to its first occurrence; each
+    /// label written literally before it records its own position for
+    /// later names. Names inside rdata that must not be compressed go
+    /// through [`WireWriter::put_name_uncompressed`] and record nothing.
+    pub fn put_name_ref(&mut self, name: NameRef<'_>) -> Result<(), WireError> {
+        if !self.compress {
+            return self.put_name_uncompressed(name);
+        }
+        for suffix in name.suffixes() {
+            let Some(label) = suffix.first_label() else {
+                break; // the root: written as the terminator below
+            };
+            if let Some(off) = self.find_suffix(suffix.as_wire()) {
+                self.put_u16(0xC000 | off);
+                return Ok(());
+            }
+            if let Ok(off) = u16::try_from(self.len()) {
+                if off < 0x4000 {
+                    self.names.push(off);
                 }
             }
-            let label = labels[i];
-            // `Name` guarantees labels ≤ 63 octets; re-check here so a future
-            // unvalidated constructor cannot emit a corrupt length octet
-            // (values ≥ 64 would decode as pointers or bad label types).
-            let len = u8::try_from(label.len())
-                .ok()
-                .filter(|&l| l <= 63)
-                .ok_or(WireError::LabelTooLong(label.len()))?;
-            self.put_u8(len);
-            self.put_slice(label);
+            self.put_label(label)?;
         }
         self.put_u8(0);
         Ok(())
     }
+
+    /// Writes a name in full, neither compressing it nor recording it as
+    /// a compression target (required for RRSIG signer, NSEC next and SRV
+    /// target names: RFC 4034 §3.1.7, §4.1.1; RFC 2782).
+    pub fn put_name_uncompressed(&mut self, name: NameRef<'_>) -> Result<(), WireError> {
+        for label in name.labels() {
+            self.put_label(label)?;
+        }
+        self.put_u8(0);
+        Ok(())
+    }
+
+    fn put_label(&mut self, label: &[u8]) -> Result<(), WireError> {
+        // `Name` guarantees labels ≤ 63 octets; re-check here so a future
+        // unvalidated constructor cannot emit a corrupt length octet
+        // (values ≥ 64 would decode as pointers or bad label types).
+        let len = u8::try_from(label.len())
+            .ok()
+            .filter(|&l| l <= 63)
+            .ok_or(WireError::LabelTooLong(label.len()))?;
+        self.put_u8(len);
+        self.put_slice(label);
+        Ok(())
+    }
+
+    /// The recorded position whose name tail spells exactly `suffix`.
+    fn find_suffix(&self, suffix: &[u8]) -> Option<u16> {
+        let msg = self.as_slice();
+        self.names
+            .iter()
+            .find(|&off| tail_equals(msg, usize::from(off), suffix))
+    }
 }
 
-fn suffix_key(labels: &[&[u8]]) -> Vec<u8> {
-    let mut s = Vec::new();
-    for l in labels {
-        s.push(l.len() as u8); // ldp-lint: allow(r2) -- key bytes only, labels ≤63 by Name invariant
-        s.extend_from_slice(l);
+/// True when the name tail starting at `pos` of `msg` (following
+/// pointers) is exactly the label sequence `suffix`.
+fn tail_equals(msg: &[u8], mut pos: usize, mut suffix: &[u8]) -> bool {
+    let mut hops = 0usize;
+    loop {
+        let Some(&len) = msg.get(pos) else {
+            return false;
+        };
+        if len & 0xC0 == 0xC0 {
+            let Some(&low) = msg.get(pos + 1) else {
+                return false;
+            };
+            hops += 1;
+            if hops > MAX_POINTER_HOPS {
+                return false;
+            }
+            pos = usize::from(u16::from(len & 0x3F) << 8 | u16::from(low));
+            continue;
+        }
+        if len == 0 {
+            return suffix.is_empty();
+        }
+        let end = pos + 1 + usize::from(len);
+        match (msg.get(pos..end), suffix.get(..end - pos)) {
+            (Some(a), Some(b)) if a == b => {}
+            _ => return false,
+        }
+        suffix = &suffix[end - pos..];
+        pos = end;
     }
-    s
 }
 
 /// Cursor over a received message. Keeps the whole message around so
@@ -217,11 +356,23 @@ impl<'a> WireReader<'a> {
     /// advances past the name's first pointer or terminating root label;
     /// pointer targets are followed without moving the cursor further.
     pub fn read_name(&mut self) -> Result<Name, WireError> {
-        let mut labels: Vec<Vec<u8>> = Vec::new();
+        let mut buf = NameBuf::new();
+        self.read_name_into(&mut buf)?;
+        Ok(buf.as_name_ref().to_name())
+    }
+
+    /// [`WireReader::read_name`] into a caller-owned buffer: lowercased,
+    /// uncompressed, and without allocating.
+    pub fn read_name_into(&mut self, out: &mut NameBuf) -> Result<(), WireError> {
+        out.clear();
         let mut pos = self.pos;
         // After the first pointer, the cursor no longer tracks `pos`.
         let mut cursor_done = false;
         let mut hops = 0usize;
+        // Wire length so far (labels plus the root octet); past 255 the
+        // name is rejected, but only once it has been read to its end, so
+        // a malformed tail still reports its own error first.
+        let mut wire_len = 1usize;
         loop {
             if pos >= self.msg.len() {
                 return Err(WireError::Truncated { context: "name" });
@@ -234,14 +385,20 @@ impl<'a> WireReader<'a> {
                         if !cursor_done {
                             self.pos = pos;
                         }
-                        return Name::from_labels(labels);
+                        if wire_len > crate::name::MAX_NAME_LEN {
+                            return Err(WireError::NameTooLong(wire_len));
+                        }
+                        return Ok(());
                     }
                     let start = pos + 1;
                     let end = start + len as usize;
                     if end > self.msg.len() {
                         return Err(WireError::Truncated { context: "label" });
                     }
-                    labels.push(self.msg[start..end].to_vec());
+                    wire_len += 1 + usize::from(len);
+                    if wire_len <= crate::name::MAX_NAME_LEN {
+                        out.push_label(&self.msg[start..end]);
+                    }
                     pos = end;
                 }
                 0xC0 => {

@@ -165,11 +165,12 @@ mod tests {
             LookupOutcome::Delegation(r) => r,
             other => panic!("{other:?}"),
         };
-        let size = |r: &ldp_zone::Referral| -> usize {
+        let size = |r: &ldp_zone::Referral<'_>| -> usize {
             r.ns_records
-                .iter()
-                .chain(r.glue.iter())
-                .chain(r.ds_records.iter())
+                .records()
+                .into_iter()
+                .chain(r.glue.records())
+                .chain(r.ds_records.records())
                 .map(|rec| rec.wire_size_estimate())
                 .sum()
         };

@@ -369,11 +369,12 @@ mod tests {
     fn signed_referral_is_bigger_with_do() {
         let mut z = root_like_zone();
         sign_zone(&mut z, SigningConfig::zsk2048());
-        let plain = match z.lookup(&n("www.example.com"), RrType::A, false) {
+        let www = n("www.example.com");
+        let plain = match z.lookup(&www, RrType::A, false) {
             LookupOutcome::Delegation(r) => r,
             other => panic!("{other:?}"),
         };
-        let signed = match z.lookup(&n("www.example.com"), RrType::A, true) {
+        let signed = match z.lookup(&www, RrType::A, true) {
             LookupOutcome::Delegation(r) => r,
             other => panic!("{other:?}"),
         };
@@ -381,6 +382,7 @@ mod tests {
         assert_eq!(signed.ds_records.len(), 2, "DS + RRSIG(DS)");
         let extra: usize = signed
             .ds_records
+            .records()
             .iter()
             .map(|r| r.wire_size_estimate())
             .sum();

@@ -24,7 +24,7 @@ pub mod view;
 mod zone;
 mod zoneset;
 
-pub use lookup::{LookupOutcome, Referral};
+pub use lookup::{Glue, LookupOutcome, Pick, Referral, RrList, RrRef};
 pub use view::{ViewSelector, ViewTable};
-pub use zone::{RrSet, Zone, ZoneError};
+pub use zone::{RrSet, RrSets, Zone, ZoneError};
 pub use zoneset::ZoneSet;

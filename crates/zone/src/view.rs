@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::net::IpAddr;
 use std::sync::Arc;
 
-use ldp_wire::{Name, RrType};
+use ldp_wire::{NameRef, RrType};
 
 use crate::lookup::LookupOutcome;
 use crate::zone::Zone;
@@ -76,13 +76,14 @@ impl ViewTable {
 
     /// Full split-horizon lookup: pick the view for `client`, then the best
     /// zone within it, then run the authoritative lookup.
-    pub fn lookup(
-        &self,
+    pub fn lookup<'z: 'q, 'q>(
+        &'z self,
         client: IpAddr,
-        qname: &Name,
+        qname: impl Into<NameRef<'q>>,
         qtype: RrType,
         dnssec_ok: bool,
-    ) -> Option<(Arc<Zone>, LookupOutcome)> {
+    ) -> Option<(&'z Zone, LookupOutcome<'q>)> {
+        let qname = qname.into();
         let (zone, outcome) = self.select(client)?.lookup(qname, qtype, dnssec_ok)?;
         // Referral consistency: a delegation handed out by this view must
         // point at a cut inside the serving zone, with the qname under the
@@ -91,13 +92,13 @@ impl ViewTable {
         #[cfg(debug_assertions)]
         if let LookupOutcome::Delegation(r) = &outcome {
             debug_assert!(
-                r.cut.is_subdomain_of(zone.origin()) && r.cut != *zone.origin(),
+                r.cut.is_subdomain_of(zone.origin()) && r.cut != zone.origin(),
                 "delegation cut {} not strictly below zone {}",
                 r.cut,
                 zone.origin()
             );
             debug_assert!(
-                qname.is_subdomain_of(&r.cut),
+                qname.is_subdomain_of(r.cut.as_name_ref()),
                 "qname {qname} not under delegation cut {}",
                 r.cut
             );
@@ -124,7 +125,7 @@ impl ViewTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_wire::{RData, Record};
+    use ldp_wire::{Name, RData, Record};
 
     fn n(s: &str) -> Name {
         Name::parse(s).unwrap()
@@ -190,7 +191,7 @@ mod tests {
             .lookup(ip("198.41.0.4"), &q, RrType::A, false)
             .unwrap();
         match from_root {
-            LookupOutcome::Delegation(r) => assert_eq!(r.cut, n("com")),
+            LookupOutcome::Delegation(r) => assert_eq!(*r.cut, n("com")),
             other => panic!("root view should refer to com, got {other:?}"),
         }
 
@@ -198,7 +199,7 @@ mod tests {
             .lookup(ip("192.5.6.30"), &q, RrType::A, false)
             .unwrap();
         match from_com {
-            LookupOutcome::Delegation(r) => assert_eq!(r.cut, n("example.com")),
+            LookupOutcome::Delegation(r) => assert_eq!(*r.cut, n("example.com")),
             other => panic!("com view should refer to example.com, got {other:?}"),
         }
 

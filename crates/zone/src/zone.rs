@@ -1,10 +1,13 @@
 //! The [`Zone`] container: records of a single zone plus the structural
 //! indexes lookup needs (existing names, delegation cuts).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use ldp_wire::{Name, RData, Record, RrType, SoaData};
+use ldp_wire::{Name, NameRef, RData, Record, RrType, SoaData};
+
+/// The rrsets at one name, by type.
+pub type RrSets = HashMap<RrType, RrSet>;
 
 /// Errors when constructing or mutating zones.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,12 +71,16 @@ impl RrSet {
 /// `existing_names` (including empty non-terminals) and `cuts` (delegation
 /// points, i.e. names strictly below the apex owning NS rrsets) — are
 /// maintained incrementally so lookup is cheap.
+///
+/// Every index is a hash map keyed by [`Name`], probed with the borrowed
+/// wire bytes of a query name or one of its ancestors, so lookups
+/// allocate nothing. Iteration ([`Zone::iter`], [`Zone::names`]) sorts by
+/// `Name`'s order.
 #[derive(Debug, Clone)]
 pub struct Zone {
     origin: Name,
-    /// name → type → rrset. BTreeMap over names keeps canonical-ish order
-    /// for iteration/serialization stability.
-    records: BTreeMap<Name, HashMap<RrType, RrSet>>,
+    /// name → type → rrset.
+    records: HashMap<Name, RrSets>,
     /// Every name that "exists" per RFC 4592, including empty non-terminals
     /// synthesized between a record owner and the apex.
     existing_names: HashSet<Name>,
@@ -91,7 +98,7 @@ impl Zone {
         existing_names.insert(origin.clone());
         Zone {
             origin,
-            records: BTreeMap::new(),
+            records: HashMap::new(),
             existing_names,
             cuts: HashSet::new(),
             nsec_order: Vec::new(),
@@ -105,18 +112,25 @@ impl Zone {
         let mut z = Zone::new(origin.clone());
         let soa = RData::Soa(SoaData {
             mname: Name::parse("ns.fake")
-                .unwrap()
-                .concat(&origin)
+                .and_then(|ns| ns.concat(&origin))
                 .unwrap_or_else(|_| origin.clone()),
-            rname: Name::parse("hostmaster.fake").unwrap(),
+            rname: Name::parse("hostmaster.fake").unwrap_or_default(),
             serial: 1,
             refresh: 7200,
             retry: 3600,
             expire: 1209600,
             minimum: 300,
         });
-        z.add(Record::new(origin, 3600, soa))
-            .expect("apex SOA is in zone");
+        // What `add` does for the first record of a fresh zone, at its
+        // apex: nothing to check, no cut, no new name.
+        let set = RrSet {
+            ttl: 3600,
+            rdatas: vec![soa],
+        };
+        z.records
+            .entry(origin)
+            .or_default()
+            .insert(RrType::Soa, set);
         z
     }
 
@@ -167,12 +181,11 @@ impl Zone {
         }
 
         // Record the owner and all empty non-terminals up to the apex.
-        let mut walk = record.name.clone();
-        while walk != self.origin {
-            if !self.existing_names.insert(walk.clone()) {
+        for walk in record.name.as_name_ref().suffixes() {
+            if walk == self.origin || self.existing_names.contains(walk.as_wire()) {
                 break;
             }
-            walk = walk.parent().expect("walk is below origin");
+            self.existing_names.insert(walk.to_name());
         }
 
         let set = self
@@ -191,19 +204,19 @@ impl Zone {
     }
 
     /// Looks up the rrset at exactly (name, rtype).
-    pub fn get(&self, name: &Name, rtype: RrType) -> Option<&RrSet> {
-        self.records.get(name)?.get(&rtype)
+    pub fn get<'n>(&self, name: impl Into<NameRef<'n>>, rtype: RrType) -> Option<&RrSet> {
+        self.records.get(name.into().as_wire())?.get(&rtype)
     }
 
     /// All rrsets at a name.
-    pub fn get_all(&self, name: &Name) -> Option<&HashMap<RrType, RrSet>> {
-        self.records.get(name)
+    pub fn get_all<'n>(&self, name: impl Into<NameRef<'n>>) -> Option<&RrSets> {
+        self.records.get(name.into().as_wire())
     }
 
     /// True when the name exists in the zone (has records, is an empty
     /// non-terminal, or is the apex).
-    pub fn name_exists(&self, name: &Name) -> bool {
-        self.existing_names.contains(name)
+    pub fn name_exists<'n>(&self, name: impl Into<NameRef<'n>>) -> bool {
+        self.existing_names.contains(name.into().as_wire())
     }
 
     /// The apex SOA rdata, if present.
@@ -228,34 +241,37 @@ impl Zone {
         Ok(())
     }
 
-    /// Finds the deepest delegation cut at-or-above `name` but strictly
+    /// Finds the topmost delegation cut at-or-above `name` but strictly
     /// below the apex. Data *at* the cut name itself other than NS/DS also
     /// lives below the cut in a real hierarchy, so the cut applies when
     /// `name` is at or below it.
-    pub fn deepest_cut(&self, name: &Name) -> Option<&Name> {
-        // Walk from just below the apex down toward the name, returning the
-        // first (shallowest) cut — referrals happen at the topmost cut.
-        let mut found: Option<&Name> = None;
-        for keep in self.origin.label_count() + 1..=name.label_count() {
-            let candidate = name.ancestor(keep).expect("keep <= label_count");
-            if let Some(cut) = self.cuts.get(&candidate) {
-                found = Some(cut);
-                break; // topmost cut wins
-            }
-        }
-        found
+    pub fn deepest_cut<'n>(&self, name: impl Into<NameRef<'n>>) -> Option<&Name> {
+        // Referrals happen at the topmost cut: of the ancestors strictly
+        // below the apex, the shortest that is a cut wins.
+        let apex_len = self.origin.as_wire().len();
+        name.into()
+            .suffixes()
+            .take_while(|s| s.as_wire().len() > apex_len)
+            .filter_map(|s| self.cuts.get(s.as_wire()))
+            .last()
     }
 
-    /// Iterates all (name, type, rrset) triples.
+    /// Iterates all (name, type, rrset) triples, names in `Name` order.
     pub fn iter(&self) -> impl Iterator<Item = (&Name, RrType, &RrSet)> {
-        self.records
-            .iter()
+        self.sorted()
+            .into_iter()
             .flat_map(|(name, types)| types.iter().map(move |(t, set)| (name, *t, set)))
     }
 
     /// Iterates all names in the zone (sorted by `Name`'s `Ord`).
     pub fn names(&self) -> impl Iterator<Item = &Name> {
-        self.records.keys()
+        self.sorted().into_iter().map(|(name, _)| name)
+    }
+
+    fn sorted(&self) -> Vec<(&Name, &RrSets)> {
+        let mut all: Vec<_> = self.records.iter().collect();
+        all.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        all
     }
 
     /// Total number of records (counting each rdata).
@@ -280,13 +296,14 @@ impl Zone {
     /// The NSEC owner canonically covering `qname` (the greatest chain
     /// member ≤ qname, wrapping to the chain's last name when qname sorts
     /// before the apex). `None` for unsigned zones.
-    pub fn covering_nsec_owner(&self, qname: &Name) -> Option<&Name> {
+    pub fn covering_nsec_owner<'n>(&self, qname: impl Into<NameRef<'n>>) -> Option<&Name> {
         if self.nsec_order.is_empty() {
             return None;
         }
-        let idx = self
-            .nsec_order
-            .partition_point(|n| n.canonical_cmp(qname) != std::cmp::Ordering::Greater);
+        let qname = qname.into();
+        let idx = self.nsec_order.partition_point(|n| {
+            n.as_name_ref().canonical_cmp(qname) != std::cmp::Ordering::Greater
+        });
         if idx == 0 {
             self.nsec_order.last()
         } else {

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ldp_wire::{Name, RrType};
+use ldp_wire::{Name, NameRef, RrType};
 
 use crate::lookup::LookupOutcome;
 use crate::zone::Zone;
@@ -48,31 +48,25 @@ impl ZoneSet {
 
     /// Finds the zone with the longest origin that is an ancestor of (or
     /// equal to) `qname` — standard "closest enclosing zone" selection.
-    pub fn find_zone(&self, qname: &Name) -> Option<&Arc<Zone>> {
-        let mut keep = qname.label_count();
-        loop {
-            let candidate = qname.ancestor(keep)?;
-            if let Some(z) = self.zones.get(&candidate) {
-                return Some(z);
-            }
-            if keep == 0 {
-                return None;
-            }
-            keep -= 1;
-        }
+    pub fn find_zone<'n>(&self, qname: impl Into<NameRef<'n>>) -> Option<&Arc<Zone>> {
+        qname
+            .into()
+            .suffixes()
+            .find_map(|s| self.zones.get(s.as_wire()))
     }
 
     /// Convenience: select the best zone and run a lookup in it.
-    /// Returns `None` when no zone covers the name at all.
-    pub fn lookup(
-        &self,
-        qname: &Name,
+    /// Returns `None` when no zone covers the name at all. The outcome
+    /// borrows the zone and, for a synthesized wildcard owner, `qname`.
+    pub fn lookup<'z: 'q, 'q>(
+        &'z self,
+        qname: impl Into<NameRef<'q>>,
         qtype: RrType,
         dnssec_ok: bool,
-    ) -> Option<(Arc<Zone>, LookupOutcome)> {
-        let zone = self.find_zone(qname)?.clone();
-        let outcome = zone.lookup(qname, qtype, dnssec_ok);
-        Some((zone, outcome))
+    ) -> Option<(&'z Zone, LookupOutcome<'q>)> {
+        let qname = qname.into();
+        let zone = self.find_zone(qname)?;
+        Some((zone, zone.lookup(qname, qtype, dnssec_ok)))
     }
 }
 
@@ -130,7 +124,8 @@ mod tests {
         ))
         .unwrap();
         set.insert(z);
-        let (zone, outcome) = set.lookup(&n("www.example.com"), RrType::A, false).unwrap();
+        let www = n("www.example.com");
+        let (zone, outcome) = set.lookup(&www, RrType::A, false).unwrap();
         assert_eq!(zone.origin(), &n("example.com"));
         assert!(matches!(outcome, LookupOutcome::Answer { .. }));
     }

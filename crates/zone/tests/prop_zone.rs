@@ -95,10 +95,11 @@ proptest! {
         sign_zone(&mut zone, SigningConfig::zsk2048());
         match zone.lookup(&probe, RrType::A, true) {
             LookupOutcome::Answer { records, .. } => {
-                let has_sig = records.iter().any(|r| r.rtype == RrType::Rrsig);
+                let has_sig = records.records().iter().any(|r| r.rtype == RrType::Rrsig);
                 prop_assert!(has_sig, "answer for {probe} lacks RRSIG");
             }
             LookupOutcome::NxDomain { denial, .. } | LookupOutcome::NoData { denial, .. } => {
+                let denial = denial.records();
                 let has_nsec = denial.iter().any(|r| r.rtype == RrType::Nsec);
                 let has_sig = denial.iter().any(|r| r.rtype == RrType::Rrsig);
                 prop_assert!(has_nsec && has_sig, "negative answer for {probe} lacks denial");
