@@ -27,7 +27,7 @@ fn engine() -> Arc<AuthEngine> {
 }
 
 /// Drops the startup transient (first `skip_us` of trace time).
-fn errors_after_warmup(outcomes: &[ldp_replay::ReplayOutcome], skip_us: u64) -> Vec<f64> {
+fn errors_after_warmup(outcomes: &ldp_replay::Outcomes, skip_us: u64) -> Vec<f64> {
     outcomes
         .iter()
         .filter(|o| o.trace_offset_us >= skip_us)

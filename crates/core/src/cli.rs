@@ -606,6 +606,12 @@ fn cmd_replay(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
             .map_err(|e| format!("write manifest: {e}"))?;
         writeln!(out, "manifest: {}", written.display()).map_err(io_err)?;
     }
+    if let Some(e) = &report.trace_error {
+        return Err(format!(
+            "trace read failed after {} records, so the replay stopped early: {e}",
+            report.outcomes.len()
+        ));
+    }
     Ok(0)
 }
 
@@ -784,6 +790,81 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Spawns a live server for `example.com` on a dedicated runtime
+    /// thread, kept alive for 30 s while a CLI replay (which builds its
+    /// own runtime) runs; returns its address.
+    fn spawn_server() -> String {
+        let rt = tokio::runtime::Runtime::new().unwrap();
+        let engine = {
+            let mut set = ZoneSet::new();
+            set.insert(ldp_workload::zones::wildcard_example_zone());
+            Arc::new(AuthEngine::with_zones(Arc::new(set)))
+        };
+        let server = rt
+            .block_on(ldp_server::live::LiveServer::spawn(
+                engine,
+                "127.0.0.1:0".parse().unwrap(),
+            ))
+            .unwrap();
+        let addr = server.addr.to_string();
+        std::thread::spawn(move || {
+            let _server = server;
+            rt.block_on(async { tokio::time::sleep(std::time::Duration::from_secs(30)).await });
+        });
+        addr
+    }
+
+    #[test]
+    fn a_stream_truncated_mid_frame_fails_the_replay() {
+        let dir = tmpdir("truncated");
+        let trace_file = dir.join("t.ldps");
+        run_ok(&[
+            "generate",
+            "syn",
+            "--level",
+            "2",
+            "--duration",
+            "2",
+            "-o",
+            trace_file.to_str().unwrap(),
+        ]);
+        // Cut the file in the middle of a frame, half way through.
+        let bytes = std::fs::read(&trace_file).unwrap();
+        let reader = stream::StreamReader::new(std::io::Cursor::new(&bytes)).unwrap();
+        let whole = reader.count();
+        std::fs::write(&trace_file, &bytes[..bytes.len() / 2]).unwrap();
+        let readable = stream::StreamReader::new(BufReader::new(File::open(&trace_file).unwrap()))
+            .unwrap()
+            .take_while(Result::is_ok)
+            .count();
+        assert!(readable > 0 && readable < whole, "{readable} of {whole}");
+
+        let addr = spawn_server();
+        let args: Vec<String> = [
+            "replay",
+            trace_file.to_str().unwrap(),
+            "--server",
+            &addr,
+            "--fast",
+            "--stream",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let mut out = Vec::new();
+        let err = run(&args, &mut out).unwrap_err();
+        let out = String::from_utf8(out).unwrap();
+        // The records before the cut were replayed and reported...
+        assert!(out.contains(&format!("sent {readable} queries")), "{out}");
+        // ...and the command fails, naming the read error.
+        assert!(
+            err.contains(&format!("trace read failed after {readable} records")),
+            "{err}"
+        );
+        assert!(err.contains("truncated"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn replay_against_live_server() {
         // Full CLI loop: generate a trace, then replay it (library-spawned
@@ -801,27 +882,7 @@ mod tests {
             trace_file.to_str().unwrap(),
         ]);
 
-        // Spawn the server on a dedicated runtime thread.
-        let rt = tokio::runtime::Runtime::new().unwrap();
-        let engine = {
-            let mut set = ZoneSet::new();
-            set.insert(ldp_workload::zones::wildcard_example_zone());
-            Arc::new(AuthEngine::with_zones(Arc::new(set)))
-        };
-        let server = rt
-            .block_on(ldp_server::live::LiveServer::spawn(
-                engine,
-                "127.0.0.1:0".parse().unwrap(),
-            ))
-            .unwrap();
-        let addr = server.addr.to_string();
-        // Keep the runtime alive on a background thread while the CLI
-        // replay (which builds its own runtime) runs.
-        let _keepalive = std::thread::spawn(move || {
-            let _server = server;
-            rt.block_on(async { tokio::time::sleep(std::time::Duration::from_secs(30)).await });
-        });
-
+        let addr = spawn_server();
         let manifest_arg = dir.join("run.json");
         let msg = run_ok(&[
             "replay",

@@ -38,6 +38,8 @@ const HOT_PATH_CRATES: &[&str] = &["wire", "server", "proxy"];
 const HOT_PATH_FILES: &[&str] = &[
     "crates/replay/src/engine.rs",
     "crates/replay/src/ledger.rs",
+    // Every record's outcome row is written and answered here.
+    "crates/replay/src/outcome.rs",
     "crates/replay/src/ready.rs",
     "crates/replay/src/retry.rs",
     "crates/netsim/src/tcp.rs",
@@ -210,6 +212,8 @@ mod tests {
             let s = workspace_scope(&Path::new("crates/replay/src").join(f));
             assert!(s.hot_path, "{f} runs at every querier wake");
         }
+        let s = workspace_scope(Path::new("crates/replay/src/outcome.rs"));
+        assert!(s.hot_path, "outcome rows are written per record");
         let s = workspace_scope(Path::new("crates/replay/src/plan.rs"));
         assert!(!s.hot_path);
         let s = workspace_scope(Path::new("crates/netsim/src/tcp.rs"));

@@ -13,8 +13,10 @@
 //!
 //! Batching is the hot-path lever: a channel hand-off costs a lock +
 //! wakeup, so moving `batch_size` records per hand-off amortizes that
-//! cost to near zero, and each querier drains a whole batch per wakeup,
-//! reserving outcome slots once per batch. The drain sends *runs*:
+//! cost to near zero, and each querier drains a whole batch per wakeup.
+//! Each record gets one row in its querier's outcome log
+//! ([`crate::outcome`]), appended just before the record is sent and
+//! filled in place by the send and by the answer. The drain sends *runs*:
 //! consecutive records that are due and share a UDP socket slot or a TCP
 //! connection go out as one `sendmmsg` or one framed write. In
 //! [`ReplayMode::Fast`] every record is due. In
@@ -63,6 +65,7 @@ use ldp_obs::{ReplaySpans, Stage};
 use ldp_trace::{Protocol, TraceRecord};
 
 use crate::ledger::{InFlight, Ledger, ObsCtx, PendingTable, ReadClock, SockRef};
+use crate::outcome::{Outcomes, Row, ShardLog};
 use crate::plan::{Batcher, ReplayPlan};
 use crate::ready::Readiness;
 use crate::retry::{FaultCounters, RetryPolicy};
@@ -121,7 +124,8 @@ pub struct ReplayOutcome {
 /// Full replay result.
 #[derive(Debug)]
 pub struct ReplayReport {
-    pub outcomes: Vec<ReplayOutcome>,
+    /// One outcome per trace record read, in shard order.
+    pub outcomes: Outcomes,
     /// Wall-clock duration of the sending phase (µs).
     pub send_duration_us: u64,
     pub sent: u64,
@@ -138,6 +142,10 @@ pub struct ReplayReport {
     pub errors: u64,
     /// Per-shard pipeline saturation counters, one entry per querier.
     pub shards: Vec<ShardStats>,
+    /// The trace read error that ended the replay early, if one did. A
+    /// stream cannot resynchronize after a bad frame, so the replay stops
+    /// there: the outcomes cover only the records read before it.
+    pub trace_error: Option<ldp_trace::TraceError>,
 }
 
 impl ReplayReport {
@@ -207,14 +215,19 @@ impl serde::Serialize for ReplayReport {
             "gave_up": self.gave_up,
             "errors": self.errors,
             "shards": self.shards,
+            "trace_error": self.trace_error.as_ref().map(|e| e.to_string()),
         })
     }
 }
 
-/// What each querier task resolves to: its outcomes plus shard counters.
-/// Infallible by design — querier-level faults degrade to per-record
-/// [`ReplayError`] outcomes rather than aborting the replay.
-type QuerierResult = (Vec<ReplayOutcome>, ShardStats);
+/// What each querier task resolves to: its outcome log plus shard
+/// counters. Infallible by design — querier-level faults degrade to
+/// per-record [`ReplayError`] outcomes rather than aborting the replay.
+type QuerierResult = (ShardLog, ShardStats);
+
+/// What the Reader + Postman thread resolves to: its per-shard counters
+/// and the read error that stopped it, if one did.
+type PostmanResult = (Vec<ShardStats>, Option<ldp_trace::TraceError>);
 
 /// Live replay configuration.
 #[derive(Debug, Clone)]
@@ -367,7 +380,7 @@ impl LiveReplay {
             // routed to shard q (the Read stamp), `batched_seq[q]` counts
             // records flushed toward it (the Batched stamp). Channels are
             // FIFO and batches preserve input order, so these ordinals
-            // are exactly the querier's latency-slot indices.
+            // are exactly the row indices of the querier's outcome log.
             let mut read_seq = vec![0u64; n_queriers];
             let mut batched_seq = vec![0u64; n_queriers];
 
@@ -408,8 +421,18 @@ impl LiveReplay {
             for (q, batch) in flushes.drain(..) {
                 deliver(q, batch, &mut pstats);
             }
+            // A read error ends the input: a stream cannot resynchronize
+            // after a bad frame. What was read still replays, and the
+            // error goes into the report.
+            let mut read_error = None;
             for rec in records {
-                let Ok(rec) = rec else { break };
+                let rec = match rec {
+                    Ok(rec) => rec,
+                    Err(e) => {
+                        read_error = Some(e);
+                        break;
+                    }
+                };
                 let q = batcher.push(rec.src, rec.time_us, rec, &mut flushes);
                 read(q, &mut read_seq);
                 for (q, batch) in flushes.drain(..) {
@@ -422,7 +445,7 @@ impl LiveReplay {
             for (q, batch) in batcher.finish() {
                 deliver(q, batch, &mut pstats);
             }
-            pstats
+            (pstats, read_error)
         });
 
         self.collect(handles, Some(postman)).await
@@ -454,20 +477,22 @@ impl LiveReplay {
     async fn collect(
         &self,
         handles: Vec<JoinHandle<QuerierResult>>,
-        postman: Option<JoinHandle<Vec<ShardStats>>>,
+        postman: Option<JoinHandle<PostmanResult>>,
     ) -> std::io::Result<ReplayReport> {
-        let mut outcomes = Vec::new();
-        let mut shards: Vec<ShardStats> = Vec::new();
+        // Handles are in shard order, so the logs are too.
+        let mut logs = Vec::with_capacity(handles.len());
+        let mut shards: Vec<ShardStats> = Vec::with_capacity(handles.len());
         for h in handles {
-            let (o, s) = h
+            let (log, s) = h
                 .await
                 .map_err(|e| std::io::Error::other(format!("querier task failed: {e}")))?;
-            outcomes.extend(o);
+            logs.push(log);
             shards.push(s);
         }
-        shards.sort_by_key(|s| s.shard);
+        let mut trace_error = None;
         if let Some(p) = postman {
-            if let Ok(pstats) = p.await {
+            if let Ok((pstats, read_error)) = p.await {
+                trace_error = read_error;
                 for ps in pstats {
                     match shards.iter_mut().find(|s| s.shard == ps.shard) {
                         Some(s) => {
@@ -480,27 +505,20 @@ impl LiveReplay {
                 }
             }
         }
-        let send_duration_us = outcomes
-            .iter()
-            .map(|o| o.sent_offset_us)
-            .max()
-            .unwrap_or(0)
-            .saturating_sub(outcomes.iter().map(|o| o.sent_offset_us).min().unwrap_or(0))
-            .max(if outcomes.is_empty() { 0 } else { 1 });
-        let sent = outcomes.iter().filter(|o| o.error.is_none()).count() as u64;
-        let answered = outcomes.iter().filter(|o| o.latency_us.is_some()).count() as u64;
+        let outcomes = Outcomes::new(logs);
         let totals = ldp_metrics::PipelineTotals::from_shards(&shards);
         Ok(ReplayReport {
+            send_duration_us: outcomes.send_duration_us(),
             outcomes,
-            send_duration_us,
-            sent,
-            answered,
+            sent: totals.sent,
+            answered: totals.answered,
             timeouts: totals.timeouts,
             retries: totals.retries,
             reconnects: totals.reconnects,
             gave_up: totals.gave_up,
             errors: totals.errors,
             shards,
+            trace_error,
         })
     }
 }
@@ -520,18 +538,6 @@ const BATCH_HORIZON_US: u64 = 100_000;
 /// quartile window).
 const LATE_BUDGET_US: u64 = 10_000;
 
-/// Per-send record: which latency slot the response will land in, plus
-/// the timing fields the final [`ReplayOutcome`] reports.
-struct Meta {
-    slot: usize,
-    trace_offset_us: u64,
-    target_offset_us: u64,
-    sent_offset_us: u64,
-    src: IpAddr,
-    protocol: Protocol,
-    error: Option<ReplayError>,
-}
-
 /// Where a run goes: the UDP socket slot or the source's TCP connection,
 /// or nowhere because the bind/connect failed.
 #[derive(Debug, Clone, Copy)]
@@ -539,6 +545,32 @@ enum Route {
     Udp(usize),
     Tcp,
     Failed(ReplayError),
+}
+
+/// A trace source as one querier knows it: its address and its index in
+/// the querier's source table, the index its outcome rows carry.
+#[derive(Debug, Clone, Copy)]
+struct Source {
+    id: u32,
+    addr: IpAddr,
+}
+
+/// Where a source's queries go, once known: its UDP socket slot (its own
+/// or a shared one) and its TCP connection.
+#[derive(Debug, Clone, Copy, Default)]
+struct SourceRoutes {
+    udp: Option<usize>,
+    tcp: Option<usize>,
+}
+
+/// What one batch put on the wire: error-free sends and, in Timed mode,
+/// how far behind their deadlines they went out in total (µs) and how
+/// many missed theirs by more than [`LATE_BUDGET_US`].
+#[derive(Default)]
+struct BatchSent {
+    queries: u64,
+    lag_us: u64,
+    late: u64,
 }
 
 /// Scratch for one run, reused across a batch's runs.
@@ -690,11 +722,13 @@ struct QuerierState {
     server: SocketAddr,
     max_sockets: usize,
     udp: Vec<UdpSocket>,
-    udp_by_source: HashMap<IpAddr, usize>,
     /// One connection per source; `None` once it died, until the next
     /// send to that source reopens it.
     tcp: Vec<Option<TcpConn>>,
-    tcp_by_source: HashMap<IpAddr, usize>,
+    /// Source address → index in the outcome log's source table.
+    source_ids: HashMap<IpAddr, u32>,
+    /// Per source index: its socket slot and connection.
+    routes: Vec<SourceRoutes>,
     readiness: Readiness,
     /// One ledger for the whole querier, shared by every socket and
     /// connection: ids come from the querier-wide counter, so they are
@@ -709,47 +743,70 @@ struct QuerierState {
 }
 
 impl QuerierState {
+    /// `addr` with its index in the source table, adding it on first
+    /// sight.
+    fn source(&mut self, addr: IpAddr) -> Source {
+        let (log, routes) = (&mut self.ledger.log, &mut self.routes);
+        let id = *self.source_ids.entry(addr).or_insert_with(|| {
+            routes.push(SourceRoutes::default());
+            log.add_source(addr)
+        });
+        Source { id, addr }
+    }
+
+    /// Appends `rec`'s outcome row, from source `src`, to the log.
+    fn add_row(&mut self, rec: &TraceRecord, src: Source) {
+        let log = &mut self.ledger.log;
+        log.push(Row::new(
+            log.trace_offset_us(rec.time_us),
+            src.id,
+            rec.protocol,
+        ));
+    }
+
+    fn routes_mut(&mut self, src: Source) -> Option<&mut SourceRoutes> {
+        self.routes.get_mut(src.id as usize)
+    }
+
     /// UDP socket slot for `src`, creating one under the cap, sharing by
     /// hash beyond it. `None` means the bind failed; the caller degrades
     /// the record(s) to [`ReplayError::Bind`] outcomes — the failure is
     /// *not* cached, so the next record for this source tries again.
-    async fn udp_slot(&mut self, src: IpAddr) -> Option<usize> {
-        if let Some(&s) = self.udp_by_source.get(&src) {
+    async fn udp_slot(&mut self, src: Source) -> Option<usize> {
+        if let Some(s) = self.known_udp_slot(src) {
             return Some(s);
         }
-        let s = if self.udp.len() < self.max_sockets {
-            let socket = UdpSocket::bind("127.0.0.1:0").await.ok()?;
-            // Best effort: without stamps, a latency runs to its read.
-            let _ = socket.set_arrival_stamps();
-            self.readiness.add(&socket, self.udp.len() as u64);
-            self.udp.push(socket);
-            self.udp.len() - 1
-        } else {
-            // Cap reached: share sockets by source hash.
-            hash_ip(src) % self.udp.len()
-        };
-        self.udp_by_source.insert(src, s);
+        let socket = UdpSocket::bind("127.0.0.1:0").await.ok()?;
+        // Best effort: without stamps, a latency runs to its read.
+        let _ = socket.set_arrival_stamps();
+        let s = self.udp.len();
+        self.readiness.add(&socket, s as u64);
+        self.udp.push(socket);
+        if let Some(r) = self.routes_mut(src) {
+            r.udp = Some(s);
+        }
         Some(s)
     }
 
-    /// The UDP socket slot `src` already maps to — its own socket, or a
-    /// shared one once the cap is reached — without binding a new one.
-    fn peek_udp_slot(&self, src: IpAddr) -> Option<usize> {
-        match self.udp_by_source.get(&src) {
-            Some(&s) => Some(s),
-            None if self.udp.len() >= self.max_sockets && !self.udp.is_empty() => {
-                Some(hash_ip(src) % self.udp.len())
-            }
-            None => None,
+    /// The UDP socket slot `src` maps to without binding a new socket:
+    /// its own socket, or a shared one once the cap is reached (shared by
+    /// source hash).
+    fn known_udp_slot(&mut self, src: Source) -> Option<usize> {
+        let shared = self.udp.len() >= self.max_sockets && !self.udp.is_empty();
+        let n = self.udp.len();
+        let r = self.routes_mut(src)?;
+        if r.udp.is_none() && shared {
+            r.udp = Some(hash_ip(src.addr) % n);
         }
+        r.udp
     }
 
     /// Index of a live TCP connection for `src`, (re)opening — with capped
     /// backoff up to the policy's attempt budget — when absent or dead.
     /// `None` means every attempt failed; the caller degrades the
     /// record(s) to [`ReplayError::Connect`] outcomes.
-    async fn tcp_conn(&mut self, src: IpAddr) -> Option<usize> {
-        let known = self.tcp_by_source.get(&src).copied();
+    async fn tcp_conn(&mut self, src: Source) -> Option<usize> {
+        let known = self.routes.get(src.id as usize).and_then(|r| r.tcp);
         if let Some(i) = known.filter(|&i| matches!(self.tcp.get(i), Some(Some(_)))) {
             return Some(i);
         }
@@ -759,7 +816,7 @@ impl QuerierState {
                 let pause = self
                     .policy
                     .tcp_reconnect_backoff
-                    .delay(attempt - 1, hash_ip(src) as u64);
+                    .delay(attempt - 1, hash_ip(src.addr) as u64);
                 tokio::time::sleep(pause).await;
             }
             let Ok(conn) = TcpConn::open(self.server).await else {
@@ -771,9 +828,12 @@ impl QuerierState {
                     i
                 }
                 None => {
-                    self.tcp_by_source.insert(src, self.tcp.len());
+                    let i = self.tcp.len();
                     self.tcp.push(None);
-                    self.tcp.len() - 1
+                    if let Some(r) = self.routes_mut(src) {
+                        r.tcp = Some(i);
+                    }
+                    i
                 }
             };
             self.readiness.add(&conn.stream, TCP_TOKEN | i as u64);
@@ -965,7 +1025,7 @@ impl QuerierTask {
         mut rx: mpsc::Receiver<Vec<TraceRecord>>,
         depth: Arc<AtomicUsize>,
         recycle: mpsc::Sender<Vec<TraceRecord>>,
-    ) -> (Vec<ReplayOutcome>, ShardStats) {
+    ) -> QuerierResult {
         ldp_telemetry::thread::set_name(&format!("querier-{}", self.shard));
         crate::timing::tighten_timer_slack();
         let mut stats = ShardStats::new(self.shard);
@@ -980,13 +1040,13 @@ impl QuerierTask {
             server: self.server,
             max_sockets: self.max_sockets,
             udp: Vec::new(),
-            udp_by_source: HashMap::new(),
             tcp: Vec::new(),
-            tcp_by_source: HashMap::new(),
+            source_ids: HashMap::new(),
+            routes: Vec::new(),
             readiness: Readiness::new(),
             ledger: Ledger {
                 pending: PendingTable::new(Instant::now()),
-                latencies: Vec::new(),
+                log: ShardLog::new(self.trace_epoch_us, self.clock),
                 obs: self.obs.clone(),
                 answered: tele.as_ref().map(|t| t.answered.clone()),
             },
@@ -1001,40 +1061,22 @@ impl QuerierTask {
             counters,
             next_id: 0,
         };
-        let mut meta: Vec<Meta> = Vec::new();
         let mut last_deadline_us: u64 = 0;
 
         while let Some(mut batch) = state.next_batch(&mut rx).await {
             depth.fetch_sub(1, Ordering::Relaxed);
             stats.batches += 1;
-            let base = state.ledger.latencies.len();
-            state.ledger.latencies.resize(base + batch.len(), None);
-            let drained_from = meta.len();
-            self.drain(
-                &mut batch,
-                base,
-                &mut state,
-                &mut meta,
-                &mut stats,
-                &mut last_deadline_us,
-            )
-            .await;
+            let sent = self
+                .drain(&mut batch, &mut state, &mut last_deadline_us)
+                .await;
+            stats.sent += sent.queries;
+            stats.late += sent.late;
             if let Some(t) = &tele {
-                // One pass over the batch's fresh meta, two fetch_adds:
-                // error-free sends, and (Timed mode) how far behind
-                // schedule they went out — the §3 send-lag drift signal.
-                let mut sent_n = 0u64;
-                let mut lag_us = 0u64;
-                for m in &meta[drained_from..] {
-                    if m.error.is_none() {
-                        sent_n += 1;
-                        if matches!(self.mode, ReplayMode::Timed { .. }) {
-                            lag_us += m.sent_offset_us.saturating_sub(m.target_offset_us);
-                        }
-                    }
-                }
-                t.sent.add(sent_n);
-                t.send_lag_us.add(lag_us);
+                // Two fetch_adds per batch: error-free sends, and (Timed
+                // mode) how far behind schedule they went out — the §3
+                // send-lag drift signal.
+                t.sent.add(sent.queries);
+                t.send_lag_us.add(sent.lag_us);
             }
             batch.clear();
             // Recycling is best-effort; a full (or closed) return channel
@@ -1043,23 +1085,9 @@ impl QuerierTask {
         }
         state.finish(self.drain).await;
 
-        let latencies = &state.ledger.latencies;
-        stats.sent = meta.iter().filter(|m| m.error.is_none()).count() as u64;
-        stats.answered = latencies.iter().filter(|l| l.is_some()).count() as u64;
+        stats.answered = state.ledger.log.answered();
         state.counters.fold_into(&mut stats);
-        let outcomes = meta
-            .into_iter()
-            .map(|m| ReplayOutcome {
-                trace_offset_us: m.trace_offset_us,
-                target_offset_us: m.target_offset_us,
-                sent_offset_us: m.sent_offset_us,
-                latency_us: latencies.get(m.slot).copied().flatten(),
-                src: m.src,
-                protocol: m.protocol,
-                error: m.error,
-            })
-            .collect();
-        (outcomes, stats)
+        (state.ledger.log, stats)
     }
 
     /// Drains one batch as a sequence of *runs*: consecutive records that
@@ -1072,17 +1100,21 @@ impl QuerierTask {
     /// answers have arrived. Faults never abort: a bind, connect,
     /// encode or send failure degrades that record to a [`ReplayError`]
     /// outcome and the loop moves on.
+    ///
+    /// Every record's outcome row is appended before its run is sent, so
+    /// an answer read mid-send (a failed TCP write reads what its
+    /// connection still holds) finds its row.
     async fn drain(
         &self,
         batch: &mut [TraceRecord],
-        base: usize,
         state: &mut QuerierState,
-        meta: &mut Vec<Meta>,
-        stats: &mut ShardStats,
         last_deadline_us: &mut u64,
-    ) {
+    ) -> BatchSent {
         let timed = matches!(self.mode, ReplayMode::Timed { .. });
         let mut run = RunBuf::default();
+        let mut sent = BatchSent::default();
+        // Rows are appended in record order: record k's row is base + k.
+        let base = state.ledger.log.len();
         let mut i = 0;
         while i < batch.len() {
             if let Some(o) = &self.obs {
@@ -1106,7 +1138,7 @@ impl QuerierTask {
             // Live mode carries TLS/QUIC as TCP: handshake emulation is a
             // simulator concern; live TCP still exercises framing and
             // connection reuse.
-            let src = batch[i].src;
+            let src = state.source(batch[i].src);
             let route = if batch[i].protocol == Protocol::Udp {
                 state
                     .udp_slot(src)
@@ -1118,6 +1150,7 @@ impl QuerierTask {
                     .await
                     .map_or(Route::Failed(ReplayError::Connect), |_| Route::Tcp)
             };
+            state.add_row(&batch[i], src);
             // Grow the run by every following record that is already due
             // and rides the same socket or connection. A failed bind or
             // connect degrades its record alone: the next record tries
@@ -1125,16 +1158,19 @@ impl QuerierTask {
             let now_us = self.now_us();
             let mut j = i + 1;
             while let Some(rec) = batch.get(j) {
-                let same = match route {
-                    Route::Udp(s) => {
-                        rec.protocol == Protocol::Udp && state.peek_udp_slot(rec.src) == Some(s)
+                let joins = match route {
+                    Route::Udp(s) if rec.protocol == Protocol::Udp => {
+                        let other = state.source(rec.src);
+                        (state.known_udp_slot(other) == Some(s)).then_some(other)
                     }
-                    Route::Tcp => rec.src == src && rec.protocol != Protocol::Udp,
-                    Route::Failed(_) => false,
+                    Route::Tcp if rec.protocol != Protocol::Udp => {
+                        (rec.src == src.addr).then_some(src)
+                    }
+                    Route::Udp(_) | Route::Tcp | Route::Failed(_) => None,
                 };
-                if !same {
+                let Some(rec_src) = joins else {
                     break;
-                }
+                };
                 if timed {
                     let deadline = self.clock.target_real_us(rec.time_us);
                     if deadline > now_us {
@@ -1145,39 +1181,38 @@ impl QuerierTask {
                 if let Some(o) = &self.obs {
                     o.record_at(base + j, Stage::Scheduled, now_us);
                 }
+                state.add_row(rec, rec_src);
                 j += 1;
             }
 
             let (wire_stamp_us, sent_offset_us) = self
-                .send_run(&mut batch[i..j], base + i, route, state, &mut run)
+                .send_run(&mut batch[i..j], base + i, src, route, state, &mut run)
                 .await;
+            for (x, rec) in batch[i..j].iter().enumerate() {
+                let slot = base + i + x;
+                let error = run.errs[x];
+                state.ledger.log.sent(slot, sent_offset_us, error);
+                if error.is_some() {
+                    continue;
+                }
+                sent.queries += 1;
+                if let Some(o) = &self.obs {
+                    o.record_at(slot, Stage::Sent, wire_stamp_us);
+                }
+                if timed {
+                    let target_offset_us = self.clock.target_real_us(rec.time_us);
+                    sent.lag_us += sent_offset_us.saturating_sub(target_offset_us);
+                    if sent_offset_us > target_offset_us + LATE_BUDGET_US {
+                        sent.late += 1;
+                    }
+                }
+            }
             // Answers are read after each run, never before, so reading
             // them cannot delay a send.
             state.service().await;
-            for (x, rec) in batch[i..j].iter().enumerate() {
-                let k = i + x;
-                let error = run.errs[x];
-                let target_offset_us = self.clock.target_real_us(rec.time_us);
-                if error.is_none() {
-                    if let Some(o) = &self.obs {
-                        o.record_at(base + k, Stage::Sent, wire_stamp_us);
-                    }
-                    if timed && sent_offset_us > target_offset_us + LATE_BUDGET_US {
-                        stats.late += 1;
-                    }
-                }
-                meta.push(Meta {
-                    slot: base + k,
-                    trace_offset_us: rec.time_us.saturating_sub(self.trace_epoch_us),
-                    target_offset_us,
-                    sent_offset_us,
-                    src: rec.src,
-                    protocol: rec.protocol,
-                    error,
-                });
-            }
             i = j;
         }
+        sent
     }
 
     /// Stamps ids on one run, encodes it, registers its in-flight entries
@@ -1188,6 +1223,7 @@ impl QuerierTask {
         &self,
         recs: &mut [TraceRecord],
         base: usize,
+        src: Source,
         route: Route,
         state: &mut QuerierState,
         run: &mut RunBuf,
@@ -1291,7 +1327,6 @@ impl QuerierTask {
                 // connection into the same querier-wide pending table, and
                 // a duplicate answer finds no pending entry. A second
                 // failure leaves the run to expire into `gave_up`.
-                let src = recs[0].src;
                 for _ in 0..2 {
                     let Some(i) = state.tcp_conn(src).await else {
                         break;
@@ -1486,6 +1521,22 @@ mod tests {
         mags[idx.min(mags.len() - 1)]
     }
 
+    /// The report's counts, taken from its shards, equal counts taken
+    /// over its outcomes.
+    fn assert_counts_match_outcomes(report: &ReplayReport) {
+        let outcomes = &report.outcomes;
+        let sent = outcomes.iter().filter(|o| o.error.is_none()).count();
+        let answered = outcomes.iter().filter(|o| o.latency_us.is_some()).count();
+        assert_eq!(report.sent, sent as u64);
+        assert_eq!(report.answered, answered as u64);
+        let offsets = || outcomes.iter().map(|o| o.sent_offset_us);
+        let span = match (offsets().min(), offsets().max()) {
+            (Some(lo), Some(hi)) => (hi - lo).max(1),
+            _ => 0,
+        };
+        assert_eq!(report.send_duration_us, span);
+    }
+
     fn trace(n: u64, gap_us: u64, protocol: Protocol) -> Vec<TraceRecord> {
         (0..n)
             .map(|i| {
@@ -1556,6 +1607,7 @@ mod tests {
         replay.mode = ReplayMode::Fast;
         let report = replay.run(trace(100, 1_000, Protocol::Tcp)).await.unwrap();
         assert_eq!(report.sent, 100);
+        assert_counts_match_outcomes(&report);
         assert!(report.answered >= 95, "answered {}", report.answered);
         // 100 queries from 5 distinct sources: connections ≪ queries.
         let conns = server
@@ -1605,6 +1657,7 @@ mod tests {
             .unwrap();
         let report = LiveReplay::new(server.addr).run(vec![]).await.unwrap();
         assert_eq!(report.sent, 0);
+        assert_counts_match_outcomes(&report);
         assert_eq!(report.achieved_qps(), 0.0);
     }
 
@@ -1672,6 +1725,7 @@ mod tests {
         replay.batch_size = 32;
         let report = replay.run(trace(400, 500, Protocol::Udp)).await.unwrap();
         assert_eq!(report.sent, 400);
+        assert_counts_match_outcomes(&report);
         let totals = ldp_metrics::PipelineTotals::from_shards(&report.shards);
         assert_eq!(totals.sent, report.sent);
         assert_eq!(totals.answered, report.answered);
@@ -1807,6 +1861,7 @@ mod tests {
                 assert_eq!(report.outcomes.len(), 30, "{what}");
                 assert_eq!(report.errors, 1, "{what}");
                 assert_eq!(report.sent, 29, "{what}");
+                assert_counts_match_outcomes(&report);
                 let encode = report
                     .outcomes
                     .iter()

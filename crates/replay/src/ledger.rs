@@ -1,5 +1,5 @@
 //! What a querier knows about its outstanding queries: the in-flight
-//! table with its timeout wheel, and each record's answer latency.
+//! table with its timeout wheel, and each record's outcome row.
 //!
 //! The querier is the only thread that touches its [`Ledger`]. It sends a
 //! query, registers it here, and later reads the answer itself — possibly
@@ -14,6 +14,7 @@ use std::time::{Instant, SystemTime};
 
 use ldp_obs::{ReplaySpans, Stage};
 
+use crate::outcome::ShardLog;
 use crate::retry::{FaultCounters, RetryPolicy};
 
 /// Which transport an in-flight query went out on — what expiry needs to
@@ -28,7 +29,7 @@ pub(crate) enum SockRef {
 /// Everything the answer and timeout paths need to know about one
 /// outstanding query.
 pub(crate) struct InFlight {
-    /// Latency-slot index the answer lands in.
+    /// Outcome-log row the answer lands in.
     pub(crate) slot: usize,
     /// Send time of the *latest* attempt (latency baseline).
     pub(crate) sent_at: Instant,
@@ -223,12 +224,11 @@ impl PendingTable {
 }
 
 /// What the querier has learned about its queries: the in-flight table
-/// and each record slot's answer latency. Only the querier's own thread
-/// touches it.
+/// and the shard's outcome log. Only the querier's own thread touches it.
 pub(crate) struct Ledger {
     pub(crate) pending: PendingTable,
-    /// Per record slot: the answer's latency (µs), once read.
-    pub(crate) latencies: Vec<Option<u64>>,
+    /// One row per record; an answer's latency (µs) goes into its row.
+    pub(crate) log: ShardLog,
     pub(crate) obs: Option<ObsCtx>,
     /// Live answered-counter handle, bumped per matched answer.
     pub(crate) answered: Option<ldp_telemetry::Counter>,
@@ -243,9 +243,10 @@ impl Ledger {
             return;
         };
         let arrived = read.arrival(stamp, f.sent_at);
-        if let Some(slot) = self.latencies.get_mut(f.slot) {
-            *slot = Some(arrived.saturating_duration_since(f.sent_at).as_micros() as u64);
-        }
+        self.log.answer(
+            f.slot,
+            arrived.saturating_duration_since(f.sent_at).as_micros() as u64,
+        );
         if let Some(o) = &self.obs {
             o.record_instant(f.slot, Stage::Answered, arrived);
         }
@@ -288,7 +289,7 @@ impl ReadClock {
 
 /// One querier's handle on the replay's span sink: the shard index and
 /// the shared epoch are bound once so the hot paths record a stage with
-/// a single call. A query's span key is its latency-slot index, which
+/// a single call. A query's span key is its outcome-row index, which
 /// equals its per-shard record ordinal — the same number the Postman
 /// counts on the read side, so both halves of the pipeline stamp the
 /// same span without any id exchange.

@@ -15,6 +15,8 @@
 //!   the paper's processes-on-many-hosts become tasks-in-one-process with
 //!   channels standing in for the TCP control connections — the dataflow,
 //!   affinity, and timing logic are identical,
+//! * [`outcome`] — the per-shard outcome log: one 32-byte row per trace
+//!   record, written in place and read back as [`ReplayOutcome`]s,
 //! * [`retry`] — the engine's fault-tolerance layer: answer timeouts over
 //!   a timer wheel, UDP retransmits with exponential backoff + jitter,
 //!   TCP reconnects, and the fault counters that account for all of it,
@@ -26,6 +28,7 @@
 
 pub mod engine;
 mod ledger;
+pub mod outcome;
 pub mod plan;
 mod ready;
 pub mod retry;
@@ -33,6 +36,7 @@ pub mod simclient;
 pub mod timing;
 
 pub use engine::{LiveReplay, ReplayError, ReplayMode, ReplayOutcome, ReplayReport};
+pub use outcome::{OutcomeIter, Outcomes};
 pub use plan::{Batcher, ReplayPlan};
 pub use retry::RetryPolicy;
 pub use timing::ReplayClock;

@@ -176,6 +176,14 @@ async fn replay_report_json_schema_is_pinned() {
             "gave_up",
             "errors",
             "shards",
+            "trace_error",
         ]
+    );
+    assert_eq!(
+        fields
+            .iter()
+            .find(|(k, _)| k == "trace_error")
+            .map(|(_, v)| v),
+        Some(&Value::Null)
     );
 }
