@@ -923,12 +923,8 @@ mod tests {
         // A registry with replay-shaped metrics behind a real endpoint;
         // `top` runs one frame in each mode and exits.
         let registry = Arc::new(ldp_telemetry::Registry::new());
-        registry
-            .counter_with("ldp_replay_sent_total", "sent", &[("shard", "0")])
-            .add(120);
-        registry
-            .gauge_with("ldp_replay_queue_depth", "depth", &[("shard", "0")])
-            .set(3);
+        registry.observe_counter("ldp_replay_sent_total", "sent", &[("shard", "0")], || 120);
+        registry.observe_gauge("ldp_replay_queue_depth", "depth", &[("shard", "0")], || 3);
         let server = ldp_telemetry::MetricsServer::start("127.0.0.1:0", registry).unwrap();
         let addr = server.addr().to_string();
 

@@ -42,6 +42,9 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/replay/src/outcome.rs",
     "crates/replay/src/ready.rs",
     "crates/replay/src/retry.rs",
+    // The per-shard counter block: its cells are bumped per send, per
+    // answer and per expiry.
+    "crates/metrics/src/shard.rs",
     "crates/netsim/src/tcp.rs",
     // The span ring records a stamp per query stage inside the send path;
     // a panic or allocation spike here would distort the very latencies
@@ -234,6 +237,11 @@ mod tests {
             let s = workspace_scope(&Path::new("crates/zone/src").join(f));
             assert!(!s.hot_path, "{f} runs at zone build, not per answer");
         }
+        let s = workspace_scope(Path::new("crates/metrics/src/shard.rs"));
+        assert!(
+            s.hot_path && !s.wire,
+            "shard counter cells are bumped per send"
+        );
         let s = workspace_scope(Path::new("crates/metrics/src/report.rs"));
         assert!(!s.hot_path && !s.wire && s.async_blocking && s.task_handles);
         // The trace on-disk writers are wire scope without being hot path.

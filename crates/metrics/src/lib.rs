@@ -12,7 +12,8 @@
 //!
 //! [`ShardStats`] adds the replay pipeline's per-shard saturation counters
 //! (sent/answered/late, queue depths) that the Figure 9 throughput
-//! experiments break down by querier shard.
+//! experiments break down by querier shard; [`ShardCounters`] is the
+//! live atomic block they are a snapshot of.
 //!
 //! [`report`] renders results as aligned text tables (the form the
 //! experiment binaries print) and JSON (for downstream plotting).
@@ -30,5 +31,5 @@ pub use cdf::Cdf;
 pub use hist::LogHistogram;
 pub use report::Report;
 pub use series::{RateSeries, TimeSeries};
-pub use shard::{DepthRing, PipelineTotals, ShardStats};
+pub use shard::{DepthRing, PipelineTotals, ShardCounters, ShardStats};
 pub use summary::Summary;

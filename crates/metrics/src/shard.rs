@@ -8,6 +8,12 @@
 //! near-empty queues are reader-bound. `fig09_throughput` and
 //! `replay_pipeline` report them per shard so §4.3-style scaling
 //! experiments can tell the three apart.
+//!
+//! [`ShardCounters`] is where a replay counts them: one block of atomic
+//! cells per shard, written while the replay runs and read by telemetry.
+//! [`ShardStats`] is its snapshot once the shard has finished.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::Serialize;
 
@@ -168,6 +174,100 @@ impl ShardStats {
     }
 }
 
+/// One counter or gauge. [`Cell::bump`], [`Cell::set`] and
+/// [`Cell::raise`] are a relaxed load and store, for a cell only one
+/// thread writes; [`Cell::add`] and [`Cell::sub`] are atomic
+/// read-modify-writes, for a cell two threads write.
+#[derive(Debug, Default)]
+pub struct Cell(AtomicU64);
+
+impl Cell {
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    pub fn set(&self, v: u64) {
+        self.0.store(v, Ordering::Relaxed);
+    }
+
+    #[inline]
+    pub fn bump(&self, n: u64) {
+        self.set(self.get() + n);
+    }
+
+    /// Raises the cell to `v` if `v` is larger.
+    #[inline]
+    pub fn raise(&self, v: u64) {
+        if v > self.get() {
+            self.set(v);
+        }
+    }
+
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    #[inline]
+    pub fn sub(&self, n: u64) {
+        self.0.fetch_sub(n, Ordering::Relaxed);
+    }
+}
+
+/// One shard's live counters: the one place a replay event is counted.
+/// The querier, its ledger and the Postman write the cells through an
+/// `Arc`; telemetry reads them while the replay runs, and
+/// [`ShardCounters::snapshot`] reads them once it is over. A cell counts
+/// what the [`ShardStats`] field of the same name documents. The querier
+/// writes every cell but two: the Postman writes `postman_stalls` and
+/// `max_queue_depth`, and both write `queue_depth`.
+#[derive(Debug, Default)]
+pub struct ShardCounters {
+    pub sent: Cell,
+    pub answered: Cell,
+    pub late: Cell,
+    /// Cumulative actual-minus-scheduled send time in µs (Timed mode).
+    pub send_lag_us: Cell,
+    pub timeouts: Cell,
+    pub retries: Cell,
+    pub reconnects: Cell,
+    pub gave_up: Cell,
+    pub errors: Cell,
+    pub id_collisions: Cell,
+    pub batches: Cell,
+    pub postman_stalls: Cell,
+    pub max_queue_depth: Cell,
+    /// Gauge: batches queued at the querier. The Postman adds one per
+    /// batch it queues, the querier takes one per batch it drains.
+    pub queue_depth: Cell,
+    /// Gauge: outstanding queries, published at each querier wake.
+    pub in_flight: Cell,
+}
+
+impl ShardCounters {
+    /// Shard `shard`'s stats, with the Postman's queue-depth samples.
+    pub fn snapshot(&self, shard: usize, depths: DepthRing) -> ShardStats {
+        ShardStats {
+            shard,
+            sent: self.sent.get(),
+            answered: self.answered.get(),
+            late: self.late.get(),
+            timeouts: self.timeouts.get(),
+            retries: self.retries.get(),
+            reconnects: self.reconnects.get(),
+            gave_up: self.gave_up.get(),
+            errors: self.errors.get(),
+            id_collisions: self.id_collisions.get(),
+            batches: self.batches.get(),
+            postman_stalls: self.postman_stalls.get(),
+            max_queue_depth: u32::try_from(self.max_queue_depth.get()).unwrap_or(u32::MAX),
+            depths,
+        }
+    }
+}
+
 /// Aggregates shard counters into pipeline-level totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct PipelineTotals {
@@ -179,6 +279,7 @@ pub struct PipelineTotals {
     pub reconnects: u64,
     pub gave_up: u64,
     pub errors: u64,
+    pub id_collisions: u64,
     pub batches: u64,
     pub postman_stalls: u64,
     pub max_queue_depth: u32,
@@ -196,6 +297,7 @@ impl PipelineTotals {
             t.reconnects += s.reconnects;
             t.gave_up += s.gave_up;
             t.errors += s.errors;
+            t.id_collisions += s.id_collisions;
             t.batches += s.batches;
             t.postman_stalls += s.postman_stalls;
             t.max_queue_depth = t.max_queue_depth.max(s.max_queue_depth);
@@ -262,6 +364,8 @@ mod tests {
         b.reconnects = 2;
         b.gave_up = 1;
         b.errors = 5;
+        a.id_collisions = 2;
+        b.id_collisions = 4;
         let t = PipelineTotals::from_shards(&[a, b]);
         assert_eq!(t.sent, 30);
         assert_eq!(t.answered, 15);
@@ -273,6 +377,57 @@ mod tests {
         assert_eq!(t.reconnects, 2);
         assert_eq!(t.gave_up, 1);
         assert_eq!(t.errors, 5);
+        assert_eq!(t.id_collisions, 6);
+    }
+
+    #[test]
+    fn snapshot_reads_every_cell() {
+        let c = ShardCounters::default();
+        let cells = [
+            &c.sent,
+            &c.answered,
+            &c.late,
+            &c.timeouts,
+            &c.retries,
+            &c.reconnects,
+            &c.gave_up,
+            &c.errors,
+            &c.id_collisions,
+            &c.batches,
+            &c.postman_stalls,
+            &c.max_queue_depth,
+        ];
+        for (v, cell) in (1..).zip(cells) {
+            cell.bump(v);
+        }
+        let mut depths = DepthRing::new();
+        depths.push(3);
+        let s = c.snapshot(7, depths.clone());
+        assert_eq!(
+            (s.shard, s.sent, s.answered, s.late, s.timeouts, s.retries),
+            (7, 1, 2, 3, 4, 5)
+        );
+        assert_eq!(
+            (s.reconnects, s.gave_up, s.errors, s.id_collisions),
+            (6, 7, 8, 9)
+        );
+        assert_eq!(
+            (s.batches, s.postman_stalls, s.max_queue_depth),
+            (10, 11, 12)
+        );
+        assert_eq!(s.depths, depths);
+    }
+
+    #[test]
+    fn cells_bump_raise_and_count_down() {
+        let c = Cell::default();
+        c.bump(2);
+        c.raise(1);
+        assert_eq!(c.get(), 2, "raise never lowers");
+        c.raise(9);
+        c.add(3);
+        c.sub(2);
+        assert_eq!(c.get(), 10);
     }
 
     #[test]

@@ -52,6 +52,7 @@ fn pipeline_totals_schema() {
             "reconnects",
             "gave_up",
             "errors",
+            "id_collisions",
             "batches",
             "postman_stalls",
             "max_queue_depth",

@@ -28,10 +28,15 @@
 //!
 //! Queriers keep one socket per original source (capped, LRU-less:
 //! sources beyond the cap share by hash) so same-source queries reuse a
-//! socket, and one TCP connection per source with reuse (§2.6). Each
-//! shard exports [`ShardStats`] — sent/answered/late counts, queue
-//! depths, postman stalls — so the Figure 9 experiments can see *where*
-//! the pipeline saturates.
+//! socket, and one TCP connection per source with reuse (§2.6).
+//!
+//! Each shard counts its events — sent/answered/late, faults, queue
+//! depths, postman stalls — in one [`ShardCounters`] block, and nowhere
+//! else. The querier, its ledger and the Postman write the cells; the
+//! telemetry registry, when there is one, observes every cell; and the
+//! report's [`ShardStats`] and totals are snapshots of the blocks taken
+//! after the join. So the Figure 9 experiments can see *where* the
+//! pipeline saturates, live or afterwards, and both views agree.
 //!
 //! A querier is the only thread that touches its sockets: as in the
 //! paper, it takes the answers to the queries it sends. It reads them
@@ -51,7 +56,6 @@
 
 use std::collections::HashMap;
 use std::net::{IpAddr, SocketAddr};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -60,15 +64,16 @@ use tokio::net::UdpSocket;
 use tokio::sync::mpsc;
 use tokio::task::JoinHandle;
 
-use ldp_metrics::ShardStats;
+use ldp_metrics::{DepthRing, ShardCounters, ShardStats};
 use ldp_obs::{ReplaySpans, Stage};
+use ldp_telemetry::MetricKind;
 use ldp_trace::{Protocol, TraceRecord};
 
 use crate::ledger::{InFlight, Ledger, ObsCtx, PendingTable, ReadClock, SockRef};
 use crate::outcome::{Outcomes, Row, ShardLog};
 use crate::plan::{Batcher, ReplayPlan};
 use crate::ready::Readiness;
-use crate::retry::{FaultCounters, RetryPolicy};
+use crate::retry::RetryPolicy;
 use crate::timing::ReplayClock;
 
 /// How the engine paces queries.
@@ -220,14 +225,9 @@ impl serde::Serialize for ReplayReport {
     }
 }
 
-/// What each querier task resolves to: its outcome log plus shard
-/// counters. Infallible by design — querier-level faults degrade to
-/// per-record [`ReplayError`] outcomes rather than aborting the replay.
-type QuerierResult = (ShardLog, ShardStats);
-
-/// What the Reader + Postman thread resolves to: its per-shard counters
-/// and the read error that stopped it, if one did.
-type PostmanResult = (Vec<ShardStats>, Option<ldp_trace::TraceError>);
+/// What the Reader + Postman thread resolves to: each shard's queue-depth
+/// samples and the read error that stopped it, if one did.
+type PostmanResult = (Vec<DepthRing>, Option<ldp_trace::TraceError>);
 
 /// Live replay configuration.
 #[derive(Debug, Clone)]
@@ -260,12 +260,10 @@ pub struct LiveReplay {
     /// (the default) costs one branch per stage. Typically populated via
     /// [`ReplaySpans::from_env`] (`LDP_OBS_SAMPLE`).
     pub obs: Option<Arc<ReplaySpans>>,
-    /// Optional live-telemetry registry: when set, each shard registers
-    /// per-shard counters (sent/answered/send-lag, fault totals) and
-    /// gauges (queue depth, in-flight) at startup, then bumps atomics —
-    /// one relaxed `fetch_add` per drained batch on the send side, one
-    /// per answer on the receive side. `None` (the default) costs one
-    /// branch per batch; the pacing loop itself is untouched either way.
+    /// Optional live-telemetry registry: when set, the replay registers
+    /// every cell of each shard's [`ShardCounters`] block at startup (see
+    /// [`FAMILIES`]). The registry reads the cells at scrape time only, so
+    /// the send path costs the same with or without it.
     pub telemetry: Option<Arc<ldp_telemetry::Registry>>,
 }
 
@@ -313,7 +311,7 @@ impl LiveReplay {
         // before any querier starts; peel it off eagerly.
         let mut records = records;
         let first = match records.next() {
-            None => return self.collect(Vec::new(), None).await,
+            None => return self.collect(&[], Vec::new(), None).await,
             Some(Err(e)) => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
@@ -334,26 +332,18 @@ impl LiveReplay {
         let (recycle_tx, mut recycle_rx) =
             mpsc::channel::<Vec<TraceRecord>>(n_queriers * QUEUE_BATCHES);
 
+        let counters: Vec<Arc<ShardCounters>> = (0..n_queriers).map(|_| Arc::default()).collect();
         let mut txs = Vec::with_capacity(n_queriers);
-        let mut depths: Vec<Arc<AtomicUsize>> = Vec::with_capacity(n_queriers);
         let mut handles = Vec::with_capacity(n_queriers);
-        for shard in 0..n_queriers {
-            let (tx, rx) = mpsc::channel::<Vec<TraceRecord>>(QUEUE_BATCHES);
-            let depth = Arc::new(AtomicUsize::new(0));
+        for (shard, c) in counters.iter().enumerate() {
             if let Some(reg) = &self.telemetry {
-                let d = depth.clone();
-                reg.observe_gauge(
-                    "ldp_replay_queue_depth",
-                    "Batches queued at the querier (Postman backlog)",
-                    &[("shard", &shard.to_string())],
-                    move || d.load(Ordering::Relaxed) as u64,
-                );
+                register(reg, shard, c);
             }
+            let (tx, rx) = mpsc::channel::<Vec<TraceRecord>>(QUEUE_BATCHES);
             txs.push(tx);
-            depths.push(depth.clone());
             handles.push(tokio::spawn(
-                self.querier(shard, trace_epoch_us, epoch)
-                    .run(rx, depth, recycle_tx.clone()),
+                self.querier(shard, trace_epoch_us, epoch, c.clone())
+                    .run(rx, recycle_tx.clone()),
             ));
         }
         drop(recycle_tx);
@@ -368,12 +358,14 @@ impl LiveReplay {
 
         // Reader + Postman on a blocking thread: decode, route sticky,
         // batch, push with backpressure (a full querier queue parks the
-        // reader — the pre-load bound). Returns the postman-side shard
-        // counters: stalls and queue-depth observations.
+        // reader — the pre-load bound). Counts stalls and queue depths
+        // into the shards' blocks and returns the depth samples.
         let spans = self.obs.clone();
+        let shard_counters = counters.clone();
         let postman = tokio::task::spawn_blocking(move || {
             ldp_telemetry::thread::set_name("reader-postman");
-            let mut pstats: Vec<ShardStats> = (0..n_queriers).map(ShardStats::new).collect();
+            let counters = shard_counters;
+            let mut rings: Vec<DepthRing> = (0..n_queriers).map(|_| DepthRing::new()).collect();
             let mut batcher: Batcher<TraceRecord> = Batcher::new(plan, batch_size, horizon_us);
             let mut flushes: Vec<(usize, Vec<TraceRecord>)> = Vec::new();
             // Per-shard record ordinals: `read_seq[q]` counts records
@@ -384,28 +376,28 @@ impl LiveReplay {
             let mut read_seq = vec![0u64; n_queriers];
             let mut batched_seq = vec![0u64; n_queriers];
 
-            let mut deliver = |q: usize, batch: Vec<TraceRecord>, pstats: &mut Vec<ShardStats>| {
+            // The shard's cells are written once per delivery.
+            let mut deliver = |q: usize, batch: Vec<TraceRecord>, rings: &mut Vec<DepthRing>| {
                 if let Some(spans) = &spans {
                     let t_us = epoch.elapsed().as_micros() as u64;
                     let from = batched_seq[q];
                     spans.record_range(q, from..from + batch.len() as u64, Stage::Batched, t_us);
                 }
                 batched_seq[q] += batch.len() as u64;
-                let observed = depths[q].load(Ordering::Relaxed);
-                let observed = u32::try_from(observed).unwrap_or(u32::MAX);
-                pstats[q].depths.push(observed);
-                pstats[q].max_queue_depth = pstats[q].max_queue_depth.max(observed);
-                match txs[q].try_send(batch) {
-                    Ok(()) => {
-                        depths[q].fetch_add(1, Ordering::Relaxed);
-                    }
+                let c = &counters[q];
+                let observed = c.queue_depth.get();
+                rings[q].push(u32::try_from(observed).unwrap_or(u32::MAX));
+                c.max_queue_depth.raise(observed);
+                let queued = match txs[q].try_send(batch) {
+                    Ok(()) => true,
                     Err(mpsc::error::SendError(batch)) => {
                         // Full (or closed): count the stall, then block.
-                        pstats[q].postman_stalls += 1;
-                        if txs[q].blocking_send(batch).is_ok() {
-                            depths[q].fetch_add(1, Ordering::Relaxed);
-                        }
+                        c.postman_stalls.bump(1);
+                        txs[q].blocking_send(batch).is_ok()
                     }
+                };
+                if queued {
+                    c.queue_depth.add(1);
                 }
             };
             let read = |q: usize, read_seq: &mut Vec<u64>| {
@@ -419,7 +411,7 @@ impl LiveReplay {
             let q = batcher.push(first.src, first.time_us, first, &mut flushes);
             read(q, &mut read_seq);
             for (q, batch) in flushes.drain(..) {
-                deliver(q, batch, &mut pstats);
+                deliver(q, batch, &mut rings);
             }
             // A read error ends the input: a stream cannot resynchronize
             // after a bad frame. What was read still replays, and the
@@ -436,22 +428,28 @@ impl LiveReplay {
                 let q = batcher.push(rec.src, rec.time_us, rec, &mut flushes);
                 read(q, &mut read_seq);
                 for (q, batch) in flushes.drain(..) {
-                    deliver(q, batch, &mut pstats);
+                    deliver(q, batch, &mut rings);
                 }
                 while let Some(spine) = recycle_rx.try_recv() {
                     batcher.donate(spine);
                 }
             }
             for (q, batch) in batcher.finish() {
-                deliver(q, batch, &mut pstats);
+                deliver(q, batch, &mut rings);
             }
-            (pstats, read_error)
+            (rings, read_error)
         });
 
-        self.collect(handles, Some(postman)).await
+        self.collect(&counters, handles, Some(postman)).await
     }
 
-    fn querier(&self, shard: usize, trace_epoch_us: u64, epoch: Instant) -> QuerierTask {
+    fn querier(
+        &self,
+        shard: usize,
+        trace_epoch_us: u64,
+        epoch: Instant,
+        counters: Arc<ShardCounters>,
+    ) -> QuerierTask {
         QuerierTask {
             shard,
             server: self.server,
@@ -470,41 +468,35 @@ impl LiveReplay {
                 shard,
                 epoch,
             }),
-            telemetry: self.telemetry.clone(),
+            counters,
         }
     }
 
+    /// Joins the queriers and the Postman, then snapshots each shard's
+    /// counters into the report.
     async fn collect(
         &self,
-        handles: Vec<JoinHandle<QuerierResult>>,
+        counters: &[Arc<ShardCounters>],
+        handles: Vec<JoinHandle<ShardLog>>,
         postman: Option<JoinHandle<PostmanResult>>,
     ) -> std::io::Result<ReplayReport> {
         // Handles are in shard order, so the logs are too.
         let mut logs = Vec::with_capacity(handles.len());
-        let mut shards: Vec<ShardStats> = Vec::with_capacity(handles.len());
         for h in handles {
-            let (log, s) = h
-                .await
-                .map_err(|e| std::io::Error::other(format!("querier task failed: {e}")))?;
-            logs.push(log);
-            shards.push(s);
+            logs.push(
+                h.await
+                    .map_err(|e| std::io::Error::other(format!("querier task failed: {e}")))?,
+            );
         }
-        let mut trace_error = None;
-        if let Some(p) = postman {
-            if let Ok((pstats, read_error)) = p.await {
-                trace_error = read_error;
-                for ps in pstats {
-                    match shards.iter_mut().find(|s| s.shard == ps.shard) {
-                        Some(s) => {
-                            s.postman_stalls = ps.postman_stalls;
-                            s.max_queue_depth = ps.max_queue_depth;
-                            s.depths = ps.depths;
-                        }
-                        None => shards.push(ps),
-                    }
-                }
-            }
-        }
+        let (rings, trace_error) = match postman {
+            Some(p) => p.await.unwrap_or_default(),
+            None => Default::default(),
+        };
+        let mut rings = rings.into_iter();
+        let shards: Vec<ShardStats> = (0..)
+            .zip(counters)
+            .map(|(q, c)| c.snapshot(q, rings.next().unwrap_or_default()))
+            .collect();
         let outcomes = Outcomes::new(logs);
         let totals = ldp_metrics::PipelineTotals::from_shards(&shards);
         Ok(ReplayReport {
@@ -563,16 +555,6 @@ struct SourceRoutes {
     tcp: Option<usize>,
 }
 
-/// What one batch put on the wire: error-free sends and, in Timed mode,
-/// how far behind their deadlines they went out in total (µs) and how
-/// many missed theirs by more than [`LATE_BUDGET_US`].
-#[derive(Default)]
-struct BatchSent {
-    queries: u64,
-    lag_us: u64,
-    late: u64,
-}
-
 /// Scratch for one run, reused across a batch's runs.
 #[derive(Default)]
 struct RunBuf {
@@ -596,92 +578,119 @@ struct QuerierTask {
     drain: Duration,
     retry: RetryPolicy,
     obs: Option<ObsCtx>,
-    telemetry: Option<Arc<ldp_telemetry::Registry>>,
+    counters: Arc<ShardCounters>,
 }
 
-/// One shard's telemetry handles, resolved once at querier start so the
-/// batch loop pays a relaxed `fetch_add`, never a registry lookup. The
-/// fault counters and in-flight depth are *observed* (closures over the
-/// atomics the querier already maintains) rather than double-counted.
-struct ShardTele {
-    sent: ldp_telemetry::Counter,
-    send_lag_us: ldp_telemetry::Counter,
-    answered: ldp_telemetry::Counter,
-}
+/// A telemetry family: its name, help, kind, and the reader of its cell.
+pub type Family = (
+    &'static str,
+    &'static str,
+    MetricKind,
+    fn(&ShardCounters) -> u64,
+);
 
-impl ShardTele {
-    fn register(
-        reg: &ldp_telemetry::Registry,
-        shard: usize,
-        counters: &Arc<FaultCounters>,
-    ) -> ShardTele {
-        let shard_label = shard.to_string();
-        let labels: [(&str, &str); 1] = [("shard", shard_label.as_str())];
-        let sent = reg.counter_with("ldp_replay_sent_total", "Queries put on the wire", &labels);
-        let send_lag_us = reg.counter_with(
-            "ldp_replay_send_lag_us_total",
-            "Cumulative actual-minus-scheduled send time in microseconds (Timed mode)",
-            &labels,
-        );
-        let answered = reg.counter_with(
-            "ldp_replay_answered_total",
-            "Responses matched to an in-flight query",
-            &labels,
-        );
+/// The replay's telemetry families, one per cell of a shard's
+/// [`ShardCounters`]. Each shard registers every family under its `shard`
+/// label.
+pub const FAMILIES: [Family; 15] = [
+    (
+        "ldp_replay_sent_total",
+        "Queries put on the wire",
+        MetricKind::Counter,
+        |c| c.sent.get(),
+    ),
+    (
+        "ldp_replay_answered_total",
+        "Responses matched to an in-flight query",
+        MetricKind::Counter,
+        |c| c.answered.get(),
+    ),
+    (
+        "ldp_replay_late_total",
+        "Timed sends that missed their deadline by more than the lateness budget",
+        MetricKind::Counter,
+        |c| c.late.get(),
+    ),
+    (
+        "ldp_replay_send_lag_us_total",
+        "Cumulative actual-minus-scheduled send time in microseconds (Timed mode)",
+        MetricKind::Counter,
+        |c| c.send_lag_us.get(),
+    ),
+    (
+        "ldp_replay_timeouts_total",
+        "Send attempts that hit their timeout",
+        MetricKind::Counter,
+        |c| c.timeouts.get(),
+    ),
+    (
+        "ldp_replay_retries_total",
+        "UDP retransmissions put on the wire",
+        MetricKind::Counter,
+        |c| c.retries.get(),
+    ),
+    (
+        "ldp_replay_reconnects_total",
+        "TCP connections reopened after death",
+        MetricKind::Counter,
+        |c| c.reconnects.get(),
+    ),
+    (
+        "ldp_replay_gave_up_total",
+        "Queries retired with no answer after exhausting attempts",
+        MetricKind::Counter,
+        |c| c.gave_up.get(),
+    ),
+    (
+        "ldp_replay_errors_total",
+        "Bind/connect/encode/send failures degraded to error outcomes",
+        MetricKind::Counter,
+        |c| c.errors.get(),
+    ),
+    (
+        "ldp_replay_id_collisions_total",
+        "Queries overwritten because all 65,536 message ids were in flight",
+        MetricKind::Counter,
+        |c| c.id_collisions.get(),
+    ),
+    (
+        "ldp_replay_batches_total",
+        "Batches drained from the querier's queue",
+        MetricKind::Counter,
+        |c| c.batches.get(),
+    ),
+    (
+        "ldp_replay_postman_stalls_total",
+        "Times the Postman found the querier's queue full and waited",
+        MetricKind::Counter,
+        |c| c.postman_stalls.get(),
+    ),
+    (
+        "ldp_replay_max_queue_depth",
+        "Deepest the querier's queue got, in batches",
+        MetricKind::Gauge,
+        |c| c.max_queue_depth.get(),
+    ),
+    (
+        "ldp_replay_queue_depth",
+        "Batches queued at the querier (Postman backlog)",
+        MetricKind::Gauge,
+        |c| c.queue_depth.get(),
+    ),
+    (
+        "ldp_replay_in_flight",
+        "Outstanding queries awaiting an answer or expiry",
+        MetricKind::Gauge,
+        |c| c.in_flight.get(),
+    ),
+];
+
+/// Registers every cell of shard `shard`'s block in `reg`.
+fn register(reg: &ldp_telemetry::Registry, shard: usize, counters: &Arc<ShardCounters>) {
+    let shard = shard.to_string();
+    for (name, help, kind, read) in FAMILIES {
         let c = counters.clone();
-        reg.observe_counter(
-            "ldp_replay_timeouts_total",
-            "Send attempts that hit their timeout",
-            &labels,
-            move || c.timeouts.load(Ordering::Relaxed),
-        );
-        let c = counters.clone();
-        reg.observe_counter(
-            "ldp_replay_retries_total",
-            "UDP retransmissions put on the wire",
-            &labels,
-            move || c.retries.load(Ordering::Relaxed),
-        );
-        let c = counters.clone();
-        reg.observe_counter(
-            "ldp_replay_reconnects_total",
-            "TCP connections reopened after death",
-            &labels,
-            move || c.reconnects.load(Ordering::Relaxed),
-        );
-        let c = counters.clone();
-        reg.observe_counter(
-            "ldp_replay_gave_up_total",
-            "Queries retired with no answer after exhausting attempts",
-            &labels,
-            move || c.gave_up.load(Ordering::Relaxed),
-        );
-        let c = counters.clone();
-        reg.observe_counter(
-            "ldp_replay_id_collisions_total",
-            "Queries overwritten because all 65,536 message ids were in flight",
-            &labels,
-            move || c.id_collisions.load(Ordering::Relaxed),
-        );
-        let c = counters.clone();
-        reg.observe_counter(
-            "ldp_replay_errors_total",
-            "Bind/connect/send failures degraded to error outcomes",
-            &labels,
-            move || c.errors.load(Ordering::Relaxed),
-        );
-        let c = counters.clone();
-        reg.observe_gauge(
-            "ldp_replay_in_flight",
-            "Outstanding queries awaiting an answer or expiry",
-            &labels,
-            move || c.in_flight.load(Ordering::Relaxed),
-        );
-        ShardTele {
-            sent,
-            send_lag_us,
-            answered,
-        }
+        reg.observe(name, help, kind, &[("shard", &shard)], move || read(&c));
     }
 }
 
@@ -738,7 +747,6 @@ struct QuerierState {
     ledger: Ledger,
     bufs: ReadBufs,
     policy: RetryPolicy,
-    counters: Arc<FaultCounters>,
     next_id: u16,
 }
 
@@ -824,7 +832,7 @@ impl QuerierState {
             };
             let i = match known {
                 Some(i) => {
-                    self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
+                    self.ledger.counters.reconnects.bump(1);
                     i
                 }
                 None => {
@@ -865,10 +873,10 @@ impl QuerierState {
     /// ids are outstanding is one reused: the query holding it is
     /// overwritten, and the overwrite counted in `id_collisions`.
     fn fresh_id(&mut self) -> u16 {
-        self.next_id = self
-            .ledger
+        let ledger = &self.ledger;
+        self.next_id = ledger
             .pending
-            .allot_id(self.next_id, &self.counters.id_collisions);
+            .allot_id(self.next_id, &ledger.counters.id_collisions);
         self.next_id
     }
 
@@ -890,9 +898,11 @@ impl QuerierState {
         if self.policy.is_enabled() {
             self.expire().await;
         }
-        self.counters
+        let ledger = &self.ledger;
+        ledger
+            .counters
             .in_flight
-            .store(self.ledger.pending.in_flight as u64, Ordering::Relaxed);
+            .set(ledger.pending.in_flight as u64);
     }
 
     /// Whether an in-flight query can still expire, so that a wait must
@@ -997,45 +1007,41 @@ impl QuerierState {
     /// Expires the attempts that are due and puts their retransmits on
     /// the wire.
     async fn expire(&mut self) {
-        let bufs = &mut self.bufs;
-        self.ledger.pending.sweep(
+        let (bufs, ledger) = (&mut self.bufs, &mut self.ledger);
+        ledger.pending.sweep(
             Instant::now(),
             &self.policy,
-            &self.counters,
+            &ledger.counters,
             &mut bufs.due,
             &mut bufs.resend,
-            self.ledger.obs.as_ref(),
+            ledger.obs.as_ref(),
         );
         for (s, wire) in bufs.resend.drain(..) {
             let Some(socket) = self.udp.get(s as usize) else {
                 continue;
             };
+            // A retransmit the kernel refuses never reached the wire: it
+            // is neither a retry nor a record error (the record was sent),
+            // and the attempt expires at its deadline as usual.
             if socket.send_to(&wire, self.server).await.is_ok() {
-                self.counters.retries.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
+                ledger.counters.retries.bump(1);
             }
         }
     }
 }
 
 impl QuerierTask {
+    /// Drains batches until the Postman is done, then waits out the
+    /// queries in flight. Infallible by design — querier-level faults
+    /// degrade to per-record [`ReplayError`] outcomes rather than aborting
+    /// the replay. Returns the shard's outcome log.
     async fn run(
         self,
         mut rx: mpsc::Receiver<Vec<TraceRecord>>,
-        depth: Arc<AtomicUsize>,
         recycle: mpsc::Sender<Vec<TraceRecord>>,
-    ) -> QuerierResult {
+    ) -> ShardLog {
         ldp_telemetry::thread::set_name(&format!("querier-{}", self.shard));
         crate::timing::tighten_timer_slack();
-        let mut stats = ShardStats::new(self.shard);
-        let counters = Arc::new(FaultCounters::default());
-        // Handles resolved once, before the first batch: the hot loop
-        // below never touches the registry again.
-        let tele = self
-            .telemetry
-            .as_ref()
-            .map(|reg| ShardTele::register(reg, self.shard, &counters));
         let mut state = QuerierState {
             server: self.server,
             max_sockets: self.max_sockets,
@@ -1048,7 +1054,7 @@ impl QuerierTask {
                 pending: PendingTable::new(Instant::now()),
                 log: ShardLog::new(self.trace_epoch_us, self.clock),
                 obs: self.obs.clone(),
-                answered: tele.as_ref().map(|t| t.answered.clone()),
+                counters: self.counters.clone(),
             },
             bufs: ReadBufs {
                 tokens: Vec::new(),
@@ -1058,36 +1064,22 @@ impl QuerierTask {
                 resend: Vec::new(),
             },
             policy: self.retry.clone(),
-            counters,
             next_id: 0,
         };
         let mut last_deadline_us: u64 = 0;
 
         while let Some(mut batch) = state.next_batch(&mut rx).await {
-            depth.fetch_sub(1, Ordering::Relaxed);
-            stats.batches += 1;
-            let sent = self
-                .drain(&mut batch, &mut state, &mut last_deadline_us)
+            self.counters.queue_depth.sub(1);
+            self.counters.batches.bump(1);
+            self.drain(&mut batch, &mut state, &mut last_deadline_us)
                 .await;
-            stats.sent += sent.queries;
-            stats.late += sent.late;
-            if let Some(t) = &tele {
-                // Two fetch_adds per batch: error-free sends, and (Timed
-                // mode) how far behind schedule they went out — the §3
-                // send-lag drift signal.
-                t.sent.add(sent.queries);
-                t.send_lag_us.add(sent.lag_us);
-            }
             batch.clear();
             // Recycling is best-effort; a full (or closed) return channel
             // just means this spine gets reallocated.
             let _ = recycle.try_send(batch); // ldp-lint: allow(r5) -- spine recycling, not a query send
         }
         state.finish(self.drain).await;
-
-        stats.answered = state.ledger.log.answered();
-        state.counters.fold_into(&mut stats);
-        (state.ledger.log, stats)
+        state.ledger.log
     }
 
     /// Drains one batch as a sequence of *runs*: consecutive records that
@@ -1104,15 +1096,19 @@ impl QuerierTask {
     /// Every record's outcome row is appended before its run is sent, so
     /// an answer read mid-send (a failed TCP write reads what its
     /// connection still holds) finds its row.
+    ///
+    /// Each error-free send is counted in `sent`; in Timed mode, how far
+    /// behind its deadline it went out goes into `send_lag_us` (the §3
+    /// drift signal), and a miss beyond [`LATE_BUDGET_US`] into `late`.
     async fn drain(
         &self,
         batch: &mut [TraceRecord],
         state: &mut QuerierState,
         last_deadline_us: &mut u64,
-    ) -> BatchSent {
+    ) {
         let timed = matches!(self.mode, ReplayMode::Timed { .. });
+        let c = &self.counters;
         let mut run = RunBuf::default();
-        let mut sent = BatchSent::default();
         // Rows are appended in record order: record k's row is base + k.
         let base = state.ledger.log.len();
         let mut i = 0;
@@ -1195,15 +1191,16 @@ impl QuerierTask {
                 if error.is_some() {
                     continue;
                 }
-                sent.queries += 1;
+                c.sent.bump(1);
                 if let Some(o) = &self.obs {
                     o.record_at(slot, Stage::Sent, wire_stamp_us);
                 }
                 if timed {
                     let target_offset_us = self.clock.target_real_us(rec.time_us);
-                    sent.lag_us += sent_offset_us.saturating_sub(target_offset_us);
+                    c.send_lag_us
+                        .bump(sent_offset_us.saturating_sub(target_offset_us));
                     if sent_offset_us > target_offset_us + LATE_BUDGET_US {
-                        sent.late += 1;
+                        c.late.bump(1);
                     }
                 }
             }
@@ -1212,7 +1209,6 @@ impl QuerierTask {
             state.service().await;
             i = j;
         }
-        sent
     }
 
     /// Stamps ids on one run, encodes it, registers its in-flight entries
@@ -1235,10 +1231,7 @@ impl QuerierTask {
         let sock = match route {
             Route::Failed(e) => {
                 run.errs.resize(recs.len(), Some(e));
-                state
-                    .counters
-                    .errors
-                    .fetch_add(recs.len() as u64, Ordering::Relaxed);
+                self.counters.errors.bump(recs.len() as u64);
                 let now_us = self.now_us();
                 return (now_us, now_us);
             }
@@ -1265,7 +1258,7 @@ impl QuerierTask {
                 Err(_) => Some(ReplayError::Encode),
             };
             if error.is_some() {
-                state.counters.errors.fetch_add(1, Ordering::Relaxed);
+                self.counters.errors.bump(1);
             }
             run.ids.push(id);
             run.errs.push(error);
@@ -1317,7 +1310,7 @@ impl QuerierTask {
                     {
                         *error = Some(ReplayError::Send);
                         state.ledger.pending.remove(run.ids[x]);
-                        state.counters.errors.fetch_add(1, Ordering::Relaxed);
+                        self.counters.errors.bump(1);
                     }
                 }
             }
@@ -1432,7 +1425,11 @@ mod tests {
     use ldp_wire::{Name, RrType};
     use ldp_workload::zones::wildcard_example_zone;
     use ldp_zone::ZoneSet;
-    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    mod telemetry {
+        include!("../tests/support/telemetry.rs");
+    }
 
     fn engine() -> Arc<AuthEngine> {
         let mut set = ZoneSet::new();
@@ -1522,12 +1519,15 @@ mod tests {
     }
 
     /// The report's counts, taken from its shards, equal counts taken
-    /// over its outcomes.
+    /// over its outcomes: every record is either sent or an error.
     fn assert_counts_match_outcomes(report: &ReplayReport) {
         let outcomes = &report.outcomes;
         let sent = outcomes.iter().filter(|o| o.error.is_none()).count();
+        let errors = outcomes.iter().filter(|o| o.error.is_some()).count();
         let answered = outcomes.iter().filter(|o| o.latency_us.is_some()).count();
         assert_eq!(report.sent, sent as u64);
+        assert_eq!(report.errors, errors as u64);
+        assert_eq!(report.sent + report.errors, outcomes.len() as u64);
         assert_eq!(report.answered, answered as u64);
         let offsets = || outcomes.iter().map(|o| o.sent_offset_us);
         let span = match (offsets().min(), offsets().max()) {
@@ -1882,27 +1882,7 @@ mod tests {
         replay.mode = ReplayMode::Fast;
         replay.telemetry = Some(reg.clone());
         let report = replay.run(trace(200, 1_000, Protocol::Udp)).await.unwrap();
-        let samples = reg.snapshot();
-        let sum = |name: &str| -> u64 {
-            samples
-                .iter()
-                .filter(|s| s.name == name)
-                .map(|s| s.value)
-                .sum()
-        };
-        assert_eq!(sum("ldp_replay_sent_total"), report.sent);
-        assert_eq!(sum("ldp_replay_answered_total"), report.answered);
-        assert_eq!(sum("ldp_replay_errors_total"), report.errors);
-        assert_eq!(sum("ldp_replay_gave_up_total"), report.gave_up);
-        // One queue-depth gauge and one in-flight gauge per shard, all
-        // back to zero once the replay has drained.
-        let gauges = |name: &'static str| samples.iter().filter(move |s| s.name == name);
-        assert_eq!(
-            gauges("ldp_replay_queue_depth").count(),
-            report.shards.len()
-        );
-        assert_eq!(gauges("ldp_replay_in_flight").count(), report.shards.len());
-        assert!(gauges("ldp_replay_queue_depth").all(|s| s.value == 0));
-        assert!(gauges("ldp_replay_in_flight").all(|s| s.value == 0));
+        assert_eq!(report.sent, 200);
+        telemetry::assert_telemetry_matches_report(&reg, &report);
     }
 }

@@ -8,14 +8,14 @@
 //! answer is credited at the instant it reached the socket ([`ReadClock`]),
 //! not at the read.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Instant, SystemTime};
 
+use ldp_metrics::shard::{Cell, ShardCounters};
 use ldp_obs::{ReplaySpans, Stage};
 
 use crate::outcome::ShardLog;
-use crate::retry::{FaultCounters, RetryPolicy};
+use crate::retry::RetryPolicy;
 
 /// Which transport an in-flight query went out on — what expiry needs to
 /// retransmit (UDP, by socket index) or give up (TCP; reconnection is a
@@ -99,9 +99,9 @@ impl PendingTable {
     /// `last`. Only when all 65,536 ids are in flight is `last + 1` reused
     /// — its query will be overwritten — and the reuse counted in
     /// `collisions`.
-    pub(crate) fn allot_id(&self, last: u16, collisions: &AtomicU64) -> u16 {
+    pub(crate) fn allot_id(&self, last: u16, collisions: &Cell) -> u16 {
         self.next_free(last).unwrap_or_else(|| {
-            collisions.fetch_add(1, Ordering::Relaxed);
+            collisions.bump(1);
             last.wrapping_add(1)
         })
     }
@@ -147,13 +147,13 @@ impl PendingTable {
     /// re-schedules not-yet-due entries, retires exhausted queries
     /// (`gave_up`), and collects UDP retransmits into `resend` for the
     /// querier to put on the wire. A `Retry` span event marks the decision
-    /// to retransmit; the datagram goes out (and `retries` is counted)
-    /// right after.
+    /// to retransmit; the datagram goes out right after, and `retries`
+    /// counts it only if the kernel takes it.
     pub(crate) fn sweep(
         &mut self,
         now: Instant,
         policy: &RetryPolicy,
-        counters: &FaultCounters,
+        counters: &ShardCounters,
         due: &mut Vec<(u16, u32)>,
         resend: &mut Vec<(u32, Box<[u8]>)>,
         obs: Option<&ObsCtx>,
@@ -182,7 +182,7 @@ impl PendingTable {
                 Action::Skip => {}
                 Action::Reschedule(d) => self.wheel.schedule(id, attempt, d),
                 Action::Expire => {
-                    counters.timeouts.fetch_add(1, Ordering::Relaxed);
+                    counters.timeouts.bump(1);
                     let retryable = self
                         .slots
                         .get(id as usize)
@@ -215,7 +215,7 @@ impl PendingTable {
                                 o.record_instant(f.slot, Stage::GaveUp, now);
                             }
                         }
-                        counters.gave_up.fetch_add(1, Ordering::Relaxed);
+                        counters.gave_up.bump(1);
                     }
                 }
             }
@@ -223,15 +223,15 @@ impl PendingTable {
     }
 }
 
-/// What the querier has learned about its queries: the in-flight table
-/// and the shard's outcome log. Only the querier's own thread touches it.
+/// What the querier has learned about its queries: the in-flight table,
+/// the shard's outcome log and its counters. Only the querier's own
+/// thread writes it; telemetry reads the counters.
 pub(crate) struct Ledger {
     pub(crate) pending: PendingTable,
     /// One row per record; an answer's latency (µs) goes into its row.
     pub(crate) log: ShardLog,
     pub(crate) obs: Option<ObsCtx>,
-    /// Live answered-counter handle, bumped per matched answer.
-    pub(crate) answered: Option<ldp_telemetry::Counter>,
+    pub(crate) counters: Arc<ShardCounters>,
 }
 
 impl Ledger {
@@ -243,15 +243,12 @@ impl Ledger {
             return;
         };
         let arrived = read.arrival(stamp, f.sent_at);
-        self.log.answer(
-            f.slot,
-            arrived.saturating_duration_since(f.sent_at).as_micros() as u64,
-        );
+        let latency_us = arrived.saturating_duration_since(f.sent_at).as_micros() as u64;
+        if self.log.answer(f.slot, latency_us) {
+            self.counters.answered.bump(1);
+        }
         if let Some(o) = &self.obs {
             o.record_instant(f.slot, Stage::Answered, arrived);
-        }
-        if let Some(a) = &self.answered {
-            a.inc();
         }
     }
 }
@@ -358,7 +355,7 @@ mod tests {
     fn only_a_full_table_reuses_an_id_and_counts_the_collision() {
         let now = Instant::now();
         let mut t = PendingTable::new(now);
-        let collisions = AtomicU64::new(0);
+        let collisions = Cell::default();
         // Ids 0..=9 stay in flight; the allocator walks around them.
         for id in 0..10 {
             t.insert(id, in_flight(now));
@@ -370,16 +367,16 @@ mod tests {
             t.insert(last, in_flight(now));
         }
         assert_eq!(t.in_flight, IDS);
-        assert_eq!(collisions.load(Ordering::Relaxed), 0, "no reuse until full");
+        assert_eq!(collisions.get(), 0, "no reuse until full");
         assert_eq!(t.next_free(123), None);
         // Full: the next id is reused, and counted.
         assert_eq!(t.allot_id(u16::MAX, &collisions), 0);
-        assert_eq!(collisions.load(Ordering::Relaxed), 1);
+        assert_eq!(collisions.get(), 1);
         // An answer frees its id, which is then handed out again.
         t.remove(40_000);
         assert_eq!(t.allot_id(123, &collisions), 40_000);
         assert_eq!(t.allot_id(u16::MAX, &collisions), 40_000);
-        assert_eq!(collisions.load(Ordering::Relaxed), 1);
+        assert_eq!(collisions.get(), 1);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   record, written in place and read back as [`ReplayOutcome`]s,
 //! * [`retry`] — the engine's fault-tolerance layer: answer timeouts over
 //!   a timer wheel, UDP retransmits with exponential backoff + jitter,
-//!   TCP reconnects, and the fault counters that account for all of it,
+//!   and TCP reconnects (counted, like every replay event, in the shard's
+//!   [`ldp_metrics::ShardCounters`]),
 //! * [`simclient`] — querier nodes for [`ldp_netsim`], used by the §5
 //!   protocol experiments (controlled RTT, TCP/TLS connection reuse,
 //!   latency distributions).

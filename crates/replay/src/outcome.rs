@@ -95,8 +95,6 @@ pub(crate) struct ShardLog {
     sources: Vec<IpAddr>,
     trace_epoch_us: u64,
     clock: ReplayClock,
-    /// Rows that got an answer.
-    answered: u64,
     /// Earliest and latest send offset of any row.
     sent_span: Option<(u64, u64)>,
 }
@@ -111,7 +109,6 @@ impl ShardLog {
             sources: Vec::new(),
             trace_epoch_us,
             clock,
-            answered: 0,
             sent_span: None,
         }
     }
@@ -164,19 +161,15 @@ impl ShardLog {
         });
     }
 
-    /// Credits row `slot` with an answer after `latency_us`.
-    pub(crate) fn answer(&mut self, slot: usize, latency_us: u64) {
+    /// Credits row `slot` with an answer after `latency_us`. Returns
+    /// whether it is the row's first answer.
+    pub(crate) fn answer(&mut self, slot: usize, latency_us: u64) -> bool {
         let Some(row) = self.row_mut(slot) else {
-            return;
+            return false;
         };
         let first = row.latency_us == NO_ANSWER;
         row.latency_us = latency_us.min(NO_ANSWER - 1);
-        self.answered += u64::from(first);
-    }
-
-    /// Rows that got an answer.
-    pub(crate) fn answered(&self) -> u64 {
-        self.answered
+        first
     }
 
     fn outcome(&self, row: &Row) -> ReplayOutcome {
@@ -352,9 +345,8 @@ mod tests {
             assert_eq!(log.chunks.len(), shard as usize + 2);
             assert!(log.chunks.iter().all(|c| c.capacity() == CHUNK_ROWS));
             // Answers land in their own rows, wherever the chunk.
-            log.answer(CHUNK_ROWS, 7);
-            log.answer(CHUNK_ROWS, 9);
-            assert_eq!(log.answered(), 1, "a row is answered once");
+            assert!(log.answer(CHUNK_ROWS, 7));
+            assert!(!log.answer(CHUNK_ROWS, 9), "a row is answered once");
             logs.push(log);
         }
         let outcomes = Outcomes::new(logs);

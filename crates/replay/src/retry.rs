@@ -12,20 +12,18 @@
 //!   ids. Scheduling is one `Vec` push next to the pending-table insert,
 //!   so the no-fault hot path pays near zero; the querier drains due
 //!   buckets when it wakes, waking at each tick while queries can expire.
-//! * [`FaultCounters`] — atomics the querier bumps and telemetry reads,
-//!   folded into [`ldp_metrics::ShardStats`] at the end.
+//!
+//! What these produce — timeouts, retries, reconnects, queries given up —
+//! is counted in the shard's [`ldp_metrics::ShardCounters`].
 //!
 //! Fidelity note: a retransmit keeps its original query's message id and
 //! outcome slot. It is never counted as a new trace query — `sent` counts
 //! trace records put on the wire once; `retries` counts the extra
 //! datagrams separately.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use ldp_netsim::Backoff;
-
-use ldp_metrics::ShardStats;
 
 /// Timeout/retry/reconnect configuration for one replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,35 +92,6 @@ impl serde::Serialize for RetryPolicy {
             "backoff_cap_ms": self.backoff.cap.as_millis() as u64,
             "tcp_reconnect_attempts": self.tcp_reconnect_attempts,
         })
-    }
-}
-
-/// A querier's fault counters, bumped by its send, answer and expiry
-/// paths and read live by telemetry; folded into [`ShardStats`] when the
-/// querier ends.
-#[derive(Debug, Default)]
-pub struct FaultCounters {
-    pub timeouts: AtomicU64,
-    pub retries: AtomicU64,
-    pub reconnects: AtomicU64,
-    pub gave_up: AtomicU64,
-    pub errors: AtomicU64,
-    /// Message ids reused while still in flight (see
-    /// [`ShardStats::id_collisions`]).
-    pub id_collisions: AtomicU64,
-    /// Outstanding queries: a gauge the querier publishes at each wake,
-    /// not folded into [`ShardStats`].
-    pub in_flight: AtomicU64,
-}
-
-impl FaultCounters {
-    pub fn fold_into(&self, stats: &mut ShardStats) {
-        stats.timeouts = self.timeouts.load(Ordering::Relaxed);
-        stats.retries = self.retries.load(Ordering::Relaxed);
-        stats.reconnects = self.reconnects.load(Ordering::Relaxed);
-        stats.gave_up = self.gave_up.load(Ordering::Relaxed);
-        stats.errors = self.errors.load(Ordering::Relaxed);
-        stats.id_collisions = self.id_collisions.load(Ordering::Relaxed);
     }
 }
 
@@ -254,29 +223,5 @@ mod tests {
         w.schedule(9, 0, deadline);
         w.due(deadline + TimeoutWheel::TICK, &mut out);
         assert_eq!(out, vec![(9, 0)]);
-    }
-
-    #[test]
-    fn counters_fold_into_shard_stats() {
-        let c = FaultCounters::default();
-        c.timeouts.store(4, Ordering::Relaxed);
-        c.retries.store(3, Ordering::Relaxed);
-        c.reconnects.store(2, Ordering::Relaxed);
-        c.gave_up.store(1, Ordering::Relaxed);
-        c.errors.store(5, Ordering::Relaxed);
-        c.id_collisions.store(6, Ordering::Relaxed);
-        let mut s = ShardStats::new(0);
-        c.fold_into(&mut s);
-        assert_eq!(
-            (
-                s.timeouts,
-                s.retries,
-                s.reconnects,
-                s.gave_up,
-                s.errors,
-                s.id_collisions
-            ),
-            (4, 3, 2, 1, 5, 6)
-        );
     }
 }

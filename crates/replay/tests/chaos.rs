@@ -7,8 +7,8 @@
 //! arrival order — and a rerun with the same seed exercises the identical
 //! fault schedule.
 //!
-//! The bind-failure test flips process-global fault switches in the
-//! vendored `tokio::net`, so all tests here serialize on one lock.
+//! The bind- and send-failure tests flip process-global fault switches in
+//! the vendored `tokio::net`, so all tests here serialize on one lock.
 
 // Each test deliberately holds the serialization guard across its awaits:
 // the vendored runtime is thread-per-task, so a parked std mutex blocks
@@ -19,6 +19,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+use ldp_replay::engine::FAMILIES;
 use ldp_replay::{LiveReplay, ReplayError, ReplayMode, ReplayReport};
 use ldp_server::auth::AuthEngine;
 use ldp_server::live::LiveServer;
@@ -27,6 +28,10 @@ use ldp_trace::{Protocol, TraceRecord};
 use ldp_wire::{Name, RrType};
 use ldp_workload::zones::wildcard_example_zone;
 use ldp_zone::ZoneSet;
+
+mod telemetry {
+    include!("support/telemetry.rs");
+}
 
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -117,16 +122,30 @@ async fn lossy_replay_is_deterministic_under_a_fixed_seed() {
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn tcp_reset_mid_replay_triggers_reconnects_not_aborts() {
     let _g = lock();
-    let chaos = Arc::new(ChaosPolicy::new(11).reset_after(10));
+    // A dark window over the whole run drops every UDP answer.
+    let chaos = Arc::new(
+        ChaosPolicy::new(11)
+            .reset_after(10)
+            .dark_window(Duration::ZERO, Duration::from_secs(60)),
+    );
     let server =
         LiveServer::spawn_with_chaos(engine(), "127.0.0.1:0".parse().unwrap(), chaos.clone())
             .await
             .unwrap();
+    let registry = Arc::new(ldp_telemetry::Registry::new());
     let mut replay = LiveReplay::new(server.addr);
     replay.drain = Duration::from_secs(4);
+    replay.telemetry = Some(registry.clone());
     // 100 TCP queries from 5 sources, 20 per source: every connection is
-    // reset after its 10th answer, mid-stream for every source.
-    let report = replay.run(trace(100, 2_000, Protocol::Tcp)).await.unwrap();
+    // reset after its 10th answer, mid-stream for every source. Ten UDP
+    // queries from a sixth source go unanswered, retry out and give up,
+    // so the run drives every fault counter.
+    let mut records = trace(110, 2_000, Protocol::Tcp);
+    for rec in records.iter_mut().skip(5).step_by(11) {
+        rec.protocol = Protocol::Udp;
+        rec.src = "10.0.0.9".parse().unwrap();
+    }
+    let report = replay.run(records).await.unwrap();
     assert!(
         chaos.stats.resets.load(Ordering::Relaxed) >= 1,
         "server never reset a connection"
@@ -137,15 +156,21 @@ async fn tcp_reset_mid_replay_triggers_reconnects_not_aborts() {
     );
     // Graceful degradation: every record still goes on the wire (the
     // replay never aborts), queries cut down by a reset expire to
-    // `gave_up` rather than erroring, and most are answered.
-    assert_eq!(report.sent, 100);
+    // `gave_up` rather than erroring, and most TCP queries are answered.
+    assert_eq!(report.sent, 110);
     assert_eq!(report.errors, 0);
     assert!(
         report.answered >= 70,
-        "answered only {}/100",
+        "answered only {}/100 TCP queries",
         report.answered
     );
-    assert_eq!(report.answered + report.gave_up, 100);
+    assert_eq!(report.answered + report.gave_up, 110);
+    // Each UDP query expired on all three attempts and was retransmitted
+    // twice before it gave up.
+    assert!(report.gave_up >= 10, "gave_up {}", report.gave_up);
+    assert!(report.timeouts >= 30, "timeouts {}", report.timeouts);
+    assert_eq!(report.retries, 20);
+    telemetry::assert_telemetry_matches_report(&registry, &report);
 }
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
@@ -175,6 +200,32 @@ async fn udp_bind_failures_degrade_to_per_record_errors() {
         report.answered >= 40,
         "answered only {}/47",
         report.answered
+    );
+}
+
+/// A retransmit the kernel refuses never reaches the wire: the record was
+/// sent, so it is no record error, and no retry either. The attempt
+/// expires as usual and the query gives up after its last attempt.
+#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+async fn a_refused_retransmit_is_neither_an_error_nor_a_retry() {
+    let _g = lock();
+    // A peer that never answers.
+    let silent = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    let mut replay = LiveReplay::new(silent.local_addr().unwrap());
+    replay.drain = Duration::from_secs(4);
+    tokio::net::fault::clear();
+    // The first send goes out by sendmmsg; the first retransmit fails.
+    tokio::net::fault::inject_udp_send_failures(1);
+    let report = replay.run(trace(1, 0, Protocol::Udp)).await.unwrap();
+    tokio::net::fault::clear();
+    assert_eq!(report.sent, 1);
+    assert_eq!(report.errors, 0, "the record went on the wire");
+    assert_eq!(report.gave_up, 1);
+    assert_eq!(report.timeouts, 3, "every attempt expired");
+    assert_eq!(report.retries, 1, "only the second retransmit went out");
+    assert_eq!(
+        report.outcomes.iter().filter(|o| o.error.is_some()).count(),
+        0
     );
 }
 

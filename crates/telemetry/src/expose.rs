@@ -65,16 +65,24 @@ mod tests {
     #[test]
     fn golden_exposition_format() {
         let reg = Registry::new();
-        reg.counter_with("ldp_replay_sent_total", "Queries sent", &[("shard", "0")])
-            .add(42);
-        reg.counter_with("ldp_replay_sent_total", "Queries sent", &[("shard", "1")])
-            .add(7);
-        reg.gauge_with(
+        reg.observe_counter(
+            "ldp_replay_sent_total",
+            "Queries sent",
+            &[("shard", "0")],
+            || 42,
+        );
+        reg.observe_counter(
+            "ldp_replay_sent_total",
+            "Queries sent",
+            &[("shard", "1")],
+            || 7,
+        );
+        reg.observe_gauge(
             "ldp_replay_queue_depth",
             "Batches queued",
             &[("shard", "0")],
-        )
-        .set(3);
+            || 3,
+        );
         let text = render_prometheus(&reg.snapshot());
         let expected = "\
 # HELP ldp_replay_queue_depth Batches queued
@@ -91,12 +99,12 @@ ldp_replay_sent_total{shard=\"1\"} 7
     #[test]
     fn label_values_are_escaped() {
         let reg = Registry::new();
-        reg.counter_with(
+        reg.observe_counter(
             "ldp_esc_total",
             "line1\nline2 and \\slash",
             &[("path", "a\"b\\c\nd")],
-        )
-        .inc();
+            || 1,
+        );
         let text = render_prometheus(&reg.snapshot());
         assert!(
             text.contains("# HELP ldp_esc_total line1\\nline2 and \\\\slash"),
@@ -120,7 +128,7 @@ ldp_replay_sent_total{shard=\"1\"} 7
     #[test]
     fn no_labels_means_no_braces() {
         let reg = Registry::new();
-        reg.counter("ldp_plain_total", "no labels").inc();
+        reg.observe_counter("ldp_plain_total", "no labels", &[], || 1);
         let text = render_prometheus(&reg.snapshot());
         assert!(text.contains("\nldp_plain_total 1\n"), "{text}");
     }

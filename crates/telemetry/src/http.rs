@@ -102,6 +102,7 @@ fn serve_one(mut stream: TcpStream, registry: &Registry) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn get(addr: SocketAddr) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -116,8 +117,11 @@ mod tests {
     #[test]
     fn serves_exposition_over_http() {
         let reg = Arc::new(Registry::new());
-        reg.counter_with("ldp_http_total", "served", &[("shard", "0")])
-            .add(9);
+        let served = Arc::new(AtomicU64::new(9));
+        let s = served.clone();
+        reg.observe_counter("ldp_http_total", "served", &[("shard", "0")], move || {
+            s.load(Ordering::Relaxed)
+        });
         let server = MetricsServer::start("127.0.0.1:0", reg.clone()).unwrap();
         let response = get(server.addr());
         assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
@@ -128,8 +132,7 @@ mod tests {
         );
         // A second scrape sees updated values — the endpoint is live, not
         // a point-in-time dump.
-        reg.counter_with("ldp_http_total", "served", &[("shard", "0")])
-            .add(1);
+        served.fetch_add(1, Ordering::Relaxed);
         assert!(get(server.addr()).contains("ldp_http_total{shard=\"0\"} 10"));
     }
 

@@ -6,12 +6,10 @@
 //! *while it runs*, in four layers:
 //!
 //! * [`registry`] — a shared [`Registry`] of named counters and gauges.
-//!   Handles ([`Counter`], [`Gauge`]) are resolved once at startup and
-//!   are a single relaxed atomic op on the hot path — no locks, no
-//!   allocation, no name lookups per event. Subsystems that already keep
-//!   their own atomics (fault counters, server stats, queue depths)
-//!   register *observed* metrics: closures read at snapshot time, so the
-//!   hot path pays nothing it wasn't already paying.
+//!   Every metric is *observed*: a closure over atomics a subsystem
+//!   already keeps (the replay's per-shard counter block, the server's
+//!   stats), read at snapshot time, so the hot path pays nothing it
+//!   wasn't already paying — no locks, no allocation, no name lookups.
 //! * [`sampler`] — [`Sampler`] snapshots the registry on a fixed cadence
 //!   into bounded tick-indexed time-series and derives rates and the
 //!   send-lag drift trend (scheduled-vs-actual, the §3 time-sync
@@ -41,6 +39,6 @@ pub mod top;
 
 pub use expose::render_prometheus;
 pub use http::MetricsServer;
-pub use registry::{Counter, Gauge, MetricKind, Registry, Sample};
+pub use registry::{MetricKind, Registry, Sample};
 pub use sampler::{Sampler, SamplerDriver};
 pub use top::{parse_exposition, run_top, scrape, ParsedMetric, TopOptions};

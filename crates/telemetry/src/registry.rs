@@ -1,28 +1,17 @@
 //! The shared metrics registry.
 //!
-//! Two registration styles, one snapshot path:
-//!
-//! * **Owned** metrics ([`Registry::counter_with`] / [`Registry::gauge_with`])
-//!   hand back a cloneable handle around an `Arc<AtomicU64>`. The handle is
-//!   resolved once at startup; every subsequent [`Counter::inc`] /
-//!   [`Counter::add`] is a single relaxed `fetch_add` — no lock, no
-//!   allocation, no name lookup. This is the hot-path contract: a querier
-//!   bumping `sent_total` per batch costs the same as the `progress`
-//!   counter it rode along with before this crate existed.
-//! * **Observed** metrics ([`Registry::observe_counter`] /
-//!   [`Registry::observe_gauge`]) wrap a closure over state some subsystem
-//!   already maintains (fault-counter atomics, queue-depth cells, the
-//!   in-flight count under the pending lock). The closure runs only at
-//!   snapshot time — scrape cadence, not send cadence — so instrumenting an
-//!   existing atomic is free on the hot path by construction.
+//! One registration style: a metric is a closure over state some
+//! subsystem already keeps ([`Registry::observe_counter`] /
+//! [`Registry::observe_gauge`]) — the replay's per-shard counter block,
+//! the server's `LiveStats`/`CacheStats` and chaos fates, the proxy's
+//! path counters. The closure runs only at snapshot time — scrape
+//! cadence, not send cadence — so the hot path pays nothing beyond the
+//! atomics it already bumps.
 //!
 //! The registry's own lock guards registration and snapshot only; neither
 //! is on the send path. Snapshots are sorted by `(name, labels)` so the
 //! exposition (and anything derived from it, like manifest time-series) is
 //! deterministic regardless of registration order.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -45,63 +34,6 @@ impl MetricKind {
     }
 }
 
-/// Hot-path handle on an owned counter cell. Cloning shares the cell.
-#[derive(Debug, Clone)]
-pub struct Counter {
-    cell: Arc<AtomicU64>,
-}
-
-impl Counter {
-    #[inline]
-    pub fn inc(&self) {
-        self.cell.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if n != 0 {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// Hot-path handle on an owned gauge cell. Cloning shares the cell.
-#[derive(Debug, Clone)]
-pub struct Gauge {
-    cell: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.cell.store(v, Ordering::Relaxed);
-    }
-
-    /// Relaxed add; pair with [`Gauge::sub`] so the level never wraps.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if n != 0 {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Relaxed subtract; callers must have added first (wraps otherwise).
-    #[inline]
-    pub fn sub(&self, n: u64) {
-        if n != 0 {
-            self.cell.fetch_sub(n, Ordering::Relaxed);
-        }
-    }
-
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
 /// One sampled metric value: everything the exposition needs, detached
 /// from the live cells so rendering never holds the registry lock.
 #[derive(Debug, Clone)]
@@ -114,17 +46,14 @@ pub struct Sample {
     pub value: u64,
 }
 
-enum Source {
-    Owned(Arc<AtomicU64>),
-    Observed(Box<dyn Fn() -> u64 + Send + Sync>),
-}
+type Read = Box<dyn Fn() -> u64 + Send + Sync>;
 
 struct Metric {
     name: String,
     help: String,
     kind: MetricKind,
     labels: Vec<(String, String)>,
-    source: Source,
+    read: Read,
 }
 
 /// Shared registry of named counters and gauges. Construct one per
@@ -176,31 +105,6 @@ impl Registry {
         Registry::default()
     }
 
-    /// Registers (or re-resolves) an owned counter with no labels.
-    pub fn counter(&self, name: &str, help: &str) -> Counter {
-        self.counter_with(name, help, &[])
-    }
-
-    /// Registers an owned counter. Re-registering the same
-    /// `(name, labels)` returns a handle on the *existing* cell, so two
-    /// subsystems (or two runs over one registry) share one count.
-    pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        let cell = self.owned_cell(name, help, MetricKind::Counter, labels);
-        Counter { cell }
-    }
-
-    /// Registers (or re-resolves) an owned gauge with no labels.
-    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        self.gauge_with(name, help, &[])
-    }
-
-    /// Registers an owned gauge; same re-registration contract as
-    /// [`Registry::counter_with`].
-    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        let cell = self.owned_cell(name, help, MetricKind::Gauge, labels);
-        Gauge { cell }
-    }
-
     /// Registers a counter whose value is read from `f` at snapshot time.
     /// Re-registering the same `(name, labels)` replaces the closure (the
     /// newest underlying state wins — e.g. a fresh replay run's counters).
@@ -211,7 +115,7 @@ impl Registry {
         labels: &[(&str, &str)],
         f: impl Fn() -> u64 + Send + Sync + 'static,
     ) {
-        self.observed(name, help, MetricKind::Counter, labels, Box::new(f));
+        self.observe(name, help, MetricKind::Counter, labels, f);
     }
 
     /// Gauge variant of [`Registry::observe_counter`].
@@ -222,52 +126,21 @@ impl Registry {
         labels: &[(&str, &str)],
         f: impl Fn() -> u64 + Send + Sync + 'static,
     ) {
-        self.observed(name, help, MetricKind::Gauge, labels, Box::new(f));
+        self.observe(name, help, MetricKind::Gauge, labels, f);
     }
 
-    fn owned_cell(
+    /// Registers a metric of `kind` whose value is read from `f` at
+    /// snapshot time; the same re-registration rule as
+    /// [`Registry::observe_counter`].
+    pub fn observe(
         &self,
         name: &str,
         help: &str,
         kind: MetricKind,
         labels: &[(&str, &str)],
-    ) -> Arc<AtomicU64> {
-        let name = sanitize(name, true);
-        let labels = clean_labels(labels);
-        let mut metrics = self.metrics.lock();
-        if let Some(m) = metrics
-            .iter_mut()
-            .find(|m| m.name == name && m.labels == labels)
-        {
-            if let Source::Owned(cell) = &m.source {
-                return cell.clone();
-            }
-            // Was observed: promote to owned (fresh cell) below.
-            let cell = Arc::new(AtomicU64::new(0));
-            m.kind = kind;
-            m.help = help.to_string();
-            m.source = Source::Owned(cell.clone());
-            return cell;
-        }
-        let cell = Arc::new(AtomicU64::new(0));
-        metrics.push(Metric {
-            name,
-            help: help.to_string(),
-            kind,
-            labels,
-            source: Source::Owned(cell.clone()),
-        });
-        cell
-    }
-
-    fn observed(
-        &self,
-        name: &str,
-        help: &str,
-        kind: MetricKind,
-        labels: &[(&str, &str)],
-        f: Box<dyn Fn() -> u64 + Send + Sync>,
+        f: impl Fn() -> u64 + Send + Sync + 'static,
     ) {
+        let read: Read = Box::new(f);
         let name = sanitize(name, true);
         let labels = clean_labels(labels);
         let mut metrics = self.metrics.lock();
@@ -277,7 +150,7 @@ impl Registry {
         {
             m.kind = kind;
             m.help = help.to_string();
-            m.source = Source::Observed(f);
+            m.read = read;
             return;
         }
         metrics.push(Metric {
@@ -285,14 +158,14 @@ impl Registry {
             help: help.to_string(),
             kind,
             labels,
-            source: Source::Observed(f),
+            read,
         });
     }
 
     /// Point-in-time values of every registered metric, sorted by
-    /// `(name, labels)`. Counters read under relaxed ordering, so a
-    /// snapshot taken concurrently with increments sees each cell's value
-    /// at *some* moment during the snapshot — never a torn or decreasing
+    /// `(name, labels)`. Each closure reads its state once, so a snapshot
+    /// taken concurrently with increments sees each counter's value at
+    /// *some* moment during the snapshot — never a torn or decreasing
     /// counter.
     pub fn snapshot(&self) -> Vec<Sample> {
         let metrics = self.metrics.lock();
@@ -303,10 +176,7 @@ impl Registry {
                 help: m.help.clone(),
                 kind: m.kind,
                 labels: m.labels.clone(),
-                value: match &m.source {
-                    Source::Owned(cell) => cell.load(Ordering::Relaxed),
-                    Source::Observed(f) => f(),
-                },
+                value: (m.read)(),
             })
             .collect();
         drop(metrics);
@@ -327,15 +197,22 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// An observed counter over a fresh cell; returns the cell.
+    fn counter(reg: &Registry, name: &str, labels: &[(&str, &str)]) -> Arc<AtomicU64> {
+        let cell = Arc::new(AtomicU64::new(0));
+        let c = cell.clone();
+        reg.observe_counter(name, "h", labels, move || c.load(Ordering::Relaxed));
+        cell
+    }
 
     #[test]
-    fn owned_counter_roundtrip() {
+    fn observed_counter_roundtrip() {
         let reg = Registry::new();
-        let c = reg.counter("ldp_test_total", "test counter");
-        c.inc();
-        c.add(4);
-        c.add(0);
-        assert_eq!(c.get(), 5);
+        let c = counter(&reg, "ldp_test_total", &[]);
+        c.fetch_add(5, Ordering::Relaxed);
         let snap = reg.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].value, 5);
@@ -343,17 +220,16 @@ mod tests {
     }
 
     #[test]
-    fn reregistration_shares_the_cell() {
+    fn reregistration_replaces_the_closure() {
         let reg = Registry::new();
-        let a = reg.counter_with("ldp_shared_total", "h", &[("shard", "0")]);
-        let b = reg.counter_with("ldp_shared_total", "h", &[("shard", "0")]);
-        a.inc();
-        b.inc();
-        assert_eq!(a.get(), 2, "same (name, labels) share one cell");
-        assert_eq!(reg.len(), 1);
+        let old = counter(&reg, "ldp_shared_total", &[("shard", "0")]);
+        let new = counter(&reg, "ldp_shared_total", &[("shard", "0")]);
+        old.store(1, Ordering::Relaxed);
+        new.store(2, Ordering::Relaxed);
+        assert_eq!(reg.len(), 1, "same (name, labels) is one metric");
+        assert_eq!(reg.snapshot()[0].value, 2, "the newest state wins");
         // A different label set is a distinct metric.
-        let c = reg.counter_with("ldp_shared_total", "h", &[("shard", "1")]);
-        c.inc();
+        counter(&reg, "ldp_shared_total", &[("shard", "1")]);
         assert_eq!(reg.len(), 2);
     }
 
@@ -366,6 +242,7 @@ mod tests {
             s.load(Ordering::Relaxed)
         });
         assert_eq!(reg.snapshot()[0].value, 7);
+        assert_eq!(reg.snapshot()[0].kind, MetricKind::Gauge);
         state.store(11, Ordering::Relaxed);
         assert_eq!(reg.snapshot()[0].value, 11);
     }
@@ -373,9 +250,9 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_regardless_of_registration_order() {
         let reg = Registry::new();
-        reg.counter_with("zzz_total", "z", &[]);
-        reg.counter_with("aaa_total", "a", &[("shard", "1")]);
-        reg.counter_with("aaa_total", "a", &[("shard", "0")]);
+        counter(&reg, "zzz_total", &[]);
+        counter(&reg, "aaa_total", &[("shard", "1")]);
+        counter(&reg, "aaa_total", &[("shard", "0")]);
         let names: Vec<String> = reg
             .snapshot()
             .iter()
@@ -389,8 +266,7 @@ mod tests {
     #[test]
     fn bad_names_are_sanitized_not_fatal() {
         let reg = Registry::new();
-        let c = reg.counter_with("9bad name-total", "h", &[("bad key", "any value ok")]);
-        c.inc();
+        counter(&reg, "9bad name-total", &[("bad key", "any value ok")]);
         let snap = reg.snapshot();
         assert_eq!(snap[0].name, "_bad_name_total");
         assert_eq!(snap[0].labels[0].0, "bad_key");
@@ -399,11 +275,10 @@ mod tests {
 
     #[test]
     fn snapshot_consistent_under_concurrent_increments() {
-        // The satellite-3 consistency test: hammer one counter from many
-        // threads while snapshotting; every snapshot must be monotone and
-        // the final value exact.
+        // Hammer one observed cell from many threads while snapshotting;
+        // every snapshot must be monotone and the final value exact.
         let reg = Arc::new(Registry::new());
-        let c = reg.counter("ldp_concurrent_total", "hammered");
+        let c = counter(&reg, "ldp_concurrent_total", &[]);
         const THREADS: usize = 8;
         const PER_THREAD: u64 = 50_000;
         let mut workers = Vec::new();
@@ -411,7 +286,7 @@ mod tests {
             let c = c.clone();
             workers.push(std::thread::spawn(move || {
                 for _ in 0..PER_THREAD {
-                    c.inc();
+                    c.fetch_add(1, Ordering::Relaxed);
                 }
             }));
         }
@@ -430,6 +305,10 @@ mod tests {
             w.join().unwrap();
         }
         observer.join().unwrap();
-        assert_eq!(c.get(), THREADS as u64 * PER_THREAD, "no lost increments");
+        assert_eq!(
+            reg.snapshot()[0].value,
+            THREADS as u64 * PER_THREAD,
+            "no lost increments"
+        );
     }
 }

@@ -295,10 +295,29 @@ impl Drop for SamplerDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
-    fn registry_with_counter(name: &str, shard: &str) -> (Arc<Registry>, crate::Counter) {
+    /// An observed counter over a fresh cell, bumped with `add`.
+    struct Cell(Arc<AtomicU64>);
+
+    impl Cell {
+        fn on(reg: &Registry, name: &str, shard: &str) -> Cell {
+            let cell = Arc::new(AtomicU64::new(0));
+            let c = cell.clone();
+            reg.observe_counter(name, "h", &[("shard", shard)], move || {
+                c.load(Ordering::Relaxed)
+            });
+            Cell(cell)
+        }
+
+        fn add(&self, n: u64) {
+            self.0.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    fn registry_with_counter(name: &str, shard: &str) -> (Arc<Registry>, Cell) {
         let reg = Arc::new(Registry::new());
-        let c = reg.counter_with(name, "h", &[("shard", shard)]);
+        let c = Cell::on(&reg, name, shard);
         (reg, c)
     }
 
@@ -318,8 +337,8 @@ mod tests {
     #[test]
     fn family_totals_sum_across_shards() {
         let reg = Arc::new(Registry::new());
-        let a = reg.counter_with("ldp_y_total", "h", &[("shard", "0")]);
-        let b = reg.counter_with("ldp_y_total", "h", &[("shard", "1")]);
+        let a = Cell::on(&reg, "ldp_y_total", "0");
+        let b = Cell::on(&reg, "ldp_y_total", "1");
         let mut s = Sampler::new(reg, 16);
         a.add(5);
         b.add(7);

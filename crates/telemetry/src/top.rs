@@ -324,8 +324,12 @@ garbage line without a number
     #[test]
     fn top_against_live_endpoint_single_iteration() {
         let reg = Arc::new(Registry::new());
-        reg.counter_with("ldp_replay_sent_total", "Queries sent", &[("shard", "0")])
-            .add(5);
+        reg.observe_counter(
+            "ldp_replay_sent_total",
+            "Queries sent",
+            &[("shard", "0")],
+            || 5,
+        );
         let server = MetricsServer::start("127.0.0.1:0", reg).unwrap();
         let opts = TopOptions {
             addr: server.addr().to_string(),

@@ -46,9 +46,17 @@ done
 # Give the shards a beat to register their counters, then scrape once.
 sleep 1
 "$LDPLAYER" top --metrics-addr "$ADDR" --iterations 1 --raw >"$DIR/scrape.txt"
-for fam in ldp_replay_sent_total ldp_replay_queue_depth \
-    ldp_replay_in_flight ldp_replay_timeouts_total; do
-    grep -q "$fam" "$DIR/scrape.txt" || {
+# Every family the replay registers per shard: one for each cell of the
+# shard's counter block (`FAMILIES` in crates/replay/src/engine.rs).
+for fam in ldp_replay_sent_total ldp_replay_answered_total \
+    ldp_replay_late_total ldp_replay_send_lag_us_total \
+    ldp_replay_timeouts_total ldp_replay_retries_total \
+    ldp_replay_reconnects_total ldp_replay_gave_up_total \
+    ldp_replay_errors_total ldp_replay_id_collisions_total \
+    ldp_replay_batches_total ldp_replay_postman_stalls_total \
+    ldp_replay_max_queue_depth ldp_replay_queue_depth \
+    ldp_replay_in_flight; do
+    grep -q "^$fam{" "$DIR/scrape.txt" || {
         echo "scrape smoke: family $fam missing from exposition:" >&2
         cat "$DIR/scrape.txt" >&2
         exit 1
