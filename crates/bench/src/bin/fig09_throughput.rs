@@ -135,6 +135,15 @@ async fn main() {
         .expect("replay task joins")
         .expect("replay runs");
     let total_sent = out.sent;
+    // What came back, over the same send phase the rate is measured on.
+    let answered = out.answered;
+    let answer_ratio = answered as f64 / total_sent.max(1) as f64;
+    let answered_qps = if out.send_duration_us == 0 {
+        0.0
+    } else {
+        answered as f64 / (out.send_duration_us as f64 / 1e6)
+    };
+    let rss_mb = max_rss_bytes() as f64 / 1e6;
     let last_shards = out.shards;
 
     // Where the pipeline saturates: deep queues = send-bound shards,
@@ -176,10 +185,10 @@ async fn main() {
             .udp_queries
             .load(std::sync::atomic::Ordering::Relaxed)),
     ]);
-    summary.row(vec![
-        json!("replay process max RSS (MB)"),
-        json!(max_rss_bytes() as f64 / 1e6),
-    ]);
+    summary.row(vec![json!("answered"), json!(answered)]);
+    summary.row(vec![json!("answer ratio"), json!(answer_ratio)]);
+    summary.row(vec![json!("answered rate (q/s)"), json!(answered_qps)]);
+    summary.row(vec![json!("replay process max RSS (MB)"), json!(rss_mb)]);
 
     println!(
         "\npaper shape: flat CPU-bound plateau; 87 k q/s (60 Mb/s) on the paper's 2.4 GHz Xeon"
@@ -207,6 +216,10 @@ async fn main() {
         "windows": window,
         "total_queries": total_sent,
         "mean_rate_qps": mean,
+        "answered": answered,
+        "answer_ratio": answer_ratio,
+        "answered_qps": answered_qps,
+        "replay_rss_mb": rss_mb,
         "shards": last_shards,
         "totals": totals,
     });

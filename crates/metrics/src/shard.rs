@@ -133,6 +133,10 @@ pub struct ShardStats {
     /// 65,536 ids are outstanding. An answer to the overwritten query can
     /// then be credited to the new one.
     pub id_collisions: u64,
+    /// Answers whose message id was in flight, but on another of the
+    /// querier's sockets: not credited, and the query stays in flight. A
+    /// late answer to an id since reused elsewhere lands here.
+    pub mismatched_answers: u64,
     /// Batches drained from this shard's queue.
     pub batches: u64,
     /// Times the postman found this shard's queue full and had to wait —
@@ -155,7 +159,7 @@ impl ShardStats {
     /// One-line rendering for the experiment binaries' shard tables.
     pub fn row(&self) -> String {
         format!(
-            "shard {:<3} sent={:<9} answered={:<9} late={:<7} timeouts={:<6} retries={:<6} reconnects={:<4} gave_up={:<6} errors={:<5} id_collisions={:<5} batches={:<7} stalls={:<6} maxdepth={:<4} meandepth={:.2}",
+            "shard {:<3} sent={:<9} answered={:<9} late={:<7} timeouts={:<6} retries={:<6} reconnects={:<4} gave_up={:<6} errors={:<5} id_collisions={:<5} mismatched={:<5} batches={:<7} stalls={:<6} maxdepth={:<4} meandepth={:.2}",
             self.shard,
             self.sent,
             self.answered,
@@ -166,6 +170,7 @@ impl ShardStats {
             self.gave_up,
             self.errors,
             self.id_collisions,
+            self.mismatched_answers,
             self.batches,
             self.postman_stalls,
             self.max_queue_depth,
@@ -236,6 +241,7 @@ pub struct ShardCounters {
     pub gave_up: Cell,
     pub errors: Cell,
     pub id_collisions: Cell,
+    pub mismatched_answers: Cell,
     pub batches: Cell,
     pub postman_stalls: Cell,
     pub max_queue_depth: Cell,
@@ -260,6 +266,7 @@ impl ShardCounters {
             gave_up: self.gave_up.get(),
             errors: self.errors.get(),
             id_collisions: self.id_collisions.get(),
+            mismatched_answers: self.mismatched_answers.get(),
             batches: self.batches.get(),
             postman_stalls: self.postman_stalls.get(),
             max_queue_depth: u32::try_from(self.max_queue_depth.get()).unwrap_or(u32::MAX),
@@ -280,6 +287,7 @@ pub struct PipelineTotals {
     pub gave_up: u64,
     pub errors: u64,
     pub id_collisions: u64,
+    pub mismatched_answers: u64,
     pub batches: u64,
     pub postman_stalls: u64,
     pub max_queue_depth: u32,
@@ -298,6 +306,7 @@ impl PipelineTotals {
             t.gave_up += s.gave_up;
             t.errors += s.errors;
             t.id_collisions += s.id_collisions;
+            t.mismatched_answers += s.mismatched_answers;
             t.batches += s.batches;
             t.postman_stalls += s.postman_stalls;
             t.max_queue_depth = t.max_queue_depth.max(s.max_queue_depth);
@@ -366,6 +375,8 @@ mod tests {
         b.errors = 5;
         a.id_collisions = 2;
         b.id_collisions = 4;
+        a.mismatched_answers = 1;
+        b.mismatched_answers = 3;
         let t = PipelineTotals::from_shards(&[a, b]);
         assert_eq!(t.sent, 30);
         assert_eq!(t.answered, 15);
@@ -378,6 +389,7 @@ mod tests {
         assert_eq!(t.gave_up, 1);
         assert_eq!(t.errors, 5);
         assert_eq!(t.id_collisions, 6);
+        assert_eq!(t.mismatched_answers, 4);
     }
 
     #[test]
@@ -393,6 +405,7 @@ mod tests {
             &c.gave_up,
             &c.errors,
             &c.id_collisions,
+            &c.mismatched_answers,
             &c.batches,
             &c.postman_stalls,
             &c.max_queue_depth,
@@ -412,8 +425,13 @@ mod tests {
             (6, 7, 8, 9)
         );
         assert_eq!(
-            (s.batches, s.postman_stalls, s.max_queue_depth),
-            (10, 11, 12)
+            (
+                s.mismatched_answers,
+                s.batches,
+                s.postman_stalls,
+                s.max_queue_depth
+            ),
+            (10, 11, 12, 13)
         );
         assert_eq!(s.depths, depths);
     }

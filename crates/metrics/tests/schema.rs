@@ -30,6 +30,7 @@ fn shard_stats_schema() {
             "gave_up",
             "errors",
             "id_collisions",
+            "mismatched_answers",
             "batches",
             "postman_stalls",
             "max_queue_depth",
@@ -53,6 +54,7 @@ fn pipeline_totals_schema() {
             "gave_up",
             "errors",
             "id_collisions",
+            "mismatched_answers",
             "batches",
             "postman_stalls",
             "max_queue_depth",

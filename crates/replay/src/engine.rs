@@ -69,7 +69,7 @@ use ldp_obs::{ReplaySpans, Stage};
 use ldp_telemetry::MetricKind;
 use ldp_trace::{Protocol, TraceRecord};
 
-use crate::ledger::{InFlight, Ledger, ObsCtx, PendingTable, ReadClock, SockRef};
+use crate::ledger::{Ledger, ObsCtx, PendingTable, ReadClock, SockRef};
 use crate::outcome::{Outcomes, Row, ShardLog};
 use crate::plan::{Batcher, ReplayPlan};
 use crate::ready::Readiness;
@@ -530,12 +530,12 @@ const BATCH_HORIZON_US: u64 = 100_000;
 /// quartile window).
 const LATE_BUDGET_US: u64 = 10_000;
 
-/// Where a run goes: the UDP socket slot or the source's TCP connection,
-/// or nowhere because the bind/connect failed.
+/// Where a run goes: the UDP socket slot or the source's TCP connection
+/// index, or nowhere because the bind/connect failed.
 #[derive(Debug, Clone, Copy)]
 enum Route {
     Udp(usize),
-    Tcp,
+    Tcp(usize),
     Failed(ReplayError),
 }
 
@@ -592,7 +592,7 @@ pub type Family = (
 /// The replay's telemetry families, one per cell of a shard's
 /// [`ShardCounters`]. Each shard registers every family under its `shard`
 /// label.
-pub const FAMILIES: [Family; 15] = [
+pub const FAMILIES: [Family; 16] = [
     (
         "ldp_replay_sent_total",
         "Queries put on the wire",
@@ -654,6 +654,12 @@ pub const FAMILIES: [Family; 15] = [
         |c| c.id_collisions.get(),
     ),
     (
+        "ldp_replay_mismatched_answers_total",
+        "Answers whose id was in flight on another of the querier's sockets, not credited",
+        MetricKind::Counter,
+        |c| c.mismatched_answers.get(),
+    ),
+    (
         "ldp_replay_batches_total",
         "Batches drained from the querier's queue",
         MetricKind::Counter,
@@ -705,10 +711,6 @@ const RECV_BUF: usize = 2_048;
 /// frame does not fit, so a trace with thousands of sources stays cheap.
 const TCP_READ_BUF: usize = 4_096;
 
-/// Readiness tokens: a UDP socket slot as is, a TCP connection with this
-/// bit set.
-const TCP_TOKEN: u64 = 1 << 32;
-
 /// How often the post-send drain looks for answers.
 const DRAIN_POLL: Duration = Duration::from_millis(5);
 
@@ -719,9 +721,10 @@ struct ReadBufs {
     /// UDP: one buffer per datagram, and each datagram's length and stamp.
     datagrams: Vec<Vec<u8>>,
     got: Vec<(usize, Option<SystemTime>)>,
-    /// Expiry: due wheel entries and the retransmits they call for.
-    due: Vec<(u16, u32)>,
-    resend: Vec<(u32, Box<[u8]>)>,
+    /// Expiry: due wheel entries and the retransmits they call for, as
+    /// (UDP socket slot, id).
+    due: Vec<(u16, u8)>,
+    resend: Vec<(u32, u16)>,
 }
 
 /// Socket/connection state one querier owns, factored out so the batch
@@ -788,7 +791,8 @@ impl QuerierState {
         // Best effort: without stamps, a latency runs to its read.
         let _ = socket.set_arrival_stamps();
         let s = self.udp.len();
-        self.readiness.add(&socket, s as u64);
+        self.readiness
+            .add(&socket, u64::from(SockRef::Udp(s as u32).token()));
         self.udp.push(socket);
         if let Some(r) = self.routes_mut(src) {
             r.udp = Some(s);
@@ -844,29 +848,14 @@ impl QuerierState {
                     i
                 }
             };
-            self.readiness.add(&conn.stream, TCP_TOKEN | i as u64);
+            self.readiness
+                .add(&conn.stream, u64::from(SockRef::Tcp(i as u32).token()));
             if let Some(slot) = self.tcp.get_mut(i) {
                 *slot = Some(conn);
             }
             return Some(i);
         }
         None
-    }
-
-    /// Builds the in-flight entry for a fresh (attempt-0) send.
-    fn in_flight(&self, slot: usize, sent_at: Instant, sock: SockRef, wire: &[u8]) -> InFlight {
-        InFlight {
-            slot,
-            sent_at,
-            deadline: self
-                .policy
-                .is_enabled()
-                .then(|| sent_at + self.policy.timeout),
-            attempt: 0,
-            sock,
-            wire: (self.policy.retains_wire() && matches!(sock, SockRef::Udp(_)))
-                .then(|| wire.to_vec().into_boxed_slice()),
-        }
     }
 
     /// The next message id with no query in flight. Only when all 65,536
@@ -887,11 +876,10 @@ impl QuerierState {
         let mut tokens = std::mem::take(&mut self.bufs.tokens);
         self.readiness.ready(&mut tokens);
         for &token in &tokens {
-            let i = (token & !TCP_TOKEN) as usize;
-            if token & TCP_TOKEN == 0 {
-                self.read_udp(i);
-            } else {
-                self.read_tcp(i);
+            match u32::try_from(token).map(SockRef::from_token) {
+                Ok(SockRef::Udp(s)) => self.read_udp(s as usize),
+                Ok(SockRef::Tcp(i)) => self.read_tcp(i as usize),
+                Err(_) => {}
             }
         }
         self.bufs.tokens = tokens;
@@ -968,13 +956,14 @@ impl QuerierState {
         let Some(socket) = self.udp.get(slot) else {
             return;
         };
+        let sock = SockRef::Udp(slot as u32);
         let bufs = &mut self.bufs;
         while let Ok(n) = socket.try_recv_many_stamped(&mut bufs.datagrams, &mut bufs.got) {
             let read = ReadClock::now();
             for (buf, &(len, stamp)) in bufs.datagrams.iter().zip(&bufs.got) {
                 if let (2.., [a, b, ..]) = (len, buf.as_slice()) {
                     self.ledger
-                        .answer(u16::from_be_bytes([*a, *b]), stamp, read);
+                        .answer(u16::from_be_bytes([*a, *b]), sock, stamp, read);
                 }
             }
             if n < bufs.datagrams.len() {
@@ -986,9 +975,10 @@ impl QuerierState {
     /// Reads TCP connection `i`; EOF or a read error closes it.
     fn read_tcp(&mut self, i: usize) {
         if let Some(slot) = self.tcp.get_mut(i) {
+            let sock = SockRef::Tcp(i as u32);
             if slot
                 .as_mut()
-                .is_some_and(|c| !c.read_answers(&mut self.ledger))
+                .is_some_and(|c| !c.read_answers(&mut self.ledger, sock))
             {
                 *slot = None;
             }
@@ -1016,14 +1006,15 @@ impl QuerierState {
             &mut bufs.resend,
             ledger.obs.as_ref(),
         );
-        for (s, wire) in bufs.resend.drain(..) {
-            let Some(socket) = self.udp.get(s as usize) else {
+        for (s, id) in bufs.resend.drain(..) {
+            let (Some(socket), Some(wire)) = (self.udp.get(s as usize), ledger.pending.wire(id))
+            else {
                 continue;
             };
             // A retransmit the kernel refuses never reached the wire: it
             // is neither a retry nor a record error (the record was sent),
             // and the attempt expires at its deadline as usual.
-            if socket.send_to(&wire, self.server).await.is_ok() {
+            if socket.send_to(wire, self.server).await.is_ok() {
                 ledger.counters.retries.bump(1);
             }
         }
@@ -1144,7 +1135,7 @@ impl QuerierTask {
                 state
                     .tcp_conn(src)
                     .await
-                    .map_or(Route::Failed(ReplayError::Connect), |_| Route::Tcp)
+                    .map_or(Route::Failed(ReplayError::Connect), Route::Tcp)
             };
             state.add_row(&batch[i], src);
             // Grow the run by every following record that is already due
@@ -1159,10 +1150,10 @@ impl QuerierTask {
                         let other = state.source(rec.src);
                         (state.known_udp_slot(other) == Some(s)).then_some(other)
                     }
-                    Route::Tcp if rec.protocol != Protocol::Udp => {
+                    Route::Tcp(_) if rec.protocol != Protocol::Udp => {
                         (rec.src == src.addr).then_some(src)
                     }
-                    Route::Udp(_) | Route::Tcp | Route::Failed(_) => None,
+                    Route::Udp(_) | Route::Tcp(_) | Route::Failed(_) => None,
                 };
                 let Some(rec_src) = joins else {
                     break;
@@ -1212,7 +1203,7 @@ impl QuerierTask {
     }
 
     /// Stamps ids on one run, encodes it, registers its in-flight entries
-    /// under one pending-table lock, and puts it on the wire. Leaves one
+    /// in the pending table, and puts it on the wire. Leaves one
     /// result per record in `run.errs`. Returns the span stamp taken just
     /// before the send and the send-completion offset (µs on the epoch).
     async fn send_run(
@@ -1236,7 +1227,7 @@ impl QuerierTask {
                 return (now_us, now_us);
             }
             Route::Udp(slot) => SockRef::Udp(slot as u32),
-            Route::Tcp => SockRef::Tcp,
+            Route::Tcp(i) => SockRef::Tcp(i as u32),
         };
         // A record that fails to encode is never registered, so the
         // pending table only ever holds ids that go on the wire.
@@ -1244,13 +1235,15 @@ impl QuerierTask {
             let id = state.fresh_id();
             rec.message.header.id = id;
             let error = match rec.message.to_bytes() {
-                Ok(wire) if sock == SockRef::Tcp => match ldp_wire::framing::frame_message(&wire) {
-                    Ok(framed) => {
-                        run.framed.extend_from_slice(&framed);
-                        None
+                Ok(wire) if matches!(sock, SockRef::Tcp(_)) => {
+                    match ldp_wire::framing::frame_message(&wire) {
+                        Ok(framed) => {
+                            run.framed.extend_from_slice(&framed);
+                            None
+                        }
+                        Err(_) => Some(ReplayError::Encode),
                     }
-                    Err(_) => Some(ReplayError::Encode),
-                },
+                }
                 Ok(wire) => {
                     run.wires.push(wire);
                     None
@@ -1272,10 +1265,16 @@ impl QuerierTask {
             if error.is_none() {
                 let wire = match sock {
                     SockRef::Udp(_) => wires.next().map_or(&[][..], Vec::as_slice),
-                    SockRef::Tcp => &[],
+                    SockRef::Tcp(_) => &[],
                 };
-                let f = state.in_flight(base + x, sent_at, sock, wire);
-                state.ledger.pending.insert(run.ids[x], f);
+                state.ledger.pending.insert(
+                    run.ids[x],
+                    base + x,
+                    sent_at,
+                    sock,
+                    wire,
+                    &state.policy,
+                );
             }
         }
 
@@ -1314,12 +1313,12 @@ impl QuerierTask {
                     }
                 }
             }
-            Route::Tcp if !run.framed.is_empty() => {
+            Route::Tcp(_) if !run.framed.is_empty() => {
                 // On a write failure, reconnect (counted) and re-send the
-                // run's frames once; answers come back on the new
-                // connection into the same querier-wide pending table, and
-                // a duplicate answer finds no pending entry. A second
-                // failure leaves the run to expire into `gave_up`.
+                // run's frames once. The new connection keeps the old
+                // one's index, so its answers match the run's (socket, id)
+                // entries; a duplicate answer finds no pending entry. A
+                // second failure leaves the run to expire into `gave_up`.
                 for _ in 0..2 {
                     let Some(i) = state.tcp_conn(src).await else {
                         break;
@@ -1332,7 +1331,7 @@ impl QuerierTask {
                     state.close_tcp(i);
                 }
             }
-            Route::Tcp | Route::Failed(_) => {}
+            Route::Tcp(_) | Route::Failed(_) => {}
         }
         (wire_stamp_us, self.now_us())
     }
@@ -1382,7 +1381,7 @@ impl TcpConn {
     /// takes the stamp of the read that completed it: the arrival of the
     /// last segment that read returned. Returns `false` once the peer has
     /// closed or the read failed.
-    fn read_answers(&mut self, ledger: &mut Ledger) -> bool {
+    fn read_answers(&mut self, ledger: &mut Ledger, sock: SockRef) -> bool {
         loop {
             if self.filled == self.buf.len() {
                 self.buf.resize(self.buf.len() * 2, 0);
@@ -1403,7 +1402,7 @@ impl TcpConn {
             let mut rest = &self.buf[..self.filled];
             while let Some((msg, tail)) = ldp_wire::framing::split_frame(rest) {
                 if let [a, b, ..] = *msg {
-                    ledger.answer(u16::from_be_bytes([a, b]), stamp, read);
+                    ledger.answer(u16::from_be_bytes([a, b]), sock, stamp, read);
                 }
                 rest = tail;
             }

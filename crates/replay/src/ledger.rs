@@ -6,10 +6,12 @@
 //! long after it arrived, if the querier was asleep until its next send.
 //! Latency keeps its meaning through the kernel's arrival stamp: an
 //! answer is credited at the instant it reached the socket ([`ReadClock`]),
-//! not at the read.
+//! not at the read. An answer is credited only to a query sent on the
+//! socket it was read from: a query is known by its (socket, id) pair.
 
+use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Instant, SystemTime};
+use std::time::{Duration, Instant, SystemTime};
 
 use ldp_metrics::shard::{Cell, ShardCounters};
 use ldp_obs::{ReplaySpans, Stage};
@@ -17,44 +19,76 @@ use ldp_obs::{ReplaySpans, Stage};
 use crate::outcome::ShardLog;
 use crate::retry::RetryPolicy;
 
-/// Which transport an in-flight query went out on — what expiry needs to
-/// retransmit (UDP, by socket index) or give up (TCP; reconnection is a
-/// send-path concern).
+/// The socket an in-flight query went out on: a UDP socket slot, or a
+/// TCP connection index (stable across reconnects). Expiry retransmits on
+/// the UDP slot or gives up on TCP (reconnection is a send-path concern),
+/// and an answer read from any other socket is not this query's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SockRef {
     Udp(u32),
-    Tcp,
+    Tcp(u32),
 }
 
-/// Everything the answer and timeout paths need to know about one
-/// outstanding query.
+/// The bit that marks a TCP connection in a [`SockRef::token`].
+const TCP_BIT: u32 = 1 << 31;
+
+impl SockRef {
+    /// The socket as one `u32`: the UDP slot as is, a TCP connection
+    /// index with the top bit set. The in-flight table stores it, and the
+    /// querier's readiness set reports it.
+    pub(crate) fn token(self) -> u32 {
+        match self {
+            SockRef::Udp(s) => s & !TCP_BIT,
+            SockRef::Tcp(i) => i | TCP_BIT,
+        }
+    }
+
+    pub(crate) fn from_token(token: u32) -> SockRef {
+        if token & TCP_BIT == 0 {
+            SockRef::Udp(token)
+        } else {
+            SockRef::Tcp(token & !TCP_BIT)
+        }
+    }
+}
+
+/// One outstanding query: what the answer and timeout paths need. The
+/// expiry deadline is not stored but derived ([`PendingTable::deadline`]),
+/// a retransmit's wire lives in the table's wire store, and occupancy in
+/// its bitmap — so the entry stays at 24 bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct InFlight {
     /// Outcome-log row the answer lands in.
-    pub(crate) slot: usize,
-    /// Send time of the *latest* attempt (latency baseline).
-    pub(crate) sent_at: Instant,
-    /// When the current attempt expires; `None` when expiry is disabled.
-    pub(crate) deadline: Option<Instant>,
+    pub(crate) slot: u64,
+    /// Send time of the *latest* attempt (latency baseline), in ns since
+    /// the table's start instant.
+    pub(crate) sent_ns: u64,
+    /// [`SockRef::token`] of the socket the query went out on.
+    pub(crate) sock: u32,
     /// 0 on the first send; bumped per retransmit. Wheel entries carry
     /// the attempt they were scheduled for, so an answered-and-resent id
     /// can't be expired by a stale entry.
-    pub(crate) attempt: u32,
-    pub(crate) sock: SockRef,
-    /// Encoded query for retransmission (UDP with retries enabled only —
-    /// the no-retry hot path never clones wires).
-    pub(crate) wire: Option<Box<[u8]>>,
+    pub(crate) attempt: u8,
 }
 
-/// Querier-wide in-flight table indexed by message id: a flat 65 536-slot
-/// array instead of a `HashMap<u16, _>` — no hashing and no probing on
-/// the two hottest operations (insert on send, take on answer). The
-/// timeout wheel rides in the same struct, so scheduling an expiry is one
-/// push next to the insert.
+const _: () = assert!(std::mem::size_of::<InFlight>() <= 24);
+
+/// Querier-wide in-flight table indexed by message id: a flat 65,536-entry
+/// array (1.6 MB) instead of a `HashMap<u16, _>` — no hashing and no
+/// probing on the two hottest operations (insert on send, take on
+/// answer). The timeout wheel rides in the same struct, so scheduling an
+/// expiry is one push next to the insert. Retransmit wires live in a map
+/// beside it, sized by the queries in flight rather than by the id space,
+/// and filled only for UDP sends under a policy that retransmits.
 pub(crate) struct PendingTable {
-    slots: Vec<Option<InFlight>>,
-    /// One bit per id, set while its slot is occupied: finding a free id
-    /// skips 64 busy ids per word instead of touching their slots.
+    /// The instant `sent_ns` counts from.
+    start: Instant,
+    entries: Vec<InFlight>,
+    /// One bit per id, set while its entry is live: finding a free id
+    /// skips 64 busy ids per word instead of touching their entries.
     occupied: Vec<u64>,
+    /// Query wires kept for retransmission, by id.
+    wires: HashMap<u16, Box<[u8]>>,
     /// Outstanding queries; drives the adaptive post-send drain.
     pub(crate) in_flight: usize,
     wheel: crate::retry::TimeoutWheel,
@@ -66,14 +100,16 @@ const IDS: usize = 1 << 16;
 impl PendingTable {
     pub(crate) fn new(start: Instant) -> PendingTable {
         PendingTable {
-            slots: (0..IDS).map(|_| None).collect(),
+            start,
+            entries: vec![InFlight::default(); IDS],
             occupied: vec![0; IDS / 64],
+            wires: HashMap::new(),
             in_flight: 0,
             wheel: crate::retry::TimeoutWheel::new(start),
         }
     }
 
-    /// The first id after `after` (wrapping) whose slot is free; `None`
+    /// The first id after `after` (wrapping) whose entry is free; `None`
     /// when all 65,536 ids are outstanding.
     pub(crate) fn next_free(&self, after: u16) -> Option<u16> {
         if self.in_flight >= IDS {
@@ -106,29 +142,91 @@ impl PendingTable {
         })
     }
 
-    /// Registers an in-flight id, overwriting a still-outstanding query
-    /// under the same id (see [`PendingTable::allot_id`]).
-    pub(crate) fn insert(&mut self, id: u16, f: InFlight) {
-        let deadline = f.deadline;
-        let attempt = f.attempt;
-        if let Some(slot) = self.slots.get_mut(id as usize) {
-            if slot.replace(f).is_none() {
-                self.in_flight += 1;
-                self.mark(id, true);
-            }
+    /// Registers a first send of `id`, for outcome row `slot`, at
+    /// `sent_at` on `sock`, overwriting a still-outstanding query under
+    /// the same id (see [`PendingTable::allot_id`]). Under a policy that
+    /// expires queries its expiry is scheduled; under one that also
+    /// retransmits, a UDP query's `wire` is kept.
+    pub(crate) fn insert(
+        &mut self,
+        id: u16,
+        slot: usize,
+        sent_at: Instant,
+        sock: SockRef,
+        wire: &[u8],
+        policy: &RetryPolicy,
+    ) {
+        let f = InFlight {
+            slot: slot as u64,
+            sent_ns: nanos_since(self.start, sent_at),
+            sock: sock.token(),
+            attempt: 0,
+        };
+        let Some(e) = self.entries.get_mut(usize::from(id)) else {
+            return;
+        };
+        *e = f;
+        let overwrote = self.is_live(id);
+        if !overwrote {
+            self.in_flight += 1;
+            self.mark(id, true);
         }
-        if let Some(d) = deadline {
-            self.wheel.schedule(id, attempt, d);
+        if policy.retains_wire() && matches!(sock, SockRef::Udp(_)) {
+            self.wires.insert(id, wire.into());
+        } else if overwrote {
+            self.wires.remove(&id);
+        }
+        if policy.is_enabled() {
+            let deadline = self.deadline(id, f, policy);
+            self.wheel.schedule(id, 0, deadline);
         }
     }
 
-    pub(crate) fn remove(&mut self, id: u16) -> Option<InFlight> {
-        let f = self.slots.get_mut(id as usize)?.take();
-        if f.is_some() {
-            self.in_flight -= 1;
-            self.mark(id, false);
+    /// `id`'s entry, while its query is in flight.
+    fn get(&self, id: u16) -> Option<InFlight> {
+        if !self.is_live(id) {
+            return None;
         }
-        f
+        self.entries.get(usize::from(id)).copied()
+    }
+
+    /// Retires `id`'s query, with its kept wire.
+    pub(crate) fn remove(&mut self, id: u16) -> Option<InFlight> {
+        let f = self.get(id)?;
+        self.in_flight -= 1;
+        self.mark(id, false);
+        if !self.wires.is_empty() {
+            self.wires.remove(&id);
+        }
+        Some(f)
+    }
+
+    /// The wire kept for retransmitting `id`, if any.
+    pub(crate) fn wire(&self, id: u16) -> Option<&[u8]> {
+        self.wires.get(&id).map(|w| &w[..])
+    }
+
+    /// When entry `f` of `id` expires: its send time plus the policy's
+    /// timeout on the first attempt, plus `backoff.delay(attempt, id)` on
+    /// a retransmit.
+    fn deadline(&self, id: u16, f: InFlight, policy: &RetryPolicy) -> Instant {
+        let wait = match f.attempt {
+            0 => policy.timeout,
+            n => policy.backoff.delay(u32::from(n), u64::from(id)),
+        };
+        self.sent_at(f) + wait
+    }
+
+    /// When `f`'s latest attempt went out.
+    fn sent_at(&self, f: InFlight) -> Instant {
+        self.start + Duration::from_nanos(f.sent_ns)
+    }
+
+    fn is_live(&self, id: u16) -> bool {
+        let id = usize::from(id);
+        self.occupied
+            .get(id / 64)
+            .is_some_and(|w| w & (1u64 << (id % 64)) != 0)
     }
 
     fn mark(&mut self, id: u16, busy: bool) {
@@ -145,82 +243,73 @@ impl PendingTable {
 
     /// Processes every due wheel entry: validates against the live table,
     /// re-schedules not-yet-due entries, retires exhausted queries
-    /// (`gave_up`), and collects UDP retransmits into `resend` for the
-    /// querier to put on the wire. A `Retry` span event marks the decision
-    /// to retransmit; the datagram goes out right after, and `retries`
-    /// counts it only if the kernel takes it.
+    /// (`gave_up`), and collects UDP retransmits into `resend` as
+    /// (socket slot, id) for the querier to put on the wire with
+    /// [`PendingTable::wire`]. A `Retry` span event marks the decision to
+    /// retransmit; the datagram goes out right after, and `retries`
+    /// counts it only if the kernel takes it. A query is retransmitted at
+    /// most 255 times, whatever the policy allows.
     pub(crate) fn sweep(
         &mut self,
         now: Instant,
         policy: &RetryPolicy,
         counters: &ShardCounters,
-        due: &mut Vec<(u16, u32)>,
-        resend: &mut Vec<(u32, Box<[u8]>)>,
+        due: &mut Vec<(u16, u8)>,
+        resend: &mut Vec<(u32, u16)>,
         obs: Option<&ObsCtx>,
     ) {
         due.clear();
         self.wheel.due(now, due);
         for &(id, attempt) in due.iter() {
-            enum Action {
-                Skip,
-                Reschedule(Instant),
-                Expire,
-            }
-            let action = match self.slots.get(id as usize).and_then(Option::as_ref) {
-                // Answered (or the id was re-used): stale entry.
-                Some(f) if f.attempt != attempt => Action::Skip,
-                None => Action::Skip,
-                Some(f) => match f.deadline {
-                    // Bucket came around a rotation early (or jitter):
-                    // keep the entry alive at its true deadline.
-                    Some(d) if d > now => Action::Reschedule(d),
-                    Some(_) => Action::Expire,
-                    None => Action::Skip,
-                },
+            // Answered (or the id was re-used): stale entry.
+            let Some(mut f) = self.get(id).filter(|f| f.attempt == attempt) else {
+                continue;
             };
-            match action {
-                Action::Skip => {}
-                Action::Reschedule(d) => self.wheel.schedule(id, attempt, d),
-                Action::Expire => {
-                    counters.timeouts.bump(1);
-                    let retryable = self
-                        .slots
-                        .get(id as usize)
-                        .and_then(Option::as_ref)
-                        .is_some_and(|f| {
-                            matches!(f.sock, SockRef::Udp(_))
-                                && f.attempt < policy.max_udp_retries
-                                && f.wire.is_some()
-                        });
-                    if retryable {
-                        if let Some(f) = self.slots.get_mut(id as usize).and_then(Option::as_mut) {
-                            f.attempt += 1;
-                            f.sent_at = now;
-                            let d = now + policy.backoff.delay(f.attempt, u64::from(id));
-                            f.deadline = Some(d);
-                            if let (SockRef::Udp(s), Some(w)) = (f.sock, f.wire.as_ref()) {
-                                resend.push((s, w.clone()));
-                            }
-                            if let Some(o) = obs {
-                                o.record_instant(f.slot, Stage::Retry, now);
-                            }
-                            let a = f.attempt;
-                            self.wheel.schedule(id, a, d);
-                        }
-                    } else {
-                        // Out of attempts (or TCP): the server never
-                        // answered this query.
-                        if let Some(f) = self.remove(id) {
-                            if let Some(o) = obs {
-                                o.record_instant(f.slot, Stage::GaveUp, now);
-                            }
-                        }
-                        counters.gave_up.bump(1);
-                    }
+            let deadline = self.deadline(id, f, policy);
+            if deadline > now {
+                // Bucket came around a rotation early (or jitter): keep
+                // the entry alive at its true deadline.
+                self.wheel.schedule(id, attempt, deadline);
+                continue;
+            }
+            counters.timeouts.bump(1);
+            let udp = match SockRef::from_token(f.sock) {
+                SockRef::Udp(s) => Some(s),
+                SockRef::Tcp(_) => None,
+            };
+            let retry = udp.filter(|_| {
+                u32::from(f.attempt) < policy.max_udp_retries
+                    && f.attempt < u8::MAX
+                    && self.wires.contains_key(&id)
+            });
+            if let Some(s) = retry {
+                f.attempt += 1;
+                f.sent_ns = nanos_since(self.start, now);
+                if let Some(e) = self.entries.get_mut(usize::from(id)) {
+                    *e = f;
                 }
+                resend.push((s, id));
+                if let Some(o) = obs {
+                    o.record_instant(f.slot as usize, Stage::Retry, now);
+                }
+                let deadline = self.deadline(id, f, policy);
+                self.wheel.schedule(id, f.attempt, deadline);
+            } else {
+                // Out of attempts (or TCP): the server never answered
+                // this query.
+                self.remove(id);
+                if let Some(o) = obs {
+                    o.record_instant(f.slot as usize, Stage::GaveUp, now);
+                }
+                counters.gave_up.bump(1);
             }
         }
     }
+}
+
+/// Nanoseconds from `start` to `t` (0 if `t` is earlier).
+fn nanos_since(start: Instant, t: Instant) -> u64 {
+    u64::try_from(t.saturating_duration_since(start).as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// What the querier has learned about its queries: the in-flight table,
@@ -235,20 +324,36 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
-    /// Credits the answer with message id `id` to its in-flight query, at
-    /// the instant the kernel stamped its arrival. A stale or duplicate
-    /// answer finds no entry and is ignored.
-    pub(crate) fn answer(&mut self, id: u16, stamp: Option<SystemTime>, read: ReadClock) {
-        let Some(f) = self.pending.remove(id) else {
+    /// Credits the answer with message id `id`, read from socket `sock`,
+    /// to its in-flight query, at the instant the kernel stamped its
+    /// arrival. A stale or duplicate answer finds no entry and is
+    /// ignored. An answer whose id is in flight on another socket is not
+    /// that query's: it is counted in `mismatched_answers`, and the query
+    /// stays in flight.
+    pub(crate) fn answer(
+        &mut self,
+        id: u16,
+        sock: SockRef,
+        stamp: Option<SystemTime>,
+        read: ReadClock,
+    ) {
+        let Some(f) = self.pending.get(id) else {
             return;
         };
-        let arrived = read.arrival(stamp, f.sent_at);
-        let latency_us = arrived.saturating_duration_since(f.sent_at).as_micros() as u64;
-        if self.log.answer(f.slot, latency_us) {
+        if f.sock != sock.token() {
+            self.counters.mismatched_answers.bump(1);
+            return;
+        }
+        self.pending.remove(id);
+        let sent_at = self.pending.sent_at(f);
+        let arrived = read.arrival(stamp, sent_at);
+        let latency_us = arrived.saturating_duration_since(sent_at).as_micros() as u64;
+        let slot = f.slot as usize;
+        if self.log.answer(slot, latency_us) {
             self.counters.answered.bump(1);
         }
         if let Some(o) = &self.obs {
-            o.record_instant(f.slot, Stage::Answered, arrived);
+            o.record_instant(slot, Stage::Answered, arrived);
         }
     }
 }
@@ -319,15 +424,9 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn in_flight(at: Instant) -> InFlight {
-        InFlight {
-            slot: 0,
-            sent_at: at,
-            deadline: None,
-            attempt: 0,
-            sock: SockRef::Udp(0),
-            wire: None,
-        }
+    /// Registers `id` as a first UDP send at `at`, expiry off.
+    fn send(t: &mut PendingTable, id: u16, at: Instant) {
+        t.insert(id, 0, at, SockRef::Udp(0), b"q", &RetryPolicy::disabled());
     }
 
     #[test]
@@ -336,12 +435,12 @@ mod tests {
         let mut t = PendingTable::new(now);
         assert_eq!(t.next_free(0), Some(1));
         for id in [1u16, 2, 3, 70] {
-            t.insert(id, in_flight(now));
+            send(&mut t, id, now);
         }
         assert_eq!(t.next_free(0), Some(4), "1..=3 are in flight");
         assert_eq!(t.next_free(69), Some(71), "70 is in flight");
-        t.insert(u16::MAX, in_flight(now));
-        t.insert(0, in_flight(now));
+        send(&mut t, u16::MAX, now);
+        send(&mut t, 0, now);
         assert_eq!(
             t.next_free(u16::MAX - 1),
             Some(4),
@@ -358,13 +457,13 @@ mod tests {
         let collisions = Cell::default();
         // Ids 0..=9 stay in flight; the allocator walks around them.
         for id in 0..10 {
-            t.insert(id, in_flight(now));
+            send(&mut t, id, now);
         }
         let mut last = 5;
         for _ in 0..IDS - 10 {
             last = t.allot_id(last, &collisions);
             assert!(last >= 10, "id {last} is still in flight");
-            t.insert(last, in_flight(now));
+            send(&mut t, last, now);
         }
         assert_eq!(t.in_flight, IDS);
         assert_eq!(collisions.get(), 0, "no reuse until full");
@@ -377,6 +476,117 @@ mod tests {
         assert_eq!(t.allot_id(123, &collisions), 40_000);
         assert_eq!(t.allot_id(u16::MAX, &collisions), 40_000);
         assert_eq!(collisions.get(), 1);
+    }
+
+    #[test]
+    fn the_table_allocates_at_most_1_6_mb_without_retries() {
+        let now = Instant::now();
+        let mut t = PendingTable::new(now);
+        for id in 0..1_000 {
+            send(&mut t, id, now);
+        }
+        assert_eq!(t.wires.capacity(), 0, "a wire was kept");
+        let bytes =
+            t.entries.capacity() * std::mem::size_of::<InFlight>() + t.occupied.capacity() * 8;
+        assert!(bytes <= 1_600_000, "the table allocates {bytes} B");
+    }
+
+    #[test]
+    fn socket_tokens_round_trip() {
+        for sock in [
+            SockRef::Udp(0),
+            SockRef::Udp(127),
+            SockRef::Tcp(0),
+            SockRef::Tcp(9),
+        ] {
+            assert_eq!(SockRef::from_token(sock.token()), sock);
+        }
+        assert_ne!(SockRef::Udp(3).token(), SockRef::Tcp(3).token());
+    }
+
+    #[test]
+    fn sweep_derives_each_deadline_then_gives_up() {
+        let policy = RetryPolicy::default();
+        let counters = ShardCounters::default();
+        let (mut due, mut resend) = (Vec::new(), Vec::new());
+        let start = Instant::now();
+        let id = 7;
+        let sent = |start| {
+            let mut t = PendingTable::new(start);
+            t.insert(id, 3, start, SockRef::Udp(1), b"query", &policy);
+            t
+        };
+        let first = start + policy.timeout;
+        let tick = crate::retry::TimeoutWheel::TICK;
+        let ns = Duration::from_nanos(1);
+
+        // Swept first at exactly send + timeout: expired.
+        let mut t = sent(start);
+        t.sweep(first, &policy, &counters, &mut due, &mut resend, None);
+        assert_eq!(counters.timeouts.get(), 1);
+        assert_eq!(resend, [(1, id)]);
+
+        // Not expired a nanosecond before; expired at its tick after.
+        let counters = ShardCounters::default();
+        resend.clear();
+        let mut t = sent(start);
+        let f = t.get(id).expect("in flight");
+        assert_eq!((f.slot, f.attempt), (3, 0));
+        assert_eq!(t.deadline(id, f, &policy), first);
+        t.sweep(first - ns, &policy, &counters, &mut due, &mut resend, None);
+        assert_eq!(counters.timeouts.get(), 0, "expired before its deadline");
+        assert!(resend.is_empty());
+        let mut now = first + tick;
+        t.sweep(now, &policy, &counters, &mut due, &mut resend, None);
+        assert_eq!(counters.timeouts.get(), 1);
+        assert_eq!(resend, [(1, id)]);
+        assert_eq!(t.wire(id), Some(&b"query"[..]));
+
+        // Each retransmit expires at its resend time + backoff.delay(n).
+        for n in 1..=policy.max_udp_retries {
+            let f = t.get(id).expect("still in flight");
+            assert_eq!(u32::from(f.attempt), n);
+            assert_eq!(t.sent_at(f), now);
+            let deadline = now + policy.backoff.delay(n, u64::from(id));
+            assert_eq!(t.deadline(id, f, &policy), deadline);
+            t.sweep(
+                deadline - ns,
+                &policy,
+                &counters,
+                &mut due,
+                &mut resend,
+                None,
+            );
+            assert_eq!(u64::from(n), counters.timeouts.get(), "attempt {n} early");
+            now = deadline + tick;
+            t.sweep(now, &policy, &counters, &mut due, &mut resend, None);
+            assert_eq!(u64::from(n) + 1, counters.timeouts.get(), "attempt {n}");
+        }
+
+        // Out of retransmits: given up, its wire dropped.
+        let retries = policy.max_udp_retries as usize;
+        assert_eq!(resend, vec![(1, id); retries]);
+        assert_eq!(counters.gave_up.get(), 1);
+        assert_eq!(t.get(id), None);
+        assert_eq!(t.in_flight, 0);
+        assert_eq!(t.wire(id), None);
+        assert!(t.wires.is_empty());
+    }
+
+    #[test]
+    fn an_overwritten_or_answered_query_drops_its_wire() {
+        let policy = RetryPolicy::default();
+        let now = Instant::now();
+        let mut t = PendingTable::new(now);
+        t.insert(1, 0, now, SockRef::Udp(0), b"a", &policy);
+        t.insert(2, 1, now, SockRef::Udp(0), b"b", &policy);
+        // Reused by a TCP query, which keeps no wire.
+        t.insert(1, 2, now, SockRef::Tcp(0), b"", &policy);
+        assert_eq!(t.wire(1), None);
+        assert_eq!(t.get(1).map(|f| f.sock), Some(SockRef::Tcp(0).token()));
+        t.remove(2);
+        assert!(t.wires.is_empty());
+        assert_eq!(t.in_flight, 1);
     }
 
     #[test]

@@ -33,7 +33,8 @@ pub struct RetryPolicy {
     /// [`RetryPolicy::disabled`]).
     pub timeout: Duration,
     /// UDP retransmits per query after the first send (0 = never
-    /// retransmit; expiries go straight to `gave_up`).
+    /// retransmit; expiries go straight to `gave_up`). At most 255 are
+    /// made, whatever the value.
     pub max_udp_retries: u32,
     /// Spacing of successive attempts: attempt *n*'s expiry deadline is
     /// its send time plus `backoff.delay(n, id)`.
@@ -99,16 +100,17 @@ impl serde::Serialize for RetryPolicy {
 ///
 /// Entries are `(id, attempt)` pairs hashed into [`TimeoutWheel::BUCKETS`]
 /// buckets by deadline tick. The wheel itself never decides expiry — the
-/// querier re-checks the authoritative deadline stored in the pending
-/// table, so stale entries (the id was answered, or re-used by a later
-/// attempt) cost one skipped lookup, and an entry more than one rotation
-/// out is simply re-scheduled when its bucket comes around early.
+/// querier re-derives the authoritative deadline from the pending table's
+/// entry (its send time plus the timeout or the attempt's backoff), so
+/// stale entries (the id was answered, or re-used by a later attempt)
+/// cost one skipped lookup, and an entry more than one rotation out is
+/// simply re-scheduled when its bucket comes around early.
 #[derive(Debug)]
 pub(crate) struct TimeoutWheel {
     start: Instant,
     /// Last tick whose bucket has been drained.
     swept: u64,
-    buckets: Vec<Vec<(u16, u32)>>,
+    buckets: Vec<Vec<(u16, u8)>>,
 }
 
 impl TimeoutWheel {
@@ -133,7 +135,7 @@ impl TimeoutWheel {
 
     /// Schedules `(id, attempt)` to surface no earlier than `deadline`
     /// (never in an already-swept tick).
-    pub(crate) fn schedule(&mut self, id: u16, attempt: u32, deadline: Instant) {
+    pub(crate) fn schedule(&mut self, id: u16, attempt: u8, deadline: Instant) {
         let tick = self.tick_of(deadline).max(self.swept + 1);
         let bucket = (tick % Self::BUCKETS as u64) as usize;
         self.buckets[bucket].push((id, attempt));
@@ -142,7 +144,7 @@ impl TimeoutWheel {
     /// Drains every bucket whose tick has passed into `out`. Callers must
     /// validate each candidate against the pending table (and re-schedule
     /// entries whose true deadline is still in the future).
-    pub(crate) fn due(&mut self, now: Instant, out: &mut Vec<(u16, u32)>) {
+    pub(crate) fn due(&mut self, now: Instant, out: &mut Vec<(u16, u8)>) {
         let current = self.tick_of(now);
         while self.swept < current {
             self.swept += 1;

@@ -3,7 +3,8 @@
 //! therefore wait in its socket while the querier sleeps to the next
 //! record. These tests check that such an answer keeps its true latency
 //! (the kernel's arrival stamp, not the read) and is never expired while
-//! it waits.
+//! it waits, and that an answer is credited only when it comes back on
+//! the socket its query went out on.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -85,4 +86,54 @@ async fn a_queued_answer_never_expires() {
         assert_eq!(report.timeouts, 0, "{protocol:?}");
         assert_eq!(report.retries, 0, "{protocol:?}");
     }
+}
+
+/// An answer counts only on the socket its query went out on. A server
+/// that sends each answer to the querier's *other* socket (two sources,
+/// one socket each) gets none credited: each answer's id is in flight,
+/// but on the other socket, so it is counted as mismatched and the query
+/// stays in flight until the drain gives up on it.
+#[tokio::test(flavor = "multi_thread")]
+async fn an_answer_on_another_socket_is_not_credited() {
+    let server = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    server
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let addr = server.local_addr().unwrap();
+    let crossed = std::thread::spawn(move || {
+        let mut queries = Vec::new();
+        let mut buf = [0u8; 512];
+        while queries.len() < 2 {
+            let (len, peer) = server.recv_from(&mut buf).unwrap();
+            queries.push((buf[..len].to_vec(), peer));
+        }
+        let [(q0, p0), (q1, p1)] = <[_; 2]>::try_from(queries).unwrap();
+        assert_ne!(p0, p1, "the two sources share a socket");
+        server.send_to(&q0, p1).unwrap();
+        server.send_to(&q1, p0).unwrap();
+    });
+    let records = (0..2u64)
+        .map(|i| {
+            TraceRecord::udp_query(
+                i,
+                format!("10.0.0.{}", i + 1).parse().unwrap(),
+                1024,
+                Name::parse("www.example.com").unwrap(),
+                RrType::A,
+            )
+        })
+        .collect();
+    let replay = LiveReplay {
+        mode: ReplayMode::Fast,
+        queriers_per_distributor: 1,
+        max_sockets_per_querier: 2,
+        retry: RetryPolicy::disabled(),
+        drain: Duration::from_millis(300),
+        ..LiveReplay::new(addr)
+    };
+    let report = replay.run(records).await.unwrap();
+    crossed.join().unwrap();
+    assert_eq!(report.sent, 2);
+    assert_eq!(report.answered, 0, "an answer was credited across sockets");
+    assert_eq!(report.shards[0].mismatched_answers, 2);
 }

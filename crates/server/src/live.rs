@@ -252,7 +252,8 @@ impl LiveServer {
 /// Datagrams per `recvmmsg` batch. Under load a replay client's sendmmsg
 /// bursts queue dozens of queries between server wakeups; draining them in
 /// one kernel entry (and answering with one `sendmmsg`) cuts the server's
-/// syscall cost from two per query to two per batch.
+/// syscall cost from two per query to two per batch. Both calls fill
+/// buffers the loop owns, so a batch allocates nothing.
 const UDP_BATCH: usize = 64;
 
 /// Where a queued UDP response sits in the batch's answer buffer.
@@ -321,6 +322,7 @@ async fn serve_udp(
         started: Instant::now(),
     };
     let mut bufs: Vec<Vec<u8>> = (0..UDP_BATCH).map(|_| vec![0u8; 65_535]).collect();
+    let mut received: Vec<(usize, SocketAddr)> = Vec::with_capacity(UDP_BATCH);
     // A batch's responses, back to back in one reused buffer; `replies`
     // says where each one sits and where it goes.
     let mut answers: Vec<u8> = Vec::with_capacity(UDP_BATCH * 512);
@@ -330,9 +332,9 @@ async fn serve_udp(
     // path entirely; see [`crate::pktcache`].
     let mut cache = PacketCache::with_stats(8_192, stats.pktcache.clone());
     loop {
-        let Ok(received) = socket.recv_many(&mut bufs).await else {
+        if socket.recv_many(&mut bufs, &mut received).await.is_err() {
             continue;
-        };
+        }
         let handle_start = Instant::now();
         let queries_before = stats.udp_queries.load(Ordering::Relaxed);
         answers.clear();
@@ -375,12 +377,12 @@ async fn serve_udp(
         }
         let handled = stats.udp_queries.load(Ordering::Relaxed) - queries_before;
         stats.record_handle(handle_start.elapsed().as_micros() as u64, handled);
-        let msgs: Vec<(&[u8], SocketAddr)> = replies
-            .iter()
-            .filter_map(|(at, peer)| Some((answers.get(at.clone())?, *peer)))
-            .collect();
-        let sent = socket.send_many_to_each(&msgs).await.unwrap_or(0);
-        for (bytes, peer) in &msgs[sent..] {
+        let sent = socket
+            .send_many_to_each(&answers, &replies)
+            .await
+            .unwrap_or(0);
+        for (at, peer) in replies.get(sent..).unwrap_or_default() {
+            let bytes = answers.get(at.clone()).unwrap_or_default();
             if socket.send_to(bytes, *peer).await.is_err() {
                 stats.send_failures.fetch_add(1, Ordering::Relaxed);
             }

@@ -12,12 +12,17 @@
 //! * `Message::from_bytes` of a one-question query allocates at most 3
 //!   times, plus the EDNS option list and each option's data when the
 //!   query carries options (a cookie, say).
+//!
+//! The live server's UDP batch calls, `recv_many` and `send_many_to_each`,
+//! allocate nothing per 64-datagram batch either.
 
 mod corpus;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::net::IpAddr;
+use std::net::{IpAddr, SocketAddr};
+use std::ops::Range;
+use std::time::Duration;
 
 use corpus::*;
 use ldp_server::auth::AuthEngine;
@@ -165,4 +170,57 @@ fn from_bytes_of_a_one_question_query_allocates_at_most_three_times() {
             );
         }
     }
+}
+
+#[test]
+fn udp_batch_calls_allocate_nothing_per_batch() {
+    const BATCH: usize = 64;
+    let runtime = tokio::runtime::Runtime::new().expect("runtime");
+    runtime.block_on(async {
+        let server = tokio::net::UdpSocket::bind("127.0.0.1:0")
+            .await
+            .expect("bind");
+        let client = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let to = server.local_addr().expect("address");
+        let peer = client.local_addr().expect("address");
+        let mut bufs: Vec<Vec<u8>> = (0..BATCH).map(|_| vec![0u8; 512]).collect();
+        let mut received = Vec::with_capacity(BATCH);
+        let answers: Vec<u8> = (0..BATCH * 4).map(|i| (i % 251) as u8).collect();
+        let replies: Vec<(Range<usize>, SocketAddr)> =
+            (0..BATCH).map(|i| (i * 4..i * 4 + 4, peer)).collect();
+        let mut echo = [0u8; 64];
+        // Batch 0 warms up; every later batch is counted.
+        for batch in 0..4 {
+            for i in 0..BATCH {
+                client.send_to(&[i as u8; 12], to).expect("query");
+            }
+            let before = ALLOCS.with(Cell::get);
+            let mut got = 0;
+            while got < BATCH {
+                got += server
+                    .recv_many(&mut bufs, &mut received)
+                    .await
+                    .expect("recv_many");
+                assert!(received
+                    .iter()
+                    .all(|&(len, from)| len == 12 && from == peer));
+            }
+            let sent = server
+                .send_many_to_each(&answers, &replies)
+                .await
+                .expect("send_many_to_each");
+            let allocs = ALLOCS.with(Cell::get) - before;
+            assert_eq!((got, sent), (BATCH, BATCH));
+            for i in 0..BATCH {
+                let (len, _) = client.recv_from(&mut echo).expect("answer");
+                assert_eq!(echo[..len], answers[i * 4..i * 4 + 4]);
+            }
+            if batch > 0 {
+                assert_eq!(allocs, 0, "batch {batch}: the batch calls allocated");
+            }
+        }
+    });
 }

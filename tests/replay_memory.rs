@@ -15,6 +15,10 @@
 //! One 32-byte outcome row per record fits both. Keeping a second
 //! per-record copy of any size, or converting rows into a larger form at
 //! the end of the run, does not.
+//!
+//! The fixed cost is gated too: the 20,000-record run's peak heap, less
+//! what its report still holds, may be at most 3 MB. The querier's
+//! in-flight table (65,536 entries of 24 bytes) is most of it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -136,12 +140,14 @@ async fn replay_memory_per_record_stays_within_budget() {
 
     let (peak_small, held_small) = measure(&replay, 20_000).await;
     let (peak_large, held_large) = measure(&replay, 80_000).await;
+    let fixed = peak_small.saturating_sub(held_small);
     let extra = 60_000.0;
     let peak_per_record = (peak_large as f64 - peak_small as f64) / extra;
     let held_per_record = (held_large as f64 - held_small as f64) / extra;
     eprintln!(
         "peak {peak_small} → {peak_large} B ({peak_per_record:.1} B/record), \
-         held {held_small} → {held_large} B ({held_per_record:.1} B/record)"
+         held {held_small} → {held_large} B ({held_per_record:.1} B/record), \
+         fixed {fixed} B"
     );
     assert!(
         peak_per_record <= 96.0,
@@ -150,5 +156,9 @@ async fn replay_memory_per_record_stays_within_budget() {
     assert!(
         held_per_record <= 40.0,
         "the report holds {held_per_record:.1} B per record (budget 40 B)"
+    );
+    assert!(
+        fixed <= 3_000_000,
+        "the replay's fixed heap is {fixed} B (budget 3 MB)"
     );
 }
