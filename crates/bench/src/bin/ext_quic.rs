@@ -11,7 +11,7 @@
 //! kernel socket buffers, no TIME_WAIT); CPU sits near TLS (same crypto).
 
 use ldp_bench::{emit, scale, traces, Report, Summary};
-use ldp_replay::simclient::non_busy_latencies_ms;
+use ldp_replay::outcome::non_busy_latencies_ms;
 use ldp_trace::mutate;
 use ldplayer::SimExperiment;
 use serde_json::json;

@@ -12,7 +12,7 @@
 //! * the load CDF shows ~1% of clients carrying ~75% of queries.
 
 use ldp_bench::{emit_with, scale, traces, Cdf, Report, RunManifest};
-use ldp_replay::simclient::{non_busy_latency_hist, per_client_counts};
+use ldp_replay::outcome::{non_busy_latency_hist, per_client_counts};
 use ldp_trace::mutate;
 use ldplayer::SimExperiment;
 use serde_json::json;

@@ -26,7 +26,7 @@ fn hist_quartiles_match_exact_sorted_quantiles() {
     let mut exact: Vec<u64> = result
         .outcomes
         .iter()
-        .filter_map(|o| o.latency_us())
+        .filter_map(|o| o.latency_us)
         .collect();
     exact.sort_unstable();
     assert!(!exact.is_empty(), "no answered queries");

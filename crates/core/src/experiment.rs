@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use ldp_netsim::{NodeId, Sim, SimDuration, SimTime, TcpConfig};
 use ldp_replay::plan::ReplayPlan;
-use ldp_replay::simclient::{SimOutcome, SimQuerier};
+use ldp_replay::sim::SimDriver;
+use ldp_replay::Outcomes;
 use ldp_server::auth::AuthEngine;
 use ldp_server::resource::{ResourceModel, ResourceUsage};
 use ldp_server::sim::{AuthServerNode, ServerSample};
@@ -165,7 +166,7 @@ impl SimExperiment {
             let addr: IpAddr = format!("10.200.{}.{}", i / 250, 1 + i % 250)
                 .parse()
                 .expect("querier addr");
-            let id = sim.add_node(Box::new(SimQuerier::new(
+            let id = sim.add_node(Box::new(SimDriver::new(
                 addr,
                 server_addr,
                 TcpConfig::default(),
@@ -186,23 +187,17 @@ impl SimExperiment {
         let deadline = SimTime::from_micros(trace_end_us) + self.grace;
         sim.run_until(deadline);
 
-        let mut outcomes = Vec::new();
-        // One histogram per querier shard, merged — the same shape the
-        // live engine produces, and what proves LogHistogram::merge is
-        // lossless against the pooled outcome vector.
-        let mut latency_hist = ldp_metrics::LogHistogram::new();
+        // The queriers' logs in querier order, one shard each — the same
+        // shape the live engine's report holds.
+        let mut outcomes = Outcomes::default();
         for id in &querier_ids {
-            let q: &SimQuerier = sim.node_as(*id).expect("querier node");
-            let mut shard_hist = ldp_metrics::LogHistogram::new();
-            for o in &q.outcomes {
-                if let Some(us) = o.latency_us() {
-                    shard_hist.record(us);
-                }
-            }
-            latency_hist.merge(&shard_hist);
-            outcomes.extend(q.outcomes.iter().copied());
+            let q: &SimDriver = sim.node_as(*id).expect("querier node");
+            outcomes.append(q.outcomes());
         }
-        outcomes.sort_by_key(|o| o.trace_time_us);
+        let mut latency_hist = ldp_metrics::LogHistogram::new();
+        for us in outcomes.iter().filter_map(|o| o.latency_us) {
+            latency_hist.record(us);
+        }
         let server: &AuthServerNode = sim.node_as(server_id).expect("server node");
         SimRunResult {
             outcomes,
@@ -221,11 +216,12 @@ impl SimExperiment {
 /// Results of a simulated experiment run.
 #[derive(Debug, Clone)]
 pub struct SimRunResult {
-    /// Per-query outcomes across all queriers, trace-time ordered.
-    pub outcomes: Vec<SimOutcome>,
-    /// Answered-query latencies (µs), merged from one fixed-memory
-    /// histogram per querier shard. Quantiles read from here are exact to
-    /// within one log-bucket width of the sorted-sample quantiles.
+    /// Per-query outcomes, querier by querier, each querier's in trace
+    /// order.
+    pub outcomes: Outcomes,
+    /// Answered-query latencies (µs) in a fixed-memory histogram.
+    /// Quantiles read from here are exact to within one log-bucket width
+    /// of the sorted-sample quantiles.
     pub latency_hist: ldp_metrics::LogHistogram,
     /// Per-interval server samples (memory, connections, CPU, bandwidth).
     pub samples: Vec<ServerSample>,
@@ -243,18 +239,15 @@ impl SimRunResult {
         if self.outcomes.is_empty() {
             return 0.0;
         }
-        self.outcomes
-            .iter()
-            .filter(|o| o.answered_at.is_some())
-            .count() as f64
-            / self.outcomes.len() as f64
+        self.latency_hist.count() as f64 / self.outcomes.len() as f64
     }
 
     /// All latencies in milliseconds.
     pub fn latencies_ms(&self) -> Vec<f64> {
         self.outcomes
             .iter()
-            .filter_map(|o| o.latency_ms())
+            .filter_map(|o| o.latency_us)
+            .map(|us| us as f64 / 1000.0)
             .collect()
     }
 

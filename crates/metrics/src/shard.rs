@@ -137,6 +137,10 @@ pub struct ShardStats {
     /// querier's sockets: not credited, and the query stays in flight. A
     /// late answer to an id since reused elsewhere lands here.
     pub mismatched_answers: u64,
+    /// UDP answers that came back truncated (TC), whose query was asked
+    /// again over TCP (RFC 7766 fallback). The query's latency then runs
+    /// from its UDP send to the TCP answer.
+    pub tc_fallbacks: u64,
     /// Batches drained from this shard's queue.
     pub batches: u64,
     /// Times the postman found this shard's queue full and had to wait —
@@ -159,7 +163,7 @@ impl ShardStats {
     /// One-line rendering for the experiment binaries' shard tables.
     pub fn row(&self) -> String {
         format!(
-            "shard {:<3} sent={:<9} answered={:<9} late={:<7} timeouts={:<6} retries={:<6} reconnects={:<4} gave_up={:<6} errors={:<5} id_collisions={:<5} mismatched={:<5} batches={:<7} stalls={:<6} maxdepth={:<4} meandepth={:.2}",
+            "shard {:<3} sent={:<9} answered={:<9} late={:<7} timeouts={:<6} retries={:<6} reconnects={:<4} gave_up={:<6} errors={:<5} id_collisions={:<5} mismatched={:<5} tc_fallbacks={:<5} batches={:<7} stalls={:<6} maxdepth={:<4} meandepth={:.2}",
             self.shard,
             self.sent,
             self.answered,
@@ -171,6 +175,7 @@ impl ShardStats {
             self.errors,
             self.id_collisions,
             self.mismatched_answers,
+            self.tc_fallbacks,
             self.batches,
             self.postman_stalls,
             self.max_queue_depth,
@@ -242,6 +247,7 @@ pub struct ShardCounters {
     pub errors: Cell,
     pub id_collisions: Cell,
     pub mismatched_answers: Cell,
+    pub tc_fallbacks: Cell,
     pub batches: Cell,
     pub postman_stalls: Cell,
     pub max_queue_depth: Cell,
@@ -267,6 +273,7 @@ impl ShardCounters {
             errors: self.errors.get(),
             id_collisions: self.id_collisions.get(),
             mismatched_answers: self.mismatched_answers.get(),
+            tc_fallbacks: self.tc_fallbacks.get(),
             batches: self.batches.get(),
             postman_stalls: self.postman_stalls.get(),
             max_queue_depth: u32::try_from(self.max_queue_depth.get()).unwrap_or(u32::MAX),
@@ -288,6 +295,7 @@ pub struct PipelineTotals {
     pub errors: u64,
     pub id_collisions: u64,
     pub mismatched_answers: u64,
+    pub tc_fallbacks: u64,
     pub batches: u64,
     pub postman_stalls: u64,
     pub max_queue_depth: u32,
@@ -307,6 +315,7 @@ impl PipelineTotals {
             t.errors += s.errors;
             t.id_collisions += s.id_collisions;
             t.mismatched_answers += s.mismatched_answers;
+            t.tc_fallbacks += s.tc_fallbacks;
             t.batches += s.batches;
             t.postman_stalls += s.postman_stalls;
             t.max_queue_depth = t.max_queue_depth.max(s.max_queue_depth);
@@ -377,6 +386,8 @@ mod tests {
         b.id_collisions = 4;
         a.mismatched_answers = 1;
         b.mismatched_answers = 3;
+        a.tc_fallbacks = 2;
+        b.tc_fallbacks = 5;
         let t = PipelineTotals::from_shards(&[a, b]);
         assert_eq!(t.sent, 30);
         assert_eq!(t.answered, 15);
@@ -390,6 +401,7 @@ mod tests {
         assert_eq!(t.errors, 5);
         assert_eq!(t.id_collisions, 6);
         assert_eq!(t.mismatched_answers, 4);
+        assert_eq!(t.tc_fallbacks, 7);
     }
 
     #[test]
@@ -409,6 +421,7 @@ mod tests {
             &c.batches,
             &c.postman_stalls,
             &c.max_queue_depth,
+            &c.tc_fallbacks,
         ];
         for (v, cell) in (1..).zip(cells) {
             cell.bump(v);
@@ -433,6 +446,7 @@ mod tests {
             ),
             (10, 11, 12, 13)
         );
+        assert_eq!(s.tc_fallbacks, 14);
         assert_eq!(s.depths, depths);
     }
 

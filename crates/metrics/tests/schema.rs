@@ -31,6 +31,7 @@ fn shard_stats_schema() {
             "errors",
             "id_collisions",
             "mismatched_answers",
+            "tc_fallbacks",
             "batches",
             "postman_stalls",
             "max_queue_depth",
@@ -55,6 +56,7 @@ fn pipeline_totals_schema() {
             "errors",
             "id_collisions",
             "mismatched_answers",
+            "tc_fallbacks",
             "batches",
             "postman_stalls",
             "max_queue_depth",

@@ -1,17 +1,15 @@
 //! What a querier knows about its outstanding queries: the in-flight
 //! table with its timeout wheel, and each record's outcome row.
 //!
-//! The querier is the only thread that touches its [`Ledger`]. It sends a
-//! query, registers it here, and later reads the answer itself — possibly
-//! long after it arrived, if the querier was asleep until its next send.
-//! Latency keeps its meaning through the kernel's arrival stamp: an
-//! answer is credited at the instant it reached the socket ([`ReadClock`]),
-//! not at the read. An answer is credited only to a query sent on the
-//! socket it was read from: a query is known by its (socket, id) pair.
+//! Only the querier core touches its [`Ledger`], and the ledger never
+//! reads a clock: every time it sees is a nanosecond offset on the replay
+//! epoch, handed in by the driver. An answer is credited at the instant
+//! the driver says it arrived (a kernel stamp live, the event time in the
+//! simulator), and only to a query sent on the socket it was read from: a
+//! query is known by its (socket, id) pair.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime};
 
 use ldp_metrics::shard::{Cell, ShardCounters};
 use ldp_obs::{ReplaySpans, Stage};
@@ -20,48 +18,49 @@ use crate::outcome::ShardLog;
 use crate::retry::RetryPolicy;
 
 /// The socket an in-flight query went out on: a UDP socket slot, or a
-/// TCP connection index (stable across reconnects). Expiry retransmits on
-/// the UDP slot or gives up on TCP (reconnection is a send-path concern),
-/// and an answer read from any other socket is not this query's.
+/// stream connection index (TCP, TLS or a QUIC session; stable across
+/// reconnects). Expiry retransmits on the UDP slot or gives up on a
+/// connection (reconnection is a send-path concern), and an answer read
+/// from any other socket is not this query's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SockRef {
     Udp(u32),
-    Tcp(u32),
+    Conn(u32),
 }
 
-/// The bit that marks a TCP connection in a [`SockRef::token`].
-const TCP_BIT: u32 = 1 << 31;
+/// The bit that marks a connection in a [`SockRef::token`].
+const CONN_BIT: u32 = 1 << 31;
 
 impl SockRef {
-    /// The socket as one `u32`: the UDP slot as is, a TCP connection
-    /// index with the top bit set. The in-flight table stores it, and the
-    /// querier's readiness set reports it.
+    /// The socket as one `u32`: the UDP slot as is, a connection index
+    /// with the top bit set. The in-flight table stores it, and the live
+    /// driver's readiness set reports it.
     pub(crate) fn token(self) -> u32 {
         match self {
-            SockRef::Udp(s) => s & !TCP_BIT,
-            SockRef::Tcp(i) => i | TCP_BIT,
+            SockRef::Udp(s) => s & !CONN_BIT,
+            SockRef::Conn(i) => i | CONN_BIT,
         }
     }
 
     pub(crate) fn from_token(token: u32) -> SockRef {
-        if token & TCP_BIT == 0 {
+        if token & CONN_BIT == 0 {
             SockRef::Udp(token)
         } else {
-            SockRef::Tcp(token & !TCP_BIT)
+            SockRef::Conn(token & !CONN_BIT)
         }
     }
 }
 
 /// One outstanding query: what the answer and timeout paths need. The
 /// expiry deadline is not stored but derived ([`PendingTable::deadline`]),
-/// a retransmit's wire lives in the table's wire store, and occupancy in
+/// a UDP query's wire lives in the table's wire store, and occupancy in
 /// its bitmap — so the entry stays at 24 bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct InFlight {
     /// Outcome-log row the answer lands in.
     pub(crate) slot: u64,
-    /// Send time of the *latest* attempt (latency baseline), in ns since
-    /// the table's start instant.
+    /// Send time of the *latest* attempt (latency baseline), in ns on the
+    /// replay epoch.
     pub(crate) sent_ns: u64,
     /// [`SockRef::token`] of the socket the query went out on.
     pub(crate) sock: u32,
@@ -77,17 +76,16 @@ const _: () = assert!(std::mem::size_of::<InFlight>() <= 24);
 /// array (1.6 MB) instead of a `HashMap<u16, _>` — no hashing and no
 /// probing on the two hottest operations (insert on send, take on
 /// answer). The timeout wheel rides in the same struct, so scheduling an
-/// expiry is one push next to the insert. Retransmit wires live in a map
-/// beside it, sized by the queries in flight rather than by the id space,
-/// and filled only for UDP sends under a policy that retransmits.
+/// expiry is one push next to the insert. UDP query wires live in a map
+/// beside it, sized by the queries in flight rather than by the id space:
+/// a retransmit resends one, and a truncated answer's query goes out
+/// again over TCP.
 pub(crate) struct PendingTable {
-    /// The instant `sent_ns` counts from.
-    start: Instant,
     entries: Vec<InFlight>,
     /// One bit per id, set while its entry is live: finding a free id
     /// skips 64 busy ids per word instead of touching their entries.
     occupied: Vec<u64>,
-    /// Query wires kept for retransmission, by id.
+    /// UDP query wires, by id.
     wires: HashMap<u16, Box<[u8]>>,
     /// Outstanding queries; drives the adaptive post-send drain.
     pub(crate) in_flight: usize,
@@ -98,14 +96,13 @@ pub(crate) struct PendingTable {
 const IDS: usize = 1 << 16;
 
 impl PendingTable {
-    pub(crate) fn new(start: Instant) -> PendingTable {
+    pub(crate) fn new() -> PendingTable {
         PendingTable {
-            start,
             entries: vec![InFlight::default(); IDS],
             occupied: vec![0; IDS / 64],
             wires: HashMap::new(),
             in_flight: 0,
-            wheel: crate::retry::TimeoutWheel::new(start),
+            wheel: crate::retry::TimeoutWheel::new(),
         }
     }
 
@@ -142,26 +139,11 @@ impl PendingTable {
         })
     }
 
-    /// Registers a first send of `id`, for outcome row `slot`, at
-    /// `sent_at` on `sock`, overwriting a still-outstanding query under
-    /// the same id (see [`PendingTable::allot_id`]). Under a policy that
-    /// expires queries its expiry is scheduled; under one that also
-    /// retransmits, a UDP query's `wire` is kept.
-    pub(crate) fn insert(
-        &mut self,
-        id: u16,
-        slot: usize,
-        sent_at: Instant,
-        sock: SockRef,
-        wire: &[u8],
-        policy: &RetryPolicy,
-    ) {
-        let f = InFlight {
-            slot: slot as u64,
-            sent_ns: nanos_since(self.start, sent_at),
-            sock: sock.token(),
-            attempt: 0,
-        };
+    /// Registers `f` under `id`, overwriting a still-outstanding query
+    /// under the same id (see [`PendingTable::allot_id`]). Under a policy
+    /// that expires queries its expiry is scheduled; a UDP query's `wire`
+    /// is kept.
+    pub(crate) fn insert(&mut self, id: u16, f: InFlight, wire: &[u8], policy: &RetryPolicy) {
         let Some(e) = self.entries.get_mut(usize::from(id)) else {
             return;
         };
@@ -171,19 +153,19 @@ impl PendingTable {
             self.in_flight += 1;
             self.mark(id, true);
         }
-        if policy.retains_wire() && matches!(sock, SockRef::Udp(_)) {
+        if matches!(SockRef::from_token(f.sock), SockRef::Udp(_)) {
             self.wires.insert(id, wire.into());
         } else if overwrote {
             self.wires.remove(&id);
         }
         if policy.is_enabled() {
-            let deadline = self.deadline(id, f, policy);
-            self.wheel.schedule(id, 0, deadline);
+            self.wheel
+                .schedule(id, f.attempt, self.deadline(id, f, policy));
         }
     }
 
     /// `id`'s entry, while its query is in flight.
-    fn get(&self, id: u16) -> Option<InFlight> {
+    pub(crate) fn get(&self, id: u16) -> Option<InFlight> {
         if !self.is_live(id) {
             return None;
         }
@@ -201,25 +183,26 @@ impl PendingTable {
         Some(f)
     }
 
-    /// The wire kept for retransmitting `id`, if any.
+    /// The wire kept for `id`, if any.
     pub(crate) fn wire(&self, id: u16) -> Option<&[u8]> {
         self.wires.get(&id).map(|w| &w[..])
     }
 
-    /// When entry `f` of `id` expires: its send time plus the policy's
-    /// timeout on the first attempt, plus `backoff.delay(attempt, id)` on
-    /// a retransmit.
-    fn deadline(&self, id: u16, f: InFlight, policy: &RetryPolicy) -> Instant {
+    /// Takes the wire kept for `id`, leaving its entry in flight.
+    pub(crate) fn take_wire(&mut self, id: u16) -> Option<Box<[u8]>> {
+        self.wires.remove(&id)
+    }
+
+    /// When entry `f` of `id` expires (ns): its send time plus the
+    /// policy's timeout on the first attempt, plus `backoff.delay(attempt,
+    /// id)` on a retransmit.
+    fn deadline(&self, id: u16, f: InFlight, policy: &RetryPolicy) -> u64 {
         let wait = match f.attempt {
             0 => policy.timeout,
             n => policy.backoff.delay(u32::from(n), u64::from(id)),
         };
-        self.sent_at(f) + wait
-    }
-
-    /// When `f`'s latest attempt went out.
-    fn sent_at(&self, f: InFlight) -> Instant {
-        self.start + Duration::from_nanos(f.sent_ns)
+        f.sent_ns
+            .saturating_add(u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX))
     }
 
     fn is_live(&self, id: u16) -> bool {
@@ -241,17 +224,17 @@ impl PendingTable {
         }
     }
 
-    /// Processes every due wheel entry: validates against the live table,
-    /// re-schedules not-yet-due entries, retires exhausted queries
-    /// (`gave_up`), and collects UDP retransmits into `resend` as
+    /// Processes every wheel entry due at `now` (ns): validates against
+    /// the live table, re-schedules not-yet-due entries, retires exhausted
+    /// queries (`gave_up`), and collects UDP retransmits into `resend` as
     /// (socket slot, id) for the querier to put on the wire with
     /// [`PendingTable::wire`]. A `Retry` span event marks the decision to
-    /// retransmit; the datagram goes out right after, and `retries`
-    /// counts it only if the kernel takes it. A query is retransmitted at
-    /// most 255 times, whatever the policy allows.
+    /// retransmit; `retries` counts the datagram only once the driver
+    /// reports it sent. A query is retransmitted at most 255 times,
+    /// whatever the policy allows.
     pub(crate) fn sweep(
         &mut self,
-        now: Instant,
+        now: u64,
         policy: &RetryPolicy,
         counters: &ShardCounters,
         due: &mut Vec<(u16, u8)>,
@@ -275,7 +258,7 @@ impl PendingTable {
             counters.timeouts.bump(1);
             let udp = match SockRef::from_token(f.sock) {
                 SockRef::Udp(s) => Some(s),
-                SockRef::Tcp(_) => None,
+                SockRef::Conn(_) => None,
             };
             let retry = udp.filter(|_| {
                 u32::from(f.attempt) < policy.max_udp_retries
@@ -284,22 +267,22 @@ impl PendingTable {
             });
             if let Some(s) = retry {
                 f.attempt += 1;
-                f.sent_ns = nanos_since(self.start, now);
+                f.sent_ns = now;
                 if let Some(e) = self.entries.get_mut(usize::from(id)) {
                     *e = f;
                 }
                 resend.push((s, id));
                 if let Some(o) = obs {
-                    o.record_instant(f.slot as usize, Stage::Retry, now);
+                    o.record_ns(f.slot as usize, Stage::Retry, now);
                 }
                 let deadline = self.deadline(id, f, policy);
                 self.wheel.schedule(id, f.attempt, deadline);
             } else {
-                // Out of attempts (or TCP): the server never answered
-                // this query.
+                // Out of attempts (or a connection): the server never
+                // answered this query.
                 self.remove(id);
                 if let Some(o) = obs {
-                    o.record_instant(f.slot as usize, Stage::GaveUp, now);
+                    o.record_ns(f.slot as usize, Stage::GaveUp, now);
                 }
                 counters.gave_up.bump(1);
             }
@@ -307,14 +290,9 @@ impl PendingTable {
     }
 }
 
-/// Nanoseconds from `start` to `t` (0 if `t` is earlier).
-fn nanos_since(start: Instant, t: Instant) -> u64 {
-    u64::try_from(t.saturating_duration_since(start).as_nanos()).unwrap_or(u64::MAX)
-}
-
 /// What the querier has learned about its queries: the in-flight table,
-/// the shard's outcome log and its counters. Only the querier's own
-/// thread writes it; telemetry reads the counters.
+/// the shard's outcome log and its counters. Only the querier core writes
+/// it; telemetry reads the counters.
 pub(crate) struct Ledger {
     pub(crate) pending: PendingTable,
     /// One row per record; an answer's latency (µs) goes into its row.
@@ -324,123 +302,90 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
-    /// Credits the answer with message id `id`, read from socket `sock`,
-    /// to its in-flight query, at the instant the kernel stamped its
-    /// arrival. A stale or duplicate answer finds no entry and is
-    /// ignored. An answer whose id is in flight on another socket is not
-    /// that query's: it is counted in `mismatched_answers`, and the query
-    /// stays in flight.
-    pub(crate) fn answer(
-        &mut self,
-        id: u16,
-        sock: SockRef,
-        stamp: Option<SystemTime>,
-        read: ReadClock,
-    ) {
-        let Some(f) = self.pending.get(id) else {
-            return;
-        };
+    /// The in-flight query an answer with id `id`, read from socket
+    /// `sock`, belongs to. A stale or duplicate answer finds no entry. An
+    /// answer whose id is in flight on another socket is not that query's:
+    /// it is counted in `mismatched_answers`, and the query stays in
+    /// flight.
+    pub(crate) fn matching(&self, id: u16, sock: SockRef) -> Option<InFlight> {
+        let f = self.pending.get(id)?;
         if f.sock != sock.token() {
             self.counters.mismatched_answers.bump(1);
-            return;
+            return None;
         }
+        Some(f)
+    }
+
+    /// Credits the answer with id `id`, read from `sock`, to its in-flight
+    /// query, as arrived at `arrived_ns` (clamped to no earlier than the
+    /// query's send).
+    pub(crate) fn answer(&mut self, id: u16, sock: SockRef, arrived_ns: u64) {
+        let Some(f) = self.matching(id, sock) else {
+            return;
+        };
         self.pending.remove(id);
-        let sent_at = self.pending.sent_at(f);
-        let arrived = read.arrival(stamp, sent_at);
-        let latency_us = arrived.saturating_duration_since(sent_at).as_micros() as u64;
+        let arrived_ns = arrived_ns.max(f.sent_ns);
         let slot = f.slot as usize;
-        if self.log.answer(slot, latency_us) {
+        if self.log.answer(slot, (arrived_ns - f.sent_ns) / 1_000) {
             self.counters.answered.bump(1);
         }
         if let Some(o) = &self.obs {
-            o.record_instant(slot, Stage::Answered, arrived);
+            o.record_ns(slot, Stage::Answered, arrived_ns);
         }
     }
 }
 
-/// The moment of a read on both clocks. Kernel arrival stamps are
-/// wall-clock time (`CLOCK_REALTIME`) while the engine measures on
-/// [`Instant`], so a stamp converts through the pair taken right after
-/// the read.
-#[derive(Clone, Copy)]
-pub(crate) struct ReadClock {
-    at: Instant,
-    wall: SystemTime,
-}
-
-impl ReadClock {
-    pub(crate) fn now() -> ReadClock {
-        ReadClock {
-            at: Instant::now(),
-            wall: SystemTime::now(),
-        }
-    }
-
-    /// When an answer stamped `stamp` arrived, on the [`Instant`] clock,
-    /// clamped to [`sent_at`, the read]: never before its query left,
-    /// never after it was read. No stamp (off Linux) means the read.
-    fn arrival(self, stamp: Option<SystemTime>, sent_at: Instant) -> Instant {
-        stamp
-            .and_then(|s| self.wall.duration_since(s).ok())
-            .and_then(|age| self.at.checked_sub(age))
-            .unwrap_or(self.at)
-            .max(sent_at)
-            .min(self.at)
-    }
-}
-
-/// One querier's handle on the replay's span sink: the shard index and
-/// the shared epoch are bound once so the hot paths record a stage with
-/// a single call. A query's span key is its outcome-row index, which
-/// equals its per-shard record ordinal — the same number the Postman
-/// counts on the read side, so both halves of the pipeline stamp the
-/// same span without any id exchange.
+/// One querier's handle on the replay's span sink, with its shard index
+/// bound once so the hot paths record a stage with a single call. A
+/// query's span key is its outcome-row index, which equals its per-shard
+/// record ordinal — the same number the Postman counts on the read side,
+/// so both halves of the pipeline stamp the same span without any id
+/// exchange.
 #[derive(Clone)]
 pub(crate) struct ObsCtx {
     pub(crate) spans: Arc<ReplaySpans>,
     pub(crate) shard: usize,
-    pub(crate) epoch: Instant,
 }
 
 impl ObsCtx {
-    /// Records `stage` at an offset already measured on the epoch clock.
-    pub(crate) fn record_at(&self, seq: usize, stage: Stage, t_us: u64) {
-        self.spans.record(self.shard, seq as u64, stage, t_us);
-    }
-
-    /// Records `stage` at a captured instant (an answer's arrival, an
-    /// expiry's sweep).
-    pub(crate) fn record_instant(&self, seq: usize, stage: Stage, now: Instant) {
-        self.record_at(
-            seq,
-            stage,
-            now.saturating_duration_since(self.epoch).as_micros() as u64,
-        );
+    /// Records `stage` at `t_ns` on the replay epoch.
+    pub(crate) fn record_ns(&self, seq: usize, stage: Stage, t_ns: u64) {
+        self.spans
+            .record(self.shard, seq as u64, stage, t_ns / 1_000);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
-    /// Registers `id` as a first UDP send at `at`, expiry off.
-    fn send(t: &mut PendingTable, id: u16, at: Instant) {
-        t.insert(id, 0, at, SockRef::Udp(0), b"q", &RetryPolicy::disabled());
+    /// A first send of `id` at `sent_ns` on `sock`, for row `slot`.
+    fn first(slot: u64, sent_ns: u64, sock: SockRef) -> InFlight {
+        InFlight {
+            slot,
+            sent_ns,
+            sock: sock.token(),
+            attempt: 0,
+        }
+    }
+
+    /// Registers `id` as a first UDP send, expiry off.
+    fn send(t: &mut PendingTable, id: u16) {
+        let f = first(0, 0, SockRef::Udp(0));
+        t.insert(id, f, b"q", &RetryPolicy::disabled());
     }
 
     #[test]
     fn next_free_skips_ids_in_flight_and_wraps() {
-        let now = Instant::now();
-        let mut t = PendingTable::new(now);
+        let mut t = PendingTable::new();
         assert_eq!(t.next_free(0), Some(1));
         for id in [1u16, 2, 3, 70] {
-            send(&mut t, id, now);
+            send(&mut t, id);
         }
         assert_eq!(t.next_free(0), Some(4), "1..=3 are in flight");
         assert_eq!(t.next_free(69), Some(71), "70 is in flight");
-        send(&mut t, u16::MAX, now);
-        send(&mut t, 0, now);
+        send(&mut t, u16::MAX);
+        send(&mut t, 0);
         assert_eq!(
             t.next_free(u16::MAX - 1),
             Some(4),
@@ -452,18 +397,17 @@ mod tests {
 
     #[test]
     fn only_a_full_table_reuses_an_id_and_counts_the_collision() {
-        let now = Instant::now();
-        let mut t = PendingTable::new(now);
+        let mut t = PendingTable::new();
         let collisions = Cell::default();
         // Ids 0..=9 stay in flight; the allocator walks around them.
         for id in 0..10 {
-            send(&mut t, id, now);
+            send(&mut t, id);
         }
         let mut last = 5;
         for _ in 0..IDS - 10 {
             last = t.allot_id(last, &collisions);
             assert!(last >= 10, "id {last} is still in flight");
-            send(&mut t, last, now);
+            send(&mut t, last);
         }
         assert_eq!(t.in_flight, IDS);
         assert_eq!(collisions.get(), 0, "no reuse until full");
@@ -480,10 +424,12 @@ mod tests {
 
     #[test]
     fn the_table_allocates_at_most_1_6_mb_without_retries() {
-        let now = Instant::now();
-        let mut t = PendingTable::new(now);
+        let mut t = PendingTable::new();
+        // Connection queries keep no wire (a UDP one keeps its wire for a
+        // truncation fallback until it is answered).
         for id in 0..1_000 {
-            send(&mut t, id, now);
+            let f = first(0, 0, SockRef::Conn(0));
+            t.insert(id, f, b"", &RetryPolicy::disabled());
         }
         assert_eq!(t.wires.capacity(), 0, "a wire was kept");
         let bytes =
@@ -496,12 +442,12 @@ mod tests {
         for sock in [
             SockRef::Udp(0),
             SockRef::Udp(127),
-            SockRef::Tcp(0),
-            SockRef::Tcp(9),
+            SockRef::Conn(0),
+            SockRef::Conn(9),
         ] {
             assert_eq!(SockRef::from_token(sock.token()), sock);
         }
-        assert_ne!(SockRef::Udp(3).token(), SockRef::Tcp(3).token());
+        assert_ne!(SockRef::Udp(3).token(), SockRef::Conn(3).token());
     }
 
     #[test]
@@ -509,34 +455,42 @@ mod tests {
         let policy = RetryPolicy::default();
         let counters = ShardCounters::default();
         let (mut due, mut resend) = (Vec::new(), Vec::new());
-        let start = Instant::now();
+        let start = 5_000_000_000u64;
         let id = 7;
-        let sent = |start| {
-            let mut t = PendingTable::new(start);
-            t.insert(id, 3, start, SockRef::Udp(1), b"query", &policy);
+        let sent = || {
+            let mut t = PendingTable::new();
+            t.insert(id, first(3, start, SockRef::Udp(1)), b"query", &policy);
             t
         };
-        let first = start + policy.timeout;
-        let tick = crate::retry::TimeoutWheel::TICK;
-        let ns = Duration::from_nanos(1);
+        let ns = |d: std::time::Duration| d.as_nanos() as u64;
+        let first_deadline = start + ns(policy.timeout);
+        let tick = ns(crate::retry::TimeoutWheel::TICK);
 
         // Swept first at exactly send + timeout: expired.
-        let mut t = sent(start);
-        t.sweep(first, &policy, &counters, &mut due, &mut resend, None);
+        let mut t = sent();
+        t.sweep(
+            first_deadline,
+            &policy,
+            &counters,
+            &mut due,
+            &mut resend,
+            None,
+        );
         assert_eq!(counters.timeouts.get(), 1);
         assert_eq!(resend, [(1, id)]);
 
         // Not expired a nanosecond before; expired at its tick after.
         let counters = ShardCounters::default();
         resend.clear();
-        let mut t = sent(start);
+        let mut t = sent();
         let f = t.get(id).expect("in flight");
         assert_eq!((f.slot, f.attempt), (3, 0));
-        assert_eq!(t.deadline(id, f, &policy), first);
-        t.sweep(first - ns, &policy, &counters, &mut due, &mut resend, None);
+        assert_eq!(t.deadline(id, f, &policy), first_deadline);
+        let early = first_deadline - 1;
+        t.sweep(early, &policy, &counters, &mut due, &mut resend, None);
         assert_eq!(counters.timeouts.get(), 0, "expired before its deadline");
         assert!(resend.is_empty());
-        let mut now = first + tick;
+        let mut now = first_deadline + tick;
         t.sweep(now, &policy, &counters, &mut due, &mut resend, None);
         assert_eq!(counters.timeouts.get(), 1);
         assert_eq!(resend, [(1, id)]);
@@ -546,17 +500,11 @@ mod tests {
         for n in 1..=policy.max_udp_retries {
             let f = t.get(id).expect("still in flight");
             assert_eq!(u32::from(f.attempt), n);
-            assert_eq!(t.sent_at(f), now);
-            let deadline = now + policy.backoff.delay(n, u64::from(id));
+            assert_eq!(f.sent_ns, now);
+            let deadline = now + ns(policy.backoff.delay(n, u64::from(id)));
             assert_eq!(t.deadline(id, f, &policy), deadline);
-            t.sweep(
-                deadline - ns,
-                &policy,
-                &counters,
-                &mut due,
-                &mut resend,
-                None,
-            );
+            let early = deadline - 1;
+            t.sweep(early, &policy, &counters, &mut due, &mut resend, None);
             assert_eq!(u64::from(n), counters.timeouts.get(), "attempt {n} early");
             now = deadline + tick;
             t.sweep(now, &policy, &counters, &mut due, &mut resend, None);
@@ -576,14 +524,13 @@ mod tests {
     #[test]
     fn an_overwritten_or_answered_query_drops_its_wire() {
         let policy = RetryPolicy::default();
-        let now = Instant::now();
-        let mut t = PendingTable::new(now);
-        t.insert(1, 0, now, SockRef::Udp(0), b"a", &policy);
-        t.insert(2, 1, now, SockRef::Udp(0), b"b", &policy);
+        let mut t = PendingTable::new();
+        t.insert(1, first(0, 0, SockRef::Udp(0)), b"a", &policy);
+        t.insert(2, first(1, 0, SockRef::Udp(0)), b"b", &policy);
         // Reused by a TCP query, which keeps no wire.
-        t.insert(1, 2, now, SockRef::Tcp(0), b"", &policy);
+        t.insert(1, first(2, 0, SockRef::Conn(0)), b"", &policy);
         assert_eq!(t.wire(1), None);
-        assert_eq!(t.get(1).map(|f| f.sock), Some(SockRef::Tcp(0).token()));
+        assert_eq!(t.get(1).map(|f| f.sock), Some(SockRef::Conn(0).token()));
         t.remove(2);
         assert!(t.wires.is_empty());
         assert_eq!(t.in_flight, 1);
@@ -591,22 +538,41 @@ mod tests {
 
     #[test]
     fn arrival_converts_a_stamp_and_clamps_it_to_send_and_read() {
-        let sent_at = Instant::now();
+        use crate::engine::ReadClock;
+        use crate::outcome::Row;
+        use crate::timing::ReplayClock;
+        use std::time::{Duration, Instant, SystemTime};
+
+        let epoch = Instant::now();
+        let ms = |n: u64| n * 1_000_000;
         let read = ReadClock {
-            at: sent_at + Duration::from_millis(200),
+            at: epoch + Duration::from_millis(200),
             wall: SystemTime::now(),
         };
-        let ago = |ms| read.wall.checked_sub(Duration::from_millis(ms));
-        // Stamped 150 ms before the read: arrived 50 ms after the send.
-        assert_eq!(
-            read.arrival(ago(150), sent_at),
-            sent_at + Duration::from_millis(50)
-        );
-        // A stamp before the send (clock step) clamps to the send.
-        assert_eq!(read.arrival(ago(500), sent_at), sent_at);
+        let ago = |n| read.wall.checked_sub(Duration::from_millis(n));
+        // Stamped 150 ms before the read: arrived 50 ms into the replay.
+        assert_eq!(read.arrival_ns(ago(150), epoch), ms(50));
         // A stamp after the read, or none at all, means the read.
         let later = read.wall.checked_add(Duration::from_millis(5));
-        assert_eq!(read.arrival(later, sent_at), read.at);
-        assert_eq!(read.arrival(None, sent_at), read.at);
+        assert_eq!(read.arrival_ns(later, epoch), ms(200));
+        assert_eq!(read.arrival_ns(None, epoch), ms(200));
+
+        // A stamp before the send (a clock step) clamps to the send.
+        let mut ledger = Ledger {
+            pending: PendingTable::new(),
+            log: ShardLog::new(0, ReplayClock::synchronize(0, 0)),
+            obs: None,
+            counters: Arc::default(),
+        };
+        let src = ledger.log.add_source([10, 0, 0, 1].into());
+        let slot = ledger.log.push(Row::new(0, src, ldp_trace::Protocol::Udp));
+        let sent = first(slot as u64, ms(100), SockRef::Udp(0));
+        ledger
+            .pending
+            .insert(9, sent, b"q", &RetryPolicy::disabled());
+        ledger.answer(9, SockRef::Udp(0), read.arrival_ns(ago(500), epoch));
+        assert_eq!(ledger.counters.answered.get(), 1);
+        let outcomes = crate::outcome::Outcomes::new(vec![ledger.log]);
+        assert_eq!(outcomes.iter().next().and_then(|o| o.latency_us), Some(0));
     }
 }

@@ -8,6 +8,9 @@
 //! ordinal, the same number the in-flight table carries as its slot and
 //! the span sink uses as its key.
 //!
+//! Both drivers of the querier core — live sockets and the simulator —
+//! fill the same log, so the §4 and §5 figures read one outcome type.
+//!
 //! A row is 32 bytes. It stores a source as an index into the shard's
 //! source table, and no scheduled send time: that is
 //! [`ReplayClock::target_real_us`] of the trace time, a pure function
@@ -16,12 +19,47 @@
 //! shard logs over as [`Outcomes`], which reads them back as
 //! [`ReplayOutcome`]s in shard order.
 
+use std::collections::HashMap;
 use std::net::IpAddr;
 
 use ldp_trace::Protocol;
 
-use crate::engine::{ReplayError, ReplayOutcome};
 use crate::timing::ReplayClock;
+
+/// Why a trace record degraded to an unsent (or unanswerable) outcome
+/// instead of aborting the replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplayError {
+    /// The querier could not bind a UDP socket for the record's source.
+    Bind,
+    /// TCP connect (including every reconnect attempt) failed.
+    Connect,
+    /// The kernel refused the send.
+    Send,
+    /// The record's message could not be encoded (or framed) for the wire.
+    Encode,
+}
+
+/// Per-query result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplayOutcome {
+    /// Query time relative to trace start (µs, unscaled trace timeline).
+    pub trace_offset_us: u64,
+    /// Scheduled send time relative to the replay epoch (µs) — the trace
+    /// offset *after* speed scaling, i.e. the deadline the engine aimed
+    /// for. Equal to `trace_offset_us` at speed 1.0 and in `Fast` mode.
+    pub target_offset_us: u64,
+    /// Actual send time relative to the replay epoch (µs).
+    pub sent_offset_us: u64,
+    /// Response latency, if an answer arrived (µs).
+    pub latency_us: Option<u64>,
+    /// Original source address.
+    pub src: IpAddr,
+    pub protocol: Protocol,
+    /// Replay-side failure, if the record never (successfully) went on
+    /// the wire. Errored outcomes are excluded from `sent`.
+    pub error: Option<ReplayError>,
+}
 
 /// Rows per chunk (128 KiB of rows).
 const CHUNK_ROWS: usize = 4_096;
@@ -44,7 +82,7 @@ pub(crate) struct Row {
     source: u32,
     /// [`Protocol::tag`].
     protocol: u8,
-    /// 0 = none, else [`error_code`].
+    /// [`error_code`].
     error: u8,
 }
 
@@ -66,29 +104,26 @@ impl Row {
     }
 
     fn error(&self) -> Option<ReplayError> {
-        match self.error {
-            1 => Some(ReplayError::Bind),
-            2 => Some(ReplayError::Connect),
-            3 => Some(ReplayError::Send),
-            4 => Some(ReplayError::Encode),
-            _ => None,
-        }
+        ERRORS.get(usize::from(self.error).checked_sub(1)?).copied()
     }
 }
 
+/// A row's error byte is 0 for none, else 1 + the error's index here.
+const ERRORS: [ReplayError; 4] = [
+    ReplayError::Bind,
+    ReplayError::Connect,
+    ReplayError::Send,
+    ReplayError::Encode,
+];
+
 fn error_code(error: Option<ReplayError>) -> u8 {
-    match error {
-        None => 0,
-        Some(ReplayError::Bind) => 1,
-        Some(ReplayError::Connect) => 2,
-        Some(ReplayError::Send) => 3,
-        Some(ReplayError::Encode) => 4,
-    }
+    let index = error.and_then(|e| ERRORS.iter().position(|&x| x == e));
+    index.map_or(0, |i| i as u8 + 1)
 }
 
 /// One querier's outcome log: its rows, its source table, and what the
 /// report needs without a pass over the rows.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct ShardLog {
     chunks: Vec<Vec<Row>>,
     len: usize,
@@ -143,6 +178,12 @@ impl ShardLog {
         self.len - 1
     }
 
+    /// The source-table index of row `slot`.
+    pub(crate) fn source(&self, slot: usize) -> Option<u32> {
+        let row = self.chunks.get(slot / CHUNK_ROWS)?.get(slot % CHUNK_ROWS)?;
+        Some(row.source)
+    }
+
     fn row_mut(&mut self, slot: usize) -> Option<&mut Row> {
         self.chunks
             .get_mut(slot / CHUNK_ROWS)?
@@ -192,7 +233,7 @@ impl ShardLog {
 
 /// Every record's outcome from one replay: the queriers' logs in shard
 /// order, read back as [`ReplayOutcome`] values.
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub struct Outcomes {
     shards: Vec<ShardLog>,
 }
@@ -200,6 +241,11 @@ pub struct Outcomes {
 impl Outcomes {
     pub(crate) fn new(shards: Vec<ShardLog>) -> Outcomes {
         Outcomes { shards }
+    }
+
+    /// Appends `other`'s shards after this one's.
+    pub fn append(&mut self, other: Outcomes) {
+        self.shards.extend(other.shards);
     }
 
     /// Number of outcomes: one per trace record the replay read.
@@ -233,6 +279,51 @@ impl Outcomes {
         } else {
             (hi - lo).max(1)
         }
+    }
+}
+
+/// Per-client query counts — Figure 15c's distribution, and the filter for
+/// the "non-busy clients" cut of Figure 15b.
+pub fn per_client_counts(outcomes: &Outcomes) -> HashMap<IpAddr, u64> {
+    let mut counts = HashMap::new();
+    for o in outcomes {
+        *counts.entry(o.src).or_default() += 1;
+    }
+    counts
+}
+
+/// Answered latencies (µs) of clients with fewer than `max_queries`
+/// queries (Figure 15b: "non-busy clients that send less than 250
+/// queries").
+fn non_busy_latencies_us(outcomes: &Outcomes, max_queries: u64) -> impl Iterator<Item = u64> + '_ {
+    let counts = per_client_counts(outcomes);
+    outcomes
+        .iter()
+        .filter(move |o| counts.get(&o.src).is_some_and(|&n| n < max_queries))
+        .filter_map(|o| o.latency_us)
+}
+
+/// The non-busy cut's latencies in milliseconds.
+pub fn non_busy_latencies_ms(outcomes: &Outcomes, max_queries: u64) -> Vec<f64> {
+    non_busy_latencies_us(outcomes, max_queries)
+        .map(|us| us as f64 / 1000.0)
+        .collect()
+}
+
+/// Fixed-memory histogram (µs) of the same non-busy cut — the form the
+/// Figure 15b quantiles are read from, so arbitrarily large traces don't
+/// need their raw latency vectors held and sorted.
+pub fn non_busy_latency_hist(outcomes: &Outcomes, max_queries: u64) -> ldp_metrics::LogHistogram {
+    let mut hist = ldp_metrics::LogHistogram::new();
+    for us in non_busy_latencies_us(outcomes, max_queries) {
+        hist.record(us);
+    }
+    hist
+}
+
+impl PartialEq for Outcomes {
+    fn eq(&self, other: &Outcomes) -> bool {
+        self.iter().eq(other.iter())
     }
 }
 

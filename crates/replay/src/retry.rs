@@ -1,4 +1,4 @@
-//! Query timeout, retransmit, and reconnect policy for the live engine.
+//! Query timeout, retransmit, and reconnect policy for the replay core.
 //!
 //! The paper's replay runs against real servers that drop packets and
 //! reset connections; a replay that aborts (or silently loses records) on
@@ -9,9 +9,10 @@
 //!   budget with exponential backoff + jitter (via [`ldp_netsim::Backoff`],
 //!   the same model the simulator uses), and TCP reconnect attempts.
 //! * [`TimeoutWheel`] — a coarse hashed timer wheel over in-flight query
-//!   ids. Scheduling is one `Vec` push next to the pending-table insert,
-//!   so the no-fault hot path pays near zero; the querier drains due
-//!   buckets when it wakes, waking at each tick while queries can expire.
+//!   ids, on the replay epoch's nanosecond clock. Scheduling is one `Vec`
+//!   push next to the pending-table insert, so the no-fault hot path pays
+//!   near zero; the querier drains due buckets when it is polled, and asks
+//!   to be woken at each tick while queries can expire.
 //!
 //! What these produce — timeouts, retries, reconnects, queries given up —
 //! is counted in the shard's [`ldp_metrics::ShardCounters`].
@@ -21,7 +22,7 @@
 //! trace records put on the wire once; `retries` counts the extra
 //! datagrams separately.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ldp_netsim::Backoff;
 
@@ -77,11 +78,6 @@ impl RetryPolicy {
     pub fn is_enabled(&self) -> bool {
         !self.timeout.is_zero()
     }
-
-    /// Whether the sender must retain query wires for retransmission.
-    pub fn retains_wire(&self) -> bool {
-        self.is_enabled() && self.max_udp_retries > 0
-    }
 }
 
 impl serde::Serialize for RetryPolicy {
@@ -107,7 +103,6 @@ impl serde::Serialize for RetryPolicy {
 /// simply re-scheduled when its bucket comes around early.
 #[derive(Debug)]
 pub(crate) struct TimeoutWheel {
-    start: Instant,
     /// Last tick whose bucket has been drained.
     swept: u64,
     buckets: Vec<Vec<(u16, u8)>>,
@@ -120,23 +115,24 @@ impl TimeoutWheel {
     /// invisible next to a 250 ms timeout, and coarse ticks keep an idle
     /// querier asleep.
     pub(crate) const TICK: Duration = Duration::from_millis(16);
+    /// [`TimeoutWheel::TICK`] in nanoseconds.
+    pub(crate) const TICK_NS: u64 = Self::TICK.as_nanos() as u64;
 
-    pub(crate) fn new(start: Instant) -> TimeoutWheel {
+    pub(crate) fn new() -> TimeoutWheel {
         TimeoutWheel {
-            start,
             swept: 0,
             buckets: (0..Self::BUCKETS).map(|_| Vec::new()).collect(),
         }
     }
 
-    fn tick_of(&self, t: Instant) -> u64 {
-        t.saturating_duration_since(self.start).as_millis() as u64 / Self::TICK.as_millis() as u64
+    fn tick_of(t_ns: u64) -> u64 {
+        t_ns / Self::TICK_NS
     }
 
     /// Schedules `(id, attempt)` to surface no earlier than `deadline`
-    /// (never in an already-swept tick).
-    pub(crate) fn schedule(&mut self, id: u16, attempt: u8, deadline: Instant) {
-        let tick = self.tick_of(deadline).max(self.swept + 1);
+    /// (ns; never in an already-swept tick).
+    pub(crate) fn schedule(&mut self, id: u16, attempt: u8, deadline: u64) {
+        let tick = Self::tick_of(deadline).max(self.swept + 1);
         let bucket = (tick % Self::BUCKETS as u64) as usize;
         self.buckets[bucket].push((id, attempt));
     }
@@ -144,8 +140,8 @@ impl TimeoutWheel {
     /// Drains every bucket whose tick has passed into `out`. Callers must
     /// validate each candidate against the pending table (and re-schedule
     /// entries whose true deadline is still in the future).
-    pub(crate) fn due(&mut self, now: Instant, out: &mut Vec<(u16, u8)>) {
-        let current = self.tick_of(now);
+    pub(crate) fn due(&mut self, now: u64, out: &mut Vec<(u16, u8)>) {
+        let current = Self::tick_of(now);
         while self.swept < current {
             self.swept += 1;
             let bucket = (self.swept % Self::BUCKETS as u64) as usize;
@@ -158,11 +154,15 @@ impl TimeoutWheel {
 mod tests {
     use super::*;
 
+    /// `n` ms in nanoseconds.
+    fn ms(n: u64) -> u64 {
+        n * 1_000_000
+    }
+
     #[test]
     fn default_policy_is_enabled_and_retains_wires() {
         let p = RetryPolicy::default();
         assert!(p.is_enabled());
-        assert!(p.retains_wire());
         assert!(p.max_udp_retries > 0);
     }
 
@@ -170,60 +170,59 @@ mod tests {
     fn disabled_policy_tracks_nothing() {
         let p = RetryPolicy::disabled();
         assert!(!p.is_enabled());
-        assert!(!p.retains_wire());
         assert_eq!(p.max_udp_retries, 0);
         assert_eq!(p.tcp_reconnect_attempts, 1);
     }
 
     #[test]
     fn wheel_surfaces_entries_only_after_their_tick() {
-        let start = Instant::now();
-        let mut w = TimeoutWheel::new(start);
-        w.schedule(7, 0, start + Duration::from_millis(100));
+        let start = 0;
+        let mut w = TimeoutWheel::new();
+        w.schedule(7, 0, start + ms(100));
         let mut out = Vec::new();
-        w.due(start + Duration::from_millis(50), &mut out);
+        w.due(start + ms(50), &mut out);
         assert!(out.is_empty(), "surfaced {out:?} before deadline tick");
-        w.due(start + Duration::from_millis(200), &mut out);
+        w.due(start + ms(200), &mut out);
         assert_eq!(out, vec![(7, 0)]);
         // Drained: not surfaced twice.
         out.clear();
-        w.due(start + Duration::from_millis(400), &mut out);
+        w.due(start + ms(400), &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
     fn wheel_never_schedules_into_swept_ticks() {
-        let start = Instant::now();
-        let mut w = TimeoutWheel::new(start);
+        let start = 0;
+        let mut w = TimeoutWheel::new();
         let mut out = Vec::new();
-        w.due(start + Duration::from_millis(500), &mut out);
+        w.due(start + ms(500), &mut out);
         // A deadline in the already-swept past still surfaces on the next
         // tick rather than being lost in a drained bucket.
-        w.schedule(3, 1, start + Duration::from_millis(100));
-        w.due(start + Duration::from_millis(600), &mut out);
+        w.schedule(3, 1, start + ms(100));
+        w.due(start + ms(600), &mut out);
         assert_eq!(out, vec![(3, 1)]);
     }
 
     #[test]
     fn wheel_far_future_entries_survive_rotations() {
-        let start = Instant::now();
-        let mut w = TimeoutWheel::new(start);
+        let start = 0;
+        let mut w = TimeoutWheel::new();
         // Two full rotations out: the entry's bucket is visited early
         // (one rotation in); the caller re-schedules it then, so `due`
         // must surface it at least once before the true deadline — and
         // the re-schedule keeps it alive.
-        let deadline = start + TimeoutWheel::TICK * (TimeoutWheel::BUCKETS as u32 * 2 + 3);
+        let deadline = start + TimeoutWheel::TICK_NS * (TimeoutWheel::BUCKETS as u64 * 2 + 3);
         w.schedule(9, 0, deadline);
         let mut out = Vec::new();
         w.due(
-            start + TimeoutWheel::TICK * (TimeoutWheel::BUCKETS as u32 + 5),
+            start + TimeoutWheel::TICK_NS * (TimeoutWheel::BUCKETS as u64 + 5),
             &mut out,
         );
         assert_eq!(out, vec![(9, 0)], "bucket visited one rotation early");
         // Caller sees the true deadline is future and re-schedules.
         out.clear();
         w.schedule(9, 0, deadline);
-        w.due(deadline + TimeoutWheel::TICK, &mut out);
+        w.due(deadline + TimeoutWheel::TICK_NS, &mut out);
         assert_eq!(out, vec![(9, 0)]);
     }
 }

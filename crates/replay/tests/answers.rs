@@ -3,9 +3,11 @@
 //! therefore wait in its socket while the querier sleeps to the next
 //! record. These tests check that such an answer keeps its true latency
 //! (the kernel's arrival stamp, not the read) and is never expired while
-//! it waits, and that an answer is credited only when it comes back on
-//! the socket its query went out on.
+//! it waits, that an answer is credited only when it comes back on the
+//! socket its query went out on, and that a truncated UDP answer sends its
+//! query again over TCP.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -13,7 +15,7 @@ use ldp_replay::{LiveReplay, ReplayMode, ReplayReport, RetryPolicy};
 use ldp_server::auth::AuthEngine;
 use ldp_server::live::LiveServer;
 use ldp_trace::{Protocol, TraceRecord};
-use ldp_wire::{Name, RrType};
+use ldp_wire::{Edns, Name, RrType};
 use ldp_workload::zones::wildcard_example_zone;
 use ldp_zone::ZoneSet;
 
@@ -136,4 +138,46 @@ async fn an_answer_on_another_socket_is_not_credited() {
     assert_eq!(report.sent, 2);
     assert_eq!(report.answered, 0, "an answer was credited across sockets");
     assert_eq!(report.shards[0].mismatched_answers, 2);
+}
+
+/// The signed root's apex DNSKEY answer (two keys and a signature) does
+/// not fit the 512-byte EDNS payload the query advertises: the server
+/// truncates it over UDP, and the querier asks again over TCP (RFC 7766),
+/// counting the fallback once.
+#[tokio::test(flavor = "multi_thread")]
+async fn a_truncated_answer_is_asked_again_over_tcp() {
+    let mut zones = ZoneSet::new();
+    zones.insert(ldp_workload::zones::signed_root_zone(
+        5,
+        ldp_zone::dnssec::SigningConfig::zsk2048(),
+    ));
+    let engine = Arc::new(AuthEngine::with_zones(Arc::new(zones)));
+    let server = LiveServer::spawn(engine, "127.0.0.1:0".parse().unwrap())
+        .await
+        .unwrap();
+    let mut rec = TraceRecord::udp_query(
+        0,
+        "10.0.0.1".parse().unwrap(),
+        1024,
+        Name::root(),
+        RrType::Dnskey,
+    );
+    rec.message.edns = Some(Edns {
+        udp_payload_size: 512,
+        dnssec_ok: true,
+        ..Edns::default()
+    });
+    let replay = LiveReplay {
+        queriers_per_distributor: 1,
+        ..LiveReplay::new(server.addr)
+    };
+    let report = replay.run(vec![rec]).await.unwrap();
+    assert_eq!(report.sent, 1);
+    assert_eq!(report.answered, 1, "the TCP answer completes the query");
+    assert_eq!(report.shards[0].tc_fallbacks, 1);
+    assert_eq!(report.timeouts, 0);
+    assert_eq!(server.stats.udp_queries.load(Ordering::Relaxed), 1);
+    assert_eq!(server.stats.tcp_queries.load(Ordering::Relaxed), 1);
+    let o = report.outcomes.iter().next().unwrap();
+    assert_eq!(o.protocol, Protocol::Udp, "the record keeps its protocol");
 }

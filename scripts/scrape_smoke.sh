@@ -53,7 +53,7 @@ for fam in ldp_replay_sent_total ldp_replay_answered_total \
     ldp_replay_timeouts_total ldp_replay_retries_total \
     ldp_replay_reconnects_total ldp_replay_gave_up_total \
     ldp_replay_errors_total ldp_replay_id_collisions_total \
-    ldp_replay_mismatched_answers_total \
+    ldp_replay_mismatched_answers_total ldp_replay_tc_fallbacks_total \
     ldp_replay_batches_total ldp_replay_postman_stalls_total \
     ldp_replay_max_queue_depth ldp_replay_queue_depth \
     ldp_replay_in_flight; do

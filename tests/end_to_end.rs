@@ -211,7 +211,7 @@ fn failure_injection_udp_loss_reduces_answers_only() {
     // experiment or panicking anything.
     use ldplayer::netsim::loss::{LossModel, LossScope};
     use ldplayer::netsim::{Sim, SimDuration, SimTime, TcpConfig};
-    use ldplayer::replay::simclient::SimQuerier;
+    use ldplayer::replay::sim::SimDriver;
     use ldplayer::server::resource::ResourceModel;
     use ldplayer::server::sim::AuthServerNode;
 
@@ -229,7 +229,7 @@ fn failure_injection_udp_loss_reduces_answers_only() {
 
     let mut sim = Sim::new();
     sim.set_loss(LossModel::random(0.3, LossScope::UdpOnly, 7));
-    let q = sim.add_node(Box::new(SimQuerier::new(
+    let q = sim.add_node(Box::new(SimDriver::new(
         "10.0.0.1".parse().unwrap(),
         "192.0.2.53".parse().unwrap(),
         TcpConfig::default(),
@@ -246,8 +246,8 @@ fn failure_injection_udp_loss_reduces_answers_only() {
     sim.set_pair_delay(q, s, SimDuration::from_millis(5));
     sim.run_until(SimTime::from_secs(30));
 
-    let querier: &SimQuerier = sim.node_as(q).unwrap();
-    assert_eq!(querier.outcomes.len(), n_queries, "every query attempted");
+    let querier: &SimDriver = sim.node_as(q).unwrap();
+    assert_eq!(querier.outcomes().len(), n_queries, "every query attempted");
     let rate = querier.answer_rate();
     // 30% loss each way ⇒ ~49% answered.
     assert!(

@@ -134,7 +134,7 @@ proptest! {
 fn sim_determinism_with_loss() {
     use ldplayer::netsim::loss::{LossModel, LossScope};
     use ldplayer::netsim::{Sim, SimDuration, SimTime, TcpConfig};
-    use ldplayer::replay::simclient::SimQuerier;
+    use ldplayer::replay::sim::SimDriver;
     use ldplayer::server::resource::ResourceModel;
     use ldplayer::server::sim::AuthServerNode;
     use std::sync::Arc;
@@ -155,7 +155,7 @@ fn sim_determinism_with_loss() {
         )));
         let mut sim = Sim::new();
         sim.set_loss(LossModel::random(0.1, LossScope::UdpOnly, 99));
-        let q = sim.add_node(Box::new(SimQuerier::new(
+        let q = sim.add_node(Box::new(SimDriver::new(
             "10.0.0.1".parse().unwrap(),
             "192.0.2.53".parse().unwrap(),
             TcpConfig::default(),
@@ -171,7 +171,7 @@ fn sim_determinism_with_loss() {
         sim.bind("192.0.2.53".parse().unwrap(), s);
         sim.set_pair_delay(q, s, SimDuration::from_millis(3));
         sim.run_until(SimTime::from_secs(10));
-        sim.node_as::<SimQuerier>(q).unwrap().outcomes.clone()
+        sim.node_as::<SimDriver>(q).unwrap().outcomes()
     };
     assert_eq!(run(), run());
 }
