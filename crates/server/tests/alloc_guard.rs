@@ -191,6 +191,12 @@ fn udp_batch_calls_allocate_nothing_per_batch() {
         let answers: Vec<u8> = (0..BATCH * 4).map(|i| (i % 251) as u8).collect();
         let replies: Vec<(Range<usize>, SocketAddr)> =
             (0..BATCH).map(|i| (i * 4..i * 4 + 4, peer)).collect();
+        let sink = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
+        sink.set_nonblocking(true).expect("non-blocking");
+        let sink_addr = sink.local_addr().expect("address");
+        // More than one `sendmmsg` holds, so the run takes two.
+        const RUN: usize = 300;
+        let queries: Vec<Vec<u8>> = (0..RUN).map(|i| vec![(i % 251) as u8; 20]).collect();
         let mut echo = [0u8; 64];
         // Batch 0 warms up; every later batch is counted.
         for batch in 0..4 {
@@ -212,12 +218,26 @@ fn udp_batch_calls_allocate_nothing_per_batch() {
                 .send_many_to_each(&answers, &replies)
                 .await
                 .expect("send_many_to_each");
+            // A replay run: one socket, one destination, a batch's worth of
+            // queries.
+            let sent_run = server
+                .send_many_to(&queries, sink_addr)
+                .await
+                .expect("send_many_to");
             let allocs = ALLOCS.with(Cell::get) - before;
-            assert_eq!((got, sent), (BATCH, BATCH));
+            assert_eq!((got, sent, sent_run), (BATCH, BATCH, RUN));
             for i in 0..BATCH {
                 let (len, _) = client.recv_from(&mut echo).expect("answer");
                 assert_eq!(echo[..len], answers[i * 4..i * 4 + 4]);
             }
+            // The sink's buffer holds only part of a run; what arrived is
+            // the run, in order.
+            let mut arrived = 0;
+            while let Ok(len) = sink.recv(&mut echo) {
+                assert_eq!(echo[..len], queries[arrived][..]);
+                arrived += 1;
+            }
+            assert!(arrived > 0, "no run datagram arrived");
             if batch > 0 {
                 assert_eq!(allocs, 0, "batch {batch}: the batch calls allocated");
             }
