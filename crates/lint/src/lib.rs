@@ -9,6 +9,7 @@
 //! | R4   | `parser-roundtrip` | public parser entry points without a round-trip test       |
 //! | R5   | `swallowed-send`   | `let _ = …send…(…)` discarding I/O results in hot paths    |
 //! | R6   | `detached-task`    | `.abort()` on a task handle (it only detaches the thread)  |
+//! | R7   | `sans-io`          | clock reads, `tokio::`, sockets, `.await` in the core      |
 //!
 //! Escape hatch (requires a reason):
 //! `// ldp-lint: allow(r1) -- justification`, either trailing on the
@@ -60,6 +61,15 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/zone/src/view.rs",
 ];
 
+/// The sans-I/O querier core that R7 audits: the state machine and the
+/// ledger, timeout wheel and outcome log it owns.
+const SANS_IO_FILES: &[&str] = &[
+    "crates/replay/src/querier.rs",
+    "crates/replay/src/ledger.rs",
+    "crates/replay/src/retry.rs",
+    "crates/replay/src/outcome.rs",
+];
+
 /// Crates whose parser entry points R4 audits.
 const R4_CRATES: &[&str] = &["wire", "zone"];
 
@@ -82,6 +92,7 @@ pub fn workspace_scope(rel: &Path) -> FileScope {
         // All first-party async code must not block, wherever it lives.
         async_blocking: true,
         task_handles: true,
+        sans_io: SANS_IO_FILES.iter().any(|f| rel_str == *f),
     }
 }
 
@@ -147,9 +158,11 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     Ok(diags)
 }
 
-/// Lints an explicit file list with every rule enabled (fixture mode).
-/// R4 treats the given set as one crate: entry points anywhere in the set
-/// must be covered by round-trip tests anywhere in the set.
+/// Lints an explicit file list with every rule enabled (fixture mode),
+/// but R7 only on `r7_*` files: it holds the core to a stricter standard
+/// than the driver code every other fixture is written as. R4 treats the
+/// given set as one crate: entry points anywhere in the set must be
+/// covered by round-trip tests anywhere in the set.
 pub fn lint_files(paths: &[PathBuf]) -> std::io::Result<Vec<Diagnostic>> {
     let mut diags = Vec::new();
     let mut analyses = Vec::new();
@@ -160,7 +173,14 @@ pub fn lint_files(paths: &[PathBuf]) -> std::io::Result<Vec<Diagnostic>> {
     let mut entries = Vec::new();
     let mut tests = Vec::new();
     for analysis in &analyses {
-        diags.extend(analysis.check(FileScope::all()));
+        let r7 = analysis
+            .path
+            .file_name()
+            .is_some_and(|n| n.to_string_lossy().starts_with("r7_"));
+        diags.extend(analysis.check(FileScope {
+            sans_io: r7,
+            ..FileScope::all()
+        }));
         entries.extend(entry_points(analysis));
         tests.extend(roundtrip_tests(analysis));
     }
@@ -251,5 +271,15 @@ mod tests {
         }
         let s = workspace_scope(Path::new("crates/trace/src/text.rs"));
         assert!(!s.wire, "text format is not packed binary wire scope");
+        // R7: the querier core, and nothing else.
+        for f in ["querier.rs", "ledger.rs", "retry.rs", "outcome.rs"] {
+            let s = workspace_scope(&Path::new("crates/replay/src").join(f));
+            assert!(s.sans_io, "{f} is part of the sans-I/O core");
+        }
+        for f in ["engine.rs", "sim.rs", "ready.rs", "timing.rs", "plan.rs"] {
+            let s = workspace_scope(&Path::new("crates/replay/src").join(f));
+            assert!(!s.sans_io, "{f} is not core code");
+        }
+        assert!(!workspace_scope(Path::new("crates/server/src/live.rs")).sans_io);
     }
 }

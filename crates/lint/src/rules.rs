@@ -1,4 +1,4 @@
-//! The six project rules. Each check walks the token stream of one file;
+//! The seven project rules. Each check walks the token stream of one file;
 //! R4 additionally correlates parser entry points with round-trip tests
 //! across a whole crate.
 
@@ -27,6 +27,9 @@ pub enum Rule {
     /// on its own thread and `abort` only detaches it, so a task blocked
     /// on a socket lives on.
     R6,
+    /// No clock reads, `tokio::` paths, socket types or `.await` in the
+    /// sans-I/O querier core: its drivers own time and I/O.
+    R7,
     /// Meta: a malformed or unknown `ldp-lint:` directive.
     Directive,
 }
@@ -40,6 +43,7 @@ impl Rule {
             "r4" | "parser-roundtrip" => Some(Rule::R4),
             "r5" | "swallowed-send" => Some(Rule::R5),
             "r6" | "detached-task" => Some(Rule::R6),
+            "r7" | "sans-io" => Some(Rule::R7),
             _ => None,
         }
     }
@@ -52,6 +56,7 @@ impl Rule {
             Rule::R4 => "R4",
             Rule::R5 => "R5",
             Rule::R6 => "R6",
+            Rule::R7 => "R7",
             Rule::Directive => "directive",
         }
     }
@@ -97,6 +102,8 @@ pub struct FileScope {
     pub async_blocking: bool,
     /// R6: task handles in this file must not be aborted.
     pub task_handles: bool,
+    /// R7: the file is part of the sans-I/O querier core.
+    pub sans_io: bool,
 }
 
 impl FileScope {
@@ -106,6 +113,7 @@ impl FileScope {
             wire: true,
             async_blocking: true,
             task_handles: true,
+            sans_io: true,
         }
     }
 }
@@ -150,7 +158,7 @@ impl FileAnalysis {
         });
     }
 
-    /// Runs the per-file rules (R1–R3, R5, R6 plus directive hygiene).
+    /// Runs the per-file rules (R1–R3, R5–R7 plus directive hygiene).
     pub fn check(&self, scope: FileScope) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
         for &(line, ref why) in &self.lexed.bad_directives {
@@ -168,6 +176,9 @@ impl FileAnalysis {
         }
         if scope.task_handles {
             self.check_r6(&mut diags);
+        }
+        if scope.sans_io {
+            self.check_r7(&mut diags);
         }
         diags
     }
@@ -368,6 +379,45 @@ impl FileAnalysis {
                         .to_string(),
                 );
             }
+        }
+    }
+}
+
+impl FileAnalysis {
+    /// R7: outside `#[cfg(test)]`, the querier core reads no clock
+    /// (`Instant::now`, `SystemTime::now`), names no `tokio::` path and no
+    /// socket type, and never `.await`s: time comes in as an argument and
+    /// I/O goes out as actions, so the simulator drives the same code as
+    /// the live engine.
+    fn check_r7(&self, diags: &mut Vec<Diagnostic>) {
+        let toks = &self.lexed.tokens;
+        for (i, t) in toks.iter().enumerate() {
+            let Some(name) = t.ident() else { continue };
+            if in_any(&self.test_spans, t.line) {
+                continue;
+            }
+            let what = match name {
+                "Instant" | "SystemTime"
+                    if path_sep(toks, i + 1)
+                        && toks.get(i + 3).is_some_and(|n| n.is_ident("now")) =>
+                {
+                    format!("`{name}::now`")
+                }
+                "tokio" if path_sep(toks, i + 1) => "`tokio::`".to_string(),
+                "await" if i > 0 && toks[i - 1].is_punct('.') => "`.await`".to_string(),
+                "UdpSocket" | "TcpStream" | "TcpListener" | "UnixStream" | "UnixDatagram"
+                | "UnixListener" => format!("socket type `{name}`"),
+                _ => continue,
+            };
+            self.diag(
+                diags,
+                t.line,
+                Rule::R7,
+                format!(
+                    "{what} in the sans-I/O querier core; take the time as an \
+                     argument and leave the I/O to a driver"
+                ),
+            );
         }
     }
 }

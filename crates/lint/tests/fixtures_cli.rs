@@ -108,6 +108,13 @@ fn r6_fixtures() {
 }
 
 #[test]
+fn r7_fixtures() {
+    assert_violations(&["r7_violation.rs"], "R7", &[4, 7, 10, 11, 13, 14]);
+    assert_clean(&["r7_clean.rs"]);
+    assert_clean(&["r7_allowed.rs"]);
+}
+
+#[test]
 fn malformed_directives_are_diagnosed() {
     let out = run(&["bad_directive.rs"]);
     assert_eq!(out.status.code(), Some(1));

@@ -93,19 +93,6 @@ impl ReplayClock {
     }
 }
 
-/// Sets the calling thread's timer slack to 1 ns, so the kernel ends a
-/// pacing sleep at its deadline instead of coalescing the wakeup up to the
-/// default 50 µs later. Called once by each querier thread; a no-op off
-/// Linux or when the kernel refuses.
-pub(crate) fn tighten_timer_slack() {
-    #[cfg(target_os = "linux")]
-    // SAFETY: PR_SET_TIMERSLACK takes its value by argument and touches
-    // no memory of ours.
-    unsafe {
-        libc::prctl(libc::PR_SET_TIMERSLACK, 1u64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
