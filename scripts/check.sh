@@ -24,6 +24,14 @@ cargo run -q --release -p ldp-bench --bin chaos_smoke
 echo "==> scrape smoke (--metrics-addr endpoint + ldplayer top)"
 sh scripts/scrape_smoke.sh
 
+echo "==> simulated figures smoke (§5: ext_quic, fig15_latency on a tiny trace)"
+# Both run the querier core through the netsim driver and assert their
+# answer rates, so a broken simulated client fails here.
+SIM_RESULTS="$(mktemp -d)"
+LDP_SCALE=0.05 LDP_RESULTS="$SIM_RESULTS" cargo run -q --release -p ldp-bench --bin ext_quic
+LDP_SCALE=0.05 LDP_RESULTS="$SIM_RESULTS" cargo run -q --release -p ldp-bench --bin fig15_latency
+rm -rf "$SIM_RESULTS"
+
 echo "==> bench smoke (fig09 on a tiny trace) + throughput gate"
 # The smoke run writes to a scratch dir so it never clobbers the committed
 # baseline; bench_gate then compares the fresh record against it. Records
