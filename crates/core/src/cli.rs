@@ -923,8 +923,20 @@ mod tests {
         // A registry with replay-shaped metrics behind a real endpoint;
         // `top` runs one frame in each mode and exits.
         let registry = Arc::new(ldp_telemetry::Registry::new());
-        registry.observe_counter("ldp_replay_sent_total", "sent", &[("shard", "0")], || 120);
-        registry.observe_gauge("ldp_replay_queue_depth", "depth", &[("shard", "0")], || 3);
+        registry.observe(
+            "ldp_replay_sent_total",
+            "sent",
+            ldp_telemetry::MetricKind::Counter,
+            &[("shard", "0")],
+            || 120,
+        );
+        registry.observe(
+            "ldp_replay_queue_depth",
+            "depth",
+            ldp_telemetry::MetricKind::Gauge,
+            &[("shard", "0")],
+            || 3,
+        );
         let server = ldp_telemetry::MetricsServer::start("127.0.0.1:0", registry).unwrap();
         let addr = server.addr().to_string();
 

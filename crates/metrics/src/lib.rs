@@ -31,5 +31,5 @@ pub use cdf::Cdf;
 pub use hist::LogHistogram;
 pub use report::Report;
 pub use series::{RateSeries, TimeSeries};
-pub use shard::{DepthRing, PipelineTotals, ShardCounters, ShardStats};
+pub use shard::{DepthRing, MetricKind, PipelineTotals, ShardCounters, ShardStats};
 pub use summary::Summary;

@@ -35,6 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ldp_netsim::{Ctx, Node, NodeEvent, Packet};
+use ldp_telemetry::{CounterRow, MetricKind};
 use ldp_wire::DNS_PORT;
 
 /// Query-path rewrite (recursive proxy): a packet the recursive sent to
@@ -132,29 +133,24 @@ impl ProxyNode {
     /// Registers the proxy's path counters with a live-telemetry
     /// registry (observed — the simulation loop pays nothing extra).
     pub fn register_telemetry(&self, reg: &ldp_telemetry::Registry) {
-        let s = self.stats.clone();
-        reg.observe_counter(
-            "ldp_proxy_queries_forwarded_total",
-            "Queries rewritten toward the meta server",
-            &[],
-            move || s.queries_forwarded.load(Ordering::Relaxed),
-        );
-        let s = self.stats.clone();
-        reg.observe_counter(
-            "ldp_proxy_responses_forwarded_total",
-            "Responses rewritten back to the recursive",
-            &[],
-            move || s.responses_forwarded.load(Ordering::Relaxed),
-        );
-        let s = self.stats.clone();
-        reg.observe_counter(
-            "ldp_proxy_dropped_total",
-            "Captured packets matching neither iptables rule",
-            &[],
-            move || s.dropped.load(Ordering::Relaxed),
-        );
+        for (name, help, labels, field) in FAMILIES {
+            let s = self.stats.clone();
+            let read = move || field(&s).load(Ordering::Relaxed);
+            reg.observe(name, help, MetricKind::Counter, labels, read);
+        }
     }
 }
+
+/// The proxy's telemetry families.
+#[rustfmt::skip]
+const FAMILIES: [CounterRow<ProxyStats>; 3] = [
+    ("ldp_proxy_queries_forwarded_total", "Queries rewritten toward the meta server", &[],
+        |s| &s.queries_forwarded),
+    ("ldp_proxy_responses_forwarded_total", "Responses rewritten back to the recursive", &[],
+        |s| &s.responses_forwarded),
+    ("ldp_proxy_dropped_total", "Captured packets matching neither iptables rule", &[],
+        |s| &s.dropped),
+];
 
 impl Node for ProxyNode {
     fn on_event(&mut self, ctx: &mut Ctx, event: NodeEvent) {

@@ -19,6 +19,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -75,7 +76,7 @@ pub struct ChaosPolicy {
     /// id-zeroed query wire.
     seen: Mutex<HashMap<u64, u32>>,
     accepts: AtomicU64,
-    pub stats: ChaosStats,
+    pub stats: Arc<ChaosStats>,
 }
 
 /// Distinct decision salts so drop/duplicate/delay/refuse draws are
@@ -99,7 +100,7 @@ impl ChaosPolicy {
             dark: Vec::new(),
             seen: Mutex::new(HashMap::new()),
             accepts: AtomicU64::new(0),
-            stats: ChaosStats::default(),
+            stats: Arc::default(),
         }
     }
 

@@ -21,10 +21,11 @@ use tokio::sync::mpsc;
 use tokio::task::JoinHandle;
 
 use ldp_metrics::LogHistogram;
+use ldp_telemetry::{CounterRow, MetricKind, Registry};
 use parking_lot::Mutex;
 
 use crate::auth::{AuthEngine, NoAnswer};
-use crate::chaos::{ChaosPolicy, ResponseFate};
+use crate::chaos::{ChaosPolicy, ChaosStats, ResponseFate};
 use crate::pktcache::{CacheStats, PacketCache};
 
 /// Counters shared with the experiment harness.
@@ -130,125 +131,53 @@ impl LiveServer {
     /// Registers this server's counters with a live-telemetry registry:
     /// query/malformed/byte totals, packet-cache behavior, and — when the
     /// server was chaos-spawned — the injected-fault totals. Everything is
-    /// *observed* (closures over the atomics the serving loops already
-    /// bump), so serving pays nothing beyond its existing counters.
-    pub fn register_telemetry(&self, reg: &ldp_telemetry::Registry) {
-        let stats = self.stats.clone();
-        reg.observe_counter(
-            "ldp_server_queries_total",
-            "Queries handled",
-            &[("proto", "udp")],
-            {
-                let s = stats.clone();
-                move || s.udp_queries.load(Ordering::Relaxed)
-            },
-        );
-        reg.observe_counter(
-            "ldp_server_queries_total",
-            "Queries handled",
-            &[("proto", "tcp")],
-            {
-                let s = stats.clone();
-                move || s.tcp_queries.load(Ordering::Relaxed)
-            },
-        );
-        reg.observe_counter(
-            "ldp_server_tcp_connections_total",
-            "TCP connections accepted",
-            &[],
-            {
-                let s = stats.clone();
-                move || s.tcp_connections.load(Ordering::Relaxed)
-            },
-        );
-        reg.observe_counter(
-            "ldp_server_malformed_total",
-            "Messages that failed to parse",
-            &[],
-            {
-                let s = stats.clone();
-                move || s.malformed.load(Ordering::Relaxed)
-            },
-        );
-        reg.observe_counter(
-            "ldp_server_response_bytes_total",
-            "Response bytes produced",
-            &[],
-            {
-                let s = stats.clone();
-                move || s.response_bytes.load(Ordering::Relaxed)
-            },
-        );
-        reg.observe_counter(
-            "ldp_server_send_failures_total",
-            "Response sends the kernel refused",
-            &[],
-            {
-                let s = stats.clone();
-                move || s.send_failures.load(Ordering::Relaxed)
-            },
-        );
-        let cache_help = "UDP packet-cache events";
-        for (event, read) in [
-            ("hit", {
-                let c = stats.pktcache.clone();
-                Box::new(move || c.hits.load(Ordering::Relaxed))
-                    as Box<dyn Fn() -> u64 + Send + Sync>
-            }),
-            ("miss", {
-                let c = stats.pktcache.clone();
-                Box::new(move || c.misses.load(Ordering::Relaxed))
-                    as Box<dyn Fn() -> u64 + Send + Sync>
-            }),
-            ("eviction", {
-                let c = stats.pktcache.clone();
-                Box::new(move || c.evictions.load(Ordering::Relaxed))
-                    as Box<dyn Fn() -> u64 + Send + Sync>
-            }),
-        ] {
-            reg.observe_counter(
-                "ldp_server_pktcache_total",
-                cache_help,
-                &[("event", event)],
-                read,
-            );
-        }
+    /// *observed* (read from the atomics the serving loops already bump),
+    /// so serving pays nothing beyond its existing counters.
+    pub fn register_telemetry(&self, reg: &Registry) {
+        observe_counters(reg, &self.stats, &LIVE_FAMILIES);
+        observe_counters(reg, &self.stats.pktcache, &CACHE_FAMILIES);
         if let Some(chaos) = &self.chaos {
-            for (fate, read) in [
-                ("dropped", {
-                    let c = chaos.clone();
-                    Box::new(move || c.stats.dropped.load(Ordering::Relaxed))
-                        as Box<dyn Fn() -> u64 + Send + Sync>
-                }),
-                ("duplicated", {
-                    let c = chaos.clone();
-                    Box::new(move || c.stats.duplicated.load(Ordering::Relaxed))
-                        as Box<dyn Fn() -> u64 + Send + Sync>
-                }),
-                ("delayed", {
-                    let c = chaos.clone();
-                    Box::new(move || c.stats.delayed.load(Ordering::Relaxed))
-                        as Box<dyn Fn() -> u64 + Send + Sync>
-                }),
-                ("refused_accept", {
-                    let c = chaos.clone();
-                    Box::new(move || c.stats.refused_accepts.load(Ordering::Relaxed))
-                        as Box<dyn Fn() -> u64 + Send + Sync>
-                }),
-                ("reset", {
-                    let c = chaos.clone();
-                    Box::new(move || c.stats.resets.load(Ordering::Relaxed))
-                        as Box<dyn Fn() -> u64 + Send + Sync>
-                }),
-            ] {
-                reg.observe_counter(
-                    "ldp_server_chaos_total",
-                    "Injected chaos fates",
-                    &[("fate", fate)],
-                    read,
-                );
-            }
+            observe_counters(reg, &chaos.stats, &CHAOS_FAMILIES);
         }
+    }
+}
+
+#[rustfmt::skip]
+const LIVE_FAMILIES: [CounterRow<LiveStats>; 6] = [
+    ("ldp_server_queries_total", "Queries handled", &[("proto", "udp")], |s| &s.udp_queries),
+    ("ldp_server_queries_total", "Queries handled", &[("proto", "tcp")], |s| &s.tcp_queries),
+    ("ldp_server_tcp_connections_total", "TCP connections accepted", &[], |s| &s.tcp_connections),
+    ("ldp_server_malformed_total", "Messages that failed to parse", &[], |s| &s.malformed),
+    ("ldp_server_response_bytes_total", "Response bytes produced", &[], |s| &s.response_bytes),
+    ("ldp_server_send_failures_total", "Response sends the kernel refused", &[], |s| &s.send_failures),
+];
+
+#[rustfmt::skip]
+const CACHE_FAMILIES: [CounterRow<CacheStats>; 3] = [
+    ("ldp_server_pktcache_total", "UDP packet-cache events", &[("event", "hit")], |c| &c.hits),
+    ("ldp_server_pktcache_total", "UDP packet-cache events", &[("event", "miss")], |c| &c.misses),
+    ("ldp_server_pktcache_total", "UDP packet-cache events", &[("event", "eviction")], |c| &c.evictions),
+];
+
+#[rustfmt::skip]
+const CHAOS_FAMILIES: [CounterRow<ChaosStats>; 5] = [
+    ("ldp_server_chaos_total", "Injected chaos fates", &[("fate", "dropped")], |c| &c.dropped),
+    ("ldp_server_chaos_total", "Injected chaos fates", &[("fate", "duplicated")], |c| &c.duplicated),
+    ("ldp_server_chaos_total", "Injected chaos fates", &[("fate", "delayed")], |c| &c.delayed),
+    ("ldp_server_chaos_total", "Injected chaos fates", &[("fate", "refused_accept")], |c| &c.refused_accepts),
+    ("ldp_server_chaos_total", "Injected chaos fates", &[("fate", "reset")], |c| &c.resets),
+];
+
+/// Registers each row of `table` as a counter read from `stats`.
+fn observe_counters<S: Send + Sync + 'static>(
+    reg: &Registry,
+    stats: &Arc<S>,
+    table: &[CounterRow<S>],
+) {
+    for &(name, help, labels, field) in table {
+        let s = stats.clone();
+        let read = move || field(&s).load(Ordering::Relaxed);
+        reg.observe(name, help, MetricKind::Counter, labels, read);
     }
 }
 

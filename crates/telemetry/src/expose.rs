@@ -58,28 +58,31 @@ pub fn render_prometheus(samples: &[Sample]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Registry;
+    use crate::registry::{MetricKind, Registry};
 
     /// The satellite-3 golden test: names, HELP/TYPE lines, label
     /// escaping, family grouping — the exact bytes a scraper sees.
     #[test]
     fn golden_exposition_format() {
         let reg = Registry::new();
-        reg.observe_counter(
+        reg.observe(
             "ldp_replay_sent_total",
             "Queries sent",
+            MetricKind::Counter,
             &[("shard", "0")],
             || 42,
         );
-        reg.observe_counter(
+        reg.observe(
             "ldp_replay_sent_total",
             "Queries sent",
+            MetricKind::Counter,
             &[("shard", "1")],
             || 7,
         );
-        reg.observe_gauge(
+        reg.observe(
             "ldp_replay_queue_depth",
             "Batches queued",
+            MetricKind::Gauge,
             &[("shard", "0")],
             || 3,
         );
@@ -99,9 +102,10 @@ ldp_replay_sent_total{shard=\"1\"} 7
     #[test]
     fn label_values_are_escaped() {
         let reg = Registry::new();
-        reg.observe_counter(
+        reg.observe(
             "ldp_esc_total",
             "line1\nline2 and \\slash",
+            MetricKind::Counter,
             &[("path", "a\"b\\c\nd")],
             || 1,
         );
@@ -128,7 +132,13 @@ ldp_replay_sent_total{shard=\"1\"} 7
     #[test]
     fn no_labels_means_no_braces() {
         let reg = Registry::new();
-        reg.observe_counter("ldp_plain_total", "no labels", &[], || 1);
+        reg.observe(
+            "ldp_plain_total",
+            "no labels",
+            MetricKind::Counter,
+            &[],
+            || 1,
+        );
         let text = render_prometheus(&reg.snapshot());
         assert!(text.contains("\nldp_plain_total 1\n"), "{text}");
     }

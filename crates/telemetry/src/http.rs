@@ -102,6 +102,7 @@ fn serve_one(mut stream: TcpStream, registry: &Registry) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::MetricKind;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn get(addr: SocketAddr) -> String {
@@ -119,9 +120,13 @@ mod tests {
         let reg = Arc::new(Registry::new());
         let served = Arc::new(AtomicU64::new(9));
         let s = served.clone();
-        reg.observe_counter("ldp_http_total", "served", &[("shard", "0")], move || {
-            s.load(Ordering::Relaxed)
-        });
+        reg.observe(
+            "ldp_http_total",
+            "served",
+            MetricKind::Counter,
+            &[("shard", "0")],
+            move || s.load(Ordering::Relaxed),
+        );
         let server = MetricsServer::start("127.0.0.1:0", reg.clone()).unwrap();
         let response = get(server.addr());
         assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");

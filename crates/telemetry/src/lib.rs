@@ -39,6 +39,6 @@ pub mod top;
 
 pub use expose::render_prometheus;
 pub use http::MetricsServer;
-pub use registry::{MetricKind, Registry, Sample};
+pub use registry::{CounterRow, MetricKind, Registry, Sample};
 pub use sampler::{Sampler, SamplerDriver};
 pub use top::{parse_exposition, run_top, scrape, ParsedMetric, TopOptions};

@@ -304,9 +304,13 @@ mod tests {
         fn on(reg: &Registry, name: &str, shard: &str) -> Cell {
             let cell = Arc::new(AtomicU64::new(0));
             let c = cell.clone();
-            reg.observe_counter(name, "h", &[("shard", shard)], move || {
-                c.load(Ordering::Relaxed)
-            });
+            reg.observe(
+                name,
+                "h",
+                MetricKind::Counter,
+                &[("shard", shard)],
+                move || c.load(Ordering::Relaxed),
+            );
             Cell(cell)
         }
 

@@ -279,7 +279,7 @@ pub fn run_top(opts: &TopOptions, out: &mut dyn Write) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::http::MetricsServer;
-    use crate::registry::Registry;
+    use crate::registry::{MetricKind, Registry};
     use std::sync::Arc;
 
     #[test]
@@ -324,9 +324,10 @@ garbage line without a number
     #[test]
     fn top_against_live_endpoint_single_iteration() {
         let reg = Arc::new(Registry::new());
-        reg.observe_counter(
+        reg.observe(
             "ldp_replay_sent_total",
             "Queries sent",
+            MetricKind::Counter,
             &[("shard", "0")],
             || 5,
         );

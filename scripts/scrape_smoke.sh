@@ -47,7 +47,7 @@ done
 sleep 1
 "$LDPLAYER" top --metrics-addr "$ADDR" --iterations 1 --raw >"$DIR/scrape.txt"
 # Every family the replay registers per shard: one for each cell of the
-# shard's counter block (`FAMILIES` in crates/replay/src/engine.rs).
+# shard's counter block (the `shard_cells!` table in crates/metrics/src/shard.rs).
 for fam in ldp_replay_sent_total ldp_replay_answered_total \
     ldp_replay_late_total ldp_replay_send_lag_us_total \
     ldp_replay_timeouts_total ldp_replay_retries_total \
