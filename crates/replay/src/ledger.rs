@@ -59,8 +59,8 @@ impl SockRef {
 pub(crate) struct InFlight {
     /// Outcome-log row the answer lands in.
     pub(crate) slot: u64,
-    /// Send time of the *latest* attempt (latency baseline), in ns on the
-    /// replay epoch.
+    /// Send time of the *latest* attempt, in ns on the replay epoch: the
+    /// expiry baseline, and the latency baseline but for a fallback.
     pub(crate) sent_ns: u64,
     /// [`SockRef::token`] of the socket the query went out on.
     pub(crate) sock: u32,
@@ -68,6 +68,10 @@ pub(crate) struct InFlight {
     /// the attempt they were scheduled for, so an answered-and-resent id
     /// can't be expired by a stale entry.
     pub(crate) attempt: u8,
+    /// A truncated UDP answer's query, asked again over TCP: its latency
+    /// runs from the UDP send its outcome row records, so it includes
+    /// the wasted round trip.
+    pub(crate) fallback: bool,
 }
 
 const _: () = assert!(std::mem::size_of::<InFlight>() <= 24);
@@ -326,7 +330,15 @@ impl Ledger {
         self.pending.remove(id);
         let arrived_ns = arrived_ns.max(f.sent_ns);
         let slot = f.slot as usize;
-        if self.log.answer(slot, (arrived_ns - f.sent_ns) / 1_000) {
+        let since_ns = if f.fallback {
+            self.log
+                .sent_offset_us(slot)
+                .map_or(f.sent_ns, |us| us * 1_000)
+        } else {
+            f.sent_ns
+        };
+        let latency_us = arrived_ns.saturating_sub(since_ns) / 1_000;
+        if self.log.answer(slot, latency_us) {
             self.counters.answered.bump(1);
         }
         if let Some(o) = &self.obs {
@@ -366,6 +378,7 @@ mod tests {
             sent_ns,
             sock: sock.token(),
             attempt: 0,
+            fallback: false,
         }
     }
 
