@@ -6,18 +6,18 @@
 //! over time, upstream query amplification, and stub-visible latency for
 //! cold vs warm lookups.
 
-use std::net::{IpAddr, SocketAddr};
+use std::net::IpAddr;
 use std::sync::Arc;
 
 use ldp_bench::{emit, scale, Report, Summary};
-use ldp_netsim::{Ctx, Node, NodeEvent, Packet, Payload, Sim, SimDuration, SimTime, TcpConfig};
+use ldp_netsim::{Sim, SimDuration, SimTime, TcpConfig};
 use ldp_proxy::ProxyNode;
+use ldp_replay::sim::SimDriver;
 use ldp_server::auth::AuthEngine;
 use ldp_server::recursive::{ResolverConfig, ResolverCore};
 use ldp_server::resource::ResourceModel;
 use ldp_server::sim::{AuthServerNode, RecursiveNode};
-use ldp_trace::TraceRecord;
-use ldp_wire::{Message, Name, RData, Record};
+use ldp_wire::{Name, RData, Record};
 use ldp_workload::RecConfig;
 use ldp_zone::{ViewTable, Zone};
 use serde_json::json;
@@ -95,54 +95,6 @@ fn hierarchy(zones: usize) -> ViewTable {
     ViewTable::from_nameserver_map(pairs)
 }
 
-/// Stub node replaying the Rec trace at trace timing and recording
-/// latencies per query.
-struct StubReplayer {
-    addr: IpAddr,
-    resolver: SocketAddr,
-    records: Vec<TraceRecord>,
-    pending: std::collections::HashMap<u16, (usize, SimTime)>,
-    outcomes: Vec<(u64, Option<f64>)>, // (trace µs, latency ms)
-    next_id: u16,
-}
-
-impl Node for StubReplayer {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        for (i, rec) in self.records.iter().enumerate() {
-            ctx.set_timer(SimTime::from_micros(rec.time_us) - SimTime::ZERO, i as u64);
-        }
-    }
-    fn on_event(&mut self, ctx: &mut Ctx, event: NodeEvent) {
-        match event {
-            NodeEvent::Timer { token } => {
-                let idx = token as usize;
-                self.next_id = self.next_id.wrapping_add(1);
-                let mut msg = self.records[idx].message.clone();
-                msg.header.id = self.next_id;
-                let outcome = self.outcomes.len();
-                self.outcomes.push((self.records[idx].time_us, None));
-                self.pending.insert(self.next_id, (outcome, ctx.now()));
-                if let Ok(bytes) = msg.to_bytes() {
-                    ctx.send(Packet::udp(
-                        SocketAddr::new(self.addr, 5353),
-                        self.resolver,
-                        bytes,
-                    ));
-                }
-            }
-            NodeEvent::Packet(p) => {
-                if let Payload::Udp(data) = &p.payload {
-                    if let Ok(msg) = Message::from_bytes(data) {
-                        if let Some((idx, sent)) = self.pending.remove(&msg.header.id) {
-                            self.outcomes[idx].1 = Some((ctx.now() - sent).as_secs_f64() * 1000.0);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 fn main() {
     let scale = scale();
     let cfg = RecConfig {
@@ -152,15 +104,15 @@ fn main() {
     let trace = cfg.generate();
     let n_queries = trace.len();
 
+    // The stub replays the trace at trace timing through the same querier
+    // the §5 experiments use, pointed at the recursive.
     let mut sim = Sim::new();
-    let stub = sim.add_node(Box::new(StubReplayer {
-        addr: STUB.parse().unwrap(),
-        resolver: format!("{REC}:53").parse().unwrap(),
-        records: trace,
-        pending: Default::default(),
-        outcomes: Vec::new(),
-        next_id: 0,
-    }));
+    let stub = sim.add_node(Box::new(SimDriver::new(
+        STUB.parse().unwrap(),
+        REC.parse().unwrap(),
+        TcpConfig::default(),
+        trace,
+    )));
     let rec = sim.add_node(Box::new(RecursiveNode::new(
         REC.parse().unwrap(),
         ResolverCore::new(vec![ROOT_NS.parse().unwrap()], ResolverConfig::default()),
@@ -186,15 +138,16 @@ fn main() {
 
     sim.run_until(SimTime::from_secs(cfg.duration_s as u64 + 10));
 
-    let stub_ref: &StubReplayer = sim.node_as(stub).unwrap();
+    let outcomes = sim.node_as_mut::<SimDriver>(stub).unwrap().take_outcomes();
     let rec_ref: &RecursiveNode = sim.node_as(rec).unwrap();
     let meta_ref: &AuthServerNode = sim.node_as(meta).unwrap();
 
-    let answered = stub_ref
-        .outcomes
+    let lat: Vec<f64> = outcomes
         .iter()
-        .filter(|(_, l)| l.is_some())
-        .count();
+        .filter_map(|o| o.latency_us)
+        .map(|us| us as f64 / 1000.0)
+        .collect();
+    let answered = lat.len();
     let amplification = rec_ref.core.upstream_queries as f64 / n_queries as f64;
     let hit_rate = rec_ref.core.cache.hits as f64
         / (rec_ref.core.cache.hits + rec_ref.core.cache.misses).max(1) as f64;
@@ -223,7 +176,6 @@ fn main() {
 
     // Cold vs warm latency: split by first-vs-later occurrence per qname
     // cache state using latency clusters (cold = multi-hop).
-    let lat: Vec<f64> = stub_ref.outcomes.iter().filter_map(|(_, l)| *l).collect();
     if let Some(s) = Summary::compute(&lat) {
         summary.row(vec![json!("latency median (ms)"), json!(s.median)]);
         summary.row(vec![json!("latency q3 (ms)"), json!(s.q3)]);

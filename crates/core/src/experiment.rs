@@ -30,9 +30,7 @@ pub struct SimExperiment {
     server_nagle: Option<SimDuration>,
     server_max_connections: Option<usize>,
     queriers: usize,
-    model: ResourceModel,
     grace: SimDuration,
-    sample_interval: SimDuration,
 }
 
 impl SimExperiment {
@@ -60,9 +58,7 @@ impl SimExperiment {
             server_nagle: None,
             server_max_connections: None,
             queriers: 4,
-            model: ResourceModel::default(),
             grace: SimDuration::from_secs(2),
-            sample_interval: SimDuration::from_secs(1),
         }
     }
 
@@ -109,22 +105,10 @@ impl SimExperiment {
         self
     }
 
-    /// Overrides the resource model (ablations).
-    pub fn resource_model(mut self, model: ResourceModel) -> Self {
-        self.model = model;
-        self
-    }
-
     /// Extra simulated time after the last trace query (lets responses
     /// drain and timeouts fire).
     pub fn grace_s(mut self, secs: u64) -> Self {
         self.grace = SimDuration::from_secs(secs);
-        self
-    }
-
-    /// Server sampling interval.
-    pub fn sample_interval_s(mut self, secs: u64) -> Self {
-        self.sample_interval = SimDuration::from_secs(secs.max(1));
         self
     }
 
@@ -150,9 +134,8 @@ impl SimExperiment {
                 max_connections: self.server_max_connections,
                 ..TcpConfig::default()
             },
-            self.model,
-        )
-        .with_sample_interval(self.sample_interval);
+            ResourceModel::default(),
+        );
         let server_id = sim.add_node(Box::new(server_node));
         sim.bind(server_addr, server_id);
 
@@ -191,8 +174,8 @@ impl SimExperiment {
         // shape the live engine's report holds.
         let mut outcomes = Outcomes::default();
         for id in &querier_ids {
-            let q: &SimDriver = sim.node_as(*id).expect("querier node");
-            outcomes.append(q.outcomes());
+            let q: &mut SimDriver = sim.node_as_mut(*id).expect("querier node");
+            outcomes.append(q.take_outcomes());
         }
         let mut latency_hist = ldp_metrics::LogHistogram::new();
         for us in outcomes.iter().filter_map(|o| o.latency_us) {

@@ -60,20 +60,6 @@ impl LogHistogram {
         }
     }
 
-    /// Builds a histogram from float samples scaled by `scale` (e.g.
-    /// milliseconds × 1000 → microsecond ticks). Negative samples clamp
-    /// to zero; NaN is ignored.
-    pub fn from_samples_scaled(samples: &[f64], scale: f64) -> LogHistogram {
-        let mut h = LogHistogram::new();
-        for &s in samples {
-            if s.is_nan() {
-                continue;
-            }
-            h.record((s * scale).max(0.0) as u64);
-        }
-        h
-    }
-
     /// Records one value.
     pub fn record(&mut self, value: u64) {
         self.record_n(value, 1);

@@ -32,7 +32,6 @@ pub enum Action {
 /// Per-event context handed to nodes.
 pub struct Ctx {
     now: SimTime,
-    node: NodeId,
     actions: Vec<Action>,
 }
 
@@ -40,11 +39,6 @@ impl Ctx {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// This node's id.
-    pub fn node_id(&self) -> NodeId {
-        self.node
     }
 
     /// Queues a packet for transmission.
@@ -187,11 +181,6 @@ impl Sim {
         self.clock
     }
 
-    /// Schedules a timer externally (before the run starts).
-    pub fn schedule_timer(&mut self, node: NodeId, at: SimTime, token: u64) {
-        self.push(at, QueuedKind::Timer(node, token));
-    }
-
     fn push(&mut self, at: SimTime, kind: QueuedKind) {
         let seq = self.seq;
         self.seq += 1;
@@ -264,7 +253,6 @@ impl Sim {
         };
         let mut ctx = Ctx {
             now: self.clock,
-            node: id,
             actions: Vec::new(),
         };
         f(node.as_mut(), &mut ctx);
@@ -306,11 +294,6 @@ impl Sim {
     /// Borrows a node for inspection after (or between) runs.
     pub fn node(&self, id: NodeId) -> Option<&dyn Node> {
         self.nodes.get(id).and_then(|n| n.as_deref())
-    }
-
-    /// Mutably borrows a node (e.g. to collect results).
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut Box<dyn Node>> {
-        self.nodes.get_mut(id).and_then(|n| n.as_mut())
     }
 
     /// Downcasts a node to its concrete type for result collection.

@@ -486,11 +486,6 @@ impl TcpStack {
         snap
     }
 
-    /// State of one connection, if it exists.
-    pub fn conn_state(&self, key: &ConnKey) -> Option<TcpState> {
-        self.conns.get(key).map(|c| c.state)
-    }
-
     /// Number of connections in any state.
     pub fn conn_count(&self) -> usize {
         self.conns.len()

@@ -67,16 +67,12 @@ impl SimDuration {
         SimDuration(ms * 1_000_000)
     }
 
-    pub fn from_secs(s: u64) -> SimDuration {
+    pub const fn from_secs(s: u64) -> SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// Whole microseconds (truncating), the histogram tick unit.

@@ -190,15 +190,6 @@ fn frame(tag: u8, mut body: Vec<u8>) -> Vec<u8> {
     out
 }
 
-/// Strips the record-overhead filler from unframed app data. The payload
-/// length is recovered by the application's own framing (DNS's 2-byte
-/// length prefix), so the trailing filler is harmless; this helper exists
-/// for tests that compare exact payloads.
-pub fn strip_record_padding(mut data: Vec<u8>) -> Vec<u8> {
-    data.truncate(data.len().saturating_sub(RECORD_OVERHEAD - 5));
-    data
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,7 +10,7 @@ use ldp_netsim::{
     ConnKey, Ctx, Node, NodeEvent, Packet, Payload, SimDuration, SimTime, TcpConfig, TcpEvent,
     TcpStack, TlsEndpoint, TlsOutput, TlsRole,
 };
-use ldp_wire::framing::FrameDecoder;
+use ldp_wire::framing::split_frame;
 use ldp_wire::{Message, DNS_PORT, DNS_TLS_PORT};
 
 use crate::auth::{AuthEngine, NoAnswer};
@@ -20,6 +20,8 @@ use crate::resource::{ResourceModel, ResourceUsage};
 /// Timer token for the periodic resource sampler (distinct from TCP-stack
 /// tokens, which carry the high bit).
 const SAMPLE_TOKEN: u64 = 1;
+/// How often the resource sampler takes a [`ServerSample`].
+const SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(1);
 /// Timer token for QUIC idle-session expiry sweeps.
 const QUIC_EXPIRE_TOKEN: u64 = 2;
 
@@ -46,7 +48,8 @@ pub struct AuthServerNode {
     engine: Arc<AuthEngine>,
     pub tcp: TcpStack,
     tls: HashMap<ConnKey, TlsEndpoint>,
-    framers: HashMap<ConnKey, FrameDecoder>,
+    /// Per connection, received bytes not yet forming a whole frame.
+    partial: HashMap<ConnKey, Vec<u8>>,
     /// DNS-over-QUIC sessions (extension transport): conn-id keyed,
     /// sharing the TCP idle-timeout knob, with no TIME_WAIT.
     pub quic: QuicServerSessions,
@@ -58,7 +61,6 @@ pub struct AuthServerNode {
     /// Cumulative response bytes (DNS payload + transport framing).
     pub response_bytes: u64,
     response_bytes_at_last_sample: u64,
-    sample_interval: SimDuration,
     start: SimTime,
     pub samples: Vec<ServerSample>,
     /// Count of malformed queries dropped (failure injection visibility).
@@ -78,24 +80,17 @@ impl AuthServerNode {
             quic_idle_timeout: tcp_config.idle_timeout,
             tcp: TcpStack::new(addr, tcp_config),
             tls: HashMap::new(),
-            framers: HashMap::new(),
+            partial: HashMap::new(),
             quic: QuicServerSessions::new(),
             quic_peers: HashMap::new(),
             usage: ResourceUsage::default(),
             model,
             response_bytes: 0,
             response_bytes_at_last_sample: 0,
-            sample_interval: SimDuration::from_secs(1),
             start: SimTime::ZERO,
             samples: Vec::new(),
             malformed: 0,
         }
-    }
-
-    /// Sets the resource sampling interval (default 1 s).
-    pub fn with_sample_interval(mut self, interval: SimDuration) -> AuthServerNode {
-        self.sample_interval = interval;
-        self
     }
 
     /// Handles a DNS-over-QUIC datagram (UDP port 853). RFC 9250 keeps
@@ -234,7 +229,7 @@ impl AuthServerNode {
             match event {
                 TcpEvent::Accepted(key) => {
                     self.usage.tcp_handshakes += 1;
-                    self.framers.insert(key, FrameDecoder::new());
+                    self.partial.insert(key, Vec::new());
                     if key.local.port() == DNS_TLS_PORT {
                         self.tls.insert(key, TlsEndpoint::new(TlsRole::Server));
                     }
@@ -266,7 +261,7 @@ impl AuthServerNode {
                     }
                 }
                 TcpEvent::PeerClosed(key) | TcpEvent::Closed(key) => {
-                    self.framers.remove(&key);
+                    self.partial.remove(&key);
                     if self.tls.remove(&key).is_some() {
                         self.usage.tls_sessions = self.usage.tls_sessions.saturating_sub(1);
                     }
@@ -276,15 +271,19 @@ impl AuthServerNode {
         }
     }
 
+    /// Answers every whole frame the connection's bytes hold once `bytes`
+    /// is appended; a partial frame waits for the next segment.
     fn feed_framer(&mut self, ctx: &mut Ctx, key: ConnKey, bytes: &[u8], is_tls: bool) {
-        let frames = {
-            let framer = self.framers.entry(key).or_default();
-            framer.feed(bytes);
-            framer.drain_frames()
-        };
-        for frame in frames {
-            self.answer_stream(ctx, key, &frame, is_tls);
+        let mut buf = self.partial.remove(&key).unwrap_or_default();
+        buf.extend_from_slice(bytes);
+        let mut rest = &buf[..];
+        while let Some((msg, tail)) = split_frame(rest) {
+            self.answer_stream(ctx, key, msg, is_tls);
+            rest = tail;
         }
+        let used = buf.len() - rest.len();
+        buf.drain(..used);
+        self.partial.insert(key, buf);
     }
 
     fn take_sample(&mut self, ctx: &mut Ctx) {
@@ -293,7 +292,7 @@ impl AuthServerNode {
         let elapsed_us = (now - self.start).as_secs_f64() * 1e6;
         let delta_bytes = self.response_bytes - self.response_bytes_at_last_sample;
         self.response_bytes_at_last_sample = self.response_bytes;
-        let interval_s = self.sample_interval.as_secs_f64();
+        let interval_s = SAMPLE_INTERVAL.as_secs_f64();
         self.samples.push(ServerSample {
             t: now,
             memory_gb: self.model.memory_gb(&snap, &self.usage),
@@ -302,14 +301,14 @@ impl AuthServerNode {
             cpu_percent: self.model.cpu_percent(&self.usage, elapsed_us),
             response_mbps: delta_bytes as f64 * 8.0 / 1e6 / interval_s,
         });
-        ctx.set_timer(self.sample_interval, SAMPLE_TOKEN);
+        ctx.set_timer(SAMPLE_INTERVAL, SAMPLE_TOKEN);
     }
 }
 
 impl Node for AuthServerNode {
     fn on_start(&mut self, ctx: &mut Ctx) {
         self.start = ctx.now();
-        ctx.set_timer(self.sample_interval, SAMPLE_TOKEN);
+        ctx.set_timer(SAMPLE_INTERVAL, SAMPLE_TOKEN);
         if self.quic_idle_timeout.is_some() {
             ctx.set_timer(SimDuration::from_secs(1), QUIC_EXPIRE_TOKEN);
         }

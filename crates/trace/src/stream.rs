@@ -210,55 +210,6 @@ impl<R: Read> StreamReader<R> {
             other => other,
         })
     }
-
-    /// Fills `batch` with up to `max` records, reusing the batch's spine
-    /// and this reader's scratch buffer. Returns the number of records
-    /// appended; `0` means clean EOF. The batch is *not* cleared first, so
-    /// callers can top up a partially drained batch.
-    pub fn read_batch(&mut self, batch: &mut RecordBatch, max: usize) -> Result<usize, TraceError> {
-        let mut appended = 0;
-        while appended < max {
-            match self.read()? {
-                Some(rec) => {
-                    batch.records.push(rec);
-                    appended += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(appended)
-    }
-}
-
-/// A reusable decode batch: the unit of work the replay pipeline's Reader
-/// hands to queriers. Clearing a batch keeps the spine's capacity, so a
-/// recycled batch makes `read_batch` allocation-free at steady state
-/// (aside from per-record message payloads).
-#[derive(Debug, Default)]
-pub struct RecordBatch {
-    /// The decoded records, in stream order.
-    pub records: Vec<TraceRecord>,
-}
-
-impl RecordBatch {
-    pub fn with_capacity(cap: usize) -> RecordBatch {
-        RecordBatch {
-            records: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Drops the records but keeps the allocation for reuse.
-    pub fn clear(&mut self) {
-        self.records.clear();
-    }
-
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
 }
 
 impl<R: Read> Iterator for StreamReader<R> {

@@ -211,11 +211,19 @@ proptest! {
         for m in &msgs {
             stream.extend(ldp_wire::framing::frame_message(m).unwrap());
         }
-        let mut dec = ldp_wire::framing::FrameDecoder::new();
+        // Reassembled the way every stream endpoint does: a buffer of the
+        // bytes so far, whole frames split off it as each chunk lands.
+        let mut buf = Vec::new();
         let mut out = Vec::new();
         for chunk in stream.chunks(split) {
-            dec.feed(chunk);
-            out.extend(dec.drain_frames());
+            buf.extend_from_slice(chunk);
+            let mut rest = &buf[..];
+            while let Some((msg, tail)) = ldp_wire::framing::split_frame(rest) {
+                out.push(msg.to_vec());
+                rest = tail;
+            }
+            let used = buf.len() - rest.len();
+            buf.drain(..used);
         }
         prop_assert_eq!(out, msgs);
     }

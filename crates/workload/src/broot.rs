@@ -57,17 +57,6 @@ impl Default for BRootConfig {
 }
 
 impl BRootConfig {
-    /// A 20-minute-style cut (the B-Root-17b shape) at a given scale.
-    pub fn b17b_scaled(mean_rate_qps: f64, clients: usize, seed: u64) -> BRootConfig {
-        BRootConfig {
-            duration_s: 1200.0,
-            mean_rate_qps,
-            clients,
-            seed,
-            ..BRootConfig::default()
-        }
-    }
-
     /// Generates the trace (time-ordered).
     pub fn generate(&self) -> Vec<TraceRecord> {
         let mut rng = StdRng::seed_from_u64(self.seed);

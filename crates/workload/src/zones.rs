@@ -6,7 +6,7 @@
 //! glue for every TLD the workload can query — and an `example.com` zone
 //! with wildcards for the unique-name synthetic traces (§4.2).
 
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::Ipv4Addr;
 
 use ldp_wire::{Name, RData, Record};
 use ldp_zone::dnssec::{sign_zone, SigningConfig};
@@ -102,11 +102,6 @@ pub fn wildcard_example_zone() -> Zone {
     ))
     .unwrap();
     zone
-}
-
-/// The conventional address the wildcard server binds in simulations.
-pub fn wildcard_server_addr() -> IpAddr {
-    IpAddr::V4(Ipv4Addr::new(192, 0, 2, 53))
 }
 
 #[cfg(test)]

@@ -283,11 +283,6 @@ impl Zone {
             .sum()
     }
 
-    /// Returns all delegation cut names.
-    pub fn cut_names(&self) -> impl Iterator<Item = &Name> {
-        self.cuts.iter()
-    }
-
     /// Records the canonical NSEC-chain order (set by the signing pass).
     pub fn set_nsec_order(&mut self, order: Vec<Name>) {
         self.nsec_order = order;

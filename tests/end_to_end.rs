@@ -246,9 +246,13 @@ fn failure_injection_udp_loss_reduces_answers_only() {
     sim.set_pair_delay(q, s, SimDuration::from_millis(5));
     sim.run_until(SimTime::from_secs(30));
 
-    let querier: &SimDriver = sim.node_as(q).unwrap();
-    assert_eq!(querier.outcomes().len(), n_queries, "every query attempted");
+    let querier: &mut SimDriver = sim.node_as_mut(q).unwrap();
     let rate = querier.answer_rate();
+    assert_eq!(
+        querier.take_outcomes().len(),
+        n_queries,
+        "every query attempted"
+    );
     // 30% loss each way ⇒ ~49% answered.
     assert!(
         (0.35..0.65).contains(&rate),

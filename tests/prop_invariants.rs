@@ -171,7 +171,7 @@ fn sim_determinism_with_loss() {
         sim.bind("192.0.2.53".parse().unwrap(), s);
         sim.set_pair_delay(q, s, SimDuration::from_millis(3));
         sim.run_until(SimTime::from_secs(10));
-        sim.node_as::<SimDriver>(q).unwrap().outcomes()
+        sim.node_as_mut::<SimDriver>(q).unwrap().take_outcomes()
     };
     assert_eq!(run(), run());
 }
