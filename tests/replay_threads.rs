@@ -1,7 +1,8 @@
 //! A replay must not leave threads behind. Each querier reads its own
 //! answers and expires its own queries, so a finished replay leaves no
-//! receive, reader or sweeper thread blocked on a socket. This is a test
-//! binary of its own so that the threads it lists are this test's alone.
+//! receive, reader or sweeper thread blocked on a socket; and a dropped
+//! server stops its serving threads. This is a test binary of its own so
+//! that the threads it lists are this test's alone.
 #![cfg(target_os = "linux")]
 
 use std::sync::Arc;
@@ -77,5 +78,17 @@ async fn replays_leave_no_threads_behind() {
             );
             tokio::time::sleep(Duration::from_millis(10)).await;
         }
+    }
+    // Dropping the server stops its UDP and accept loops, and the
+    // per-connection threads ended when the replay closed its connections.
+    drop(server);
+    let grace = Instant::now() + Duration::from_secs(2);
+    while thread_names().iter().any(|n| n.starts_with("server-")) {
+        assert!(
+            Instant::now() < grace,
+            "a dropped server left threads running: {:?}",
+            thread_names()
+        );
+        tokio::time::sleep(Duration::from_millis(10)).await;
     }
 }
