@@ -45,15 +45,13 @@ fn trace(n: u64) -> Vec<TraceRecord> {
         .collect()
 }
 
-#[tokio::main(flavor = "multi_thread")]
-async fn main() {
+fn main() {
     let chaos = Arc::new(ChaosPolicy::new(SEED).drop_responses(DROP_P));
-    let server = LiveServer::spawn_with_chaos(
+    let server = LiveServer::start_with_chaos(
         engine(),
         "127.0.0.1:0".parse().expect("valid addr"),
         chaos.clone(),
     )
-    .await
     .expect("spawn chaos server");
 
     let mut replay = LiveReplay::new(server.addr);
@@ -62,7 +60,7 @@ async fn main() {
     replay.drain = Duration::from_secs(4);
     let obs = ReplaySpans::from_env(replay.distributors * replay.queriers_per_distributor);
     replay.obs = obs.clone();
-    let report = replay.run(trace(QUERIES)).await.expect("replay runs");
+    let report = replay.run(trace(QUERIES)).expect("replay runs");
 
     let dropped = chaos
         .stats

@@ -37,12 +37,10 @@ fn errors_after_warmup(outcomes: &ldp_replay::Outcomes, skip_us: u64) -> Vec<f64
         .collect()
 }
 
-#[tokio::main(flavor = "multi_thread")]
-async fn main() {
+fn main() {
     let scale = scale();
-    let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-        .await
-        .expect("spawn live server");
+    let server =
+        LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).expect("spawn live server");
 
     let mut report = Report::new("Figure 6: query timing error (ms) in replay");
     let section = report.section(
@@ -83,7 +81,7 @@ async fn main() {
             mode: ReplayMode::Timed { speed: 1.0 },
             ..LiveReplay::new(server.addr)
         };
-        let report_out = replay.run(trace).await.expect("replay runs");
+        let report_out = replay.run(trace).expect("replay runs");
         let warmup_us = (secs as u64 * 1_000_000) / 4;
         for o in &report_out.outcomes {
             if o.trace_offset_us >= warmup_us {

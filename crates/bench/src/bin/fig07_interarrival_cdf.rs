@@ -33,12 +33,10 @@ fn original_interarrivals(trace: &[TraceRecord]) -> Vec<f64> {
         .collect()
 }
 
-#[tokio::main(flavor = "multi_thread")]
-async fn main() {
+fn main() {
     let scale = scale();
-    let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-        .await
-        .expect("spawn live server");
+    let server =
+        LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).expect("spawn live server");
 
     let mut report = Report::new("Figure 7: CDF of inter-arrival time, original vs replayed");
     let quantiles = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99];
@@ -66,7 +64,7 @@ async fn main() {
             mode: ReplayMode::Timed { speed: 1.0 },
             ..LiveReplay::new(server.addr)
         };
-        let out = replay.run(trace).await.expect("replay runs");
+        let out = replay.run(trace).expect("replay runs");
         let replayed = Cdf::new(&out.replayed_interarrivals_s());
         let ks = original.ks_distance(&replayed);
 

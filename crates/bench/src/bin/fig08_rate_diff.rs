@@ -22,12 +22,10 @@ fn engine() -> Arc<AuthEngine> {
     Arc::new(AuthEngine::with_zones(Arc::new(set)))
 }
 
-#[tokio::main(flavor = "multi_thread")]
-async fn main() {
+fn main() {
     let scale = scale();
-    let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-        .await
-        .expect("spawn live server");
+    let server =
+        LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).expect("spawn live server");
 
     let mut report = Report::new("Figure 8: per-second query-rate difference, replay vs original");
     let section = report.section(
@@ -59,7 +57,7 @@ async fn main() {
             mode: ReplayMode::Timed { speed: 1.0 },
             ..LiveReplay::new(server.addr)
         };
-        let out = replay.run(trace).await.expect("replay runs");
+        let out = replay.run(trace).expect("replay runs");
         let mut replayed = RateSeries::new(1.0);
         for o in &out.outcomes {
             replayed.record(o.sent_offset_us as f64 / 1e6);

@@ -65,12 +65,10 @@ fn query_stream(
     })
 }
 
-#[tokio::main(flavor = "multi_thread")]
-async fn main() {
+fn main() {
     let scale = scale();
-    let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-        .await
-        .expect("spawn live server");
+    let server =
+        LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).expect("spawn live server");
 
     let mut report = Report::new("Figure 9 / §4.3: single-host fast-replay throughput");
     let section = report.section(
@@ -101,7 +99,7 @@ async fn main() {
     replay.obs = obs.clone();
     let budget = Duration::from_secs_f64(budget_s);
     let records = query_stream(budget);
-    let runner = tokio::spawn(async move { replay.run_stream(records).await });
+    let runner = std::thread::spawn(move || replay.run_iter(records));
 
     let mut sampler = ldp_telemetry::Sampler::new(registry, 4_096);
     let started = Instant::now();
@@ -110,7 +108,7 @@ async fn main() {
     let mut sampled_at = started;
     let mut sampled_total = 0u64;
     while started.elapsed() < budget {
-        tokio::time::sleep(Duration::from_secs_f64(window_s)).await;
+        std::thread::sleep(Duration::from_secs_f64(window_s));
         let now = Instant::now();
         sampler.sample();
         let total = sampler
@@ -131,8 +129,8 @@ async fn main() {
     }
 
     let out = runner
-        .await
-        .expect("replay task joins")
+        .join()
+        .expect("replay thread joins")
         .expect("replay runs");
     let total_sent = out.sent;
     // What came back, over the same send phase the rate is measured on.
@@ -225,9 +223,7 @@ async fn main() {
     });
     let dir = ldp_bench::output_dir();
     let path = dir.join("BENCH_fig09.json");
-    // ldp-lint: allow(r3) -- one-shot result write after all replays finished
     match std::fs::create_dir_all(&dir).and_then(|()| {
-        // ldp-lint: allow(r3) -- one-shot result write after all replays finished
         std::fs::write(
             &path,
             serde_json::to_string_pretty(&bench).expect("bench record serializes"),

@@ -46,12 +46,10 @@ fn generator(n: u64) -> Vec<TraceRecord> {
         .collect()
 }
 
-#[tokio::main(flavor = "multi_thread")]
-async fn main() {
+fn main() {
     let scale = scale();
-    let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-        .await
-        .expect("spawn live server");
+    let server =
+        LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).expect("spawn live server");
 
     let n = (60_000.0 * scale) as u64;
     let mut report = Report::new("Replay pipeline: batch size vs fast-replay throughput");
@@ -80,7 +78,7 @@ async fn main() {
             ..LiveReplay::new(server.addr)
         };
         let t0 = Instant::now();
-        let out = replay.run(generator(n)).await.expect("replay runs");
+        let out = replay.run(generator(n)).expect("replay runs");
         let secs = t0.elapsed().as_secs_f64();
         let qps = out.sent as f64 / secs;
         let totals = PipelineTotals::from_shards(&out.shards);

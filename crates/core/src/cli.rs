@@ -454,29 +454,26 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
     )
     .map_err(io_err)?;
     let engine = Arc::new(AuthEngine::with_zones(Arc::new(zones)));
-    let rt = tokio::runtime::Runtime::new().map_err(io_err)?;
-    rt.block_on(async move {
-        let server = ldp_server::live::LiveServer::spawn(engine, listen)
-            .await
-            .map_err(|e| format!("bind {listen}: {e}"))?;
-        // The metrics endpoint lives on its own thread; the registry only
-        // holds observed closures over the server's atomics, so serving a
-        // scrape never touches the query path.
-        let _metrics = match &metrics_addr {
-            Some(addr) => {
-                let registry = Arc::new(ldp_telemetry::Registry::new());
-                server.register_telemetry(&registry);
-                let srv = ldp_telemetry::MetricsServer::start(addr, registry)
-                    .map_err(|e| format!("metrics bind {addr}: {e}"))?;
-                writeln!(out, "metrics on http://{}/metrics", srv.addr()).map_err(io_err)?;
-                Some(srv)
-            }
-            None => None,
-        };
-        tokio::signal::ctrl_c().await.map_err(|e| e.to_string())?;
-        Ok::<(), String>(())
-    })?;
-    Ok(0)
+    let server = ldp_server::live::LiveServer::start(engine, listen)
+        .map_err(|e| format!("bind {listen}: {e}"))?;
+    // The metrics endpoint lives on its own thread; the registry only
+    // holds observed closures over the server's atomics, so serving a
+    // scrape never touches the query path.
+    let _metrics = match &metrics_addr {
+        Some(addr) => {
+            let registry = Arc::new(ldp_telemetry::Registry::new());
+            server.register_telemetry(&registry);
+            let srv = ldp_telemetry::MetricsServer::start(addr, registry)
+                .map_err(|e| format!("metrics bind {addr}: {e}"))?;
+            writeln!(out, "metrics on http://{}/metrics", srv.addr()).map_err(io_err)?;
+            Some(srv)
+        }
+        None => None,
+    };
+    // Serve until ctrl-c, whose default action ends the process.
+    loop {
+        std::thread::park();
+    }
 }
 
 fn cmd_replay(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
@@ -529,7 +526,6 @@ fn cmd_replay(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
         }
         None => None,
     };
-    let rt = tokio::runtime::Runtime::new().map_err(io_err)?;
     let report = if f.has("stream") {
         // Incremental read: only .ldps supports streaming decode.
         let path = Path::new(input);
@@ -538,12 +534,12 @@ fn cmd_replay(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
         }
         let file = File::open(path).map_err(|e| format!("open {input}: {e}"))?;
         let reader = stream::StreamReader::new(BufReader::new(file)).map_err(|e| e.to_string())?;
-        rt.block_on(replay.run_stream(reader))
+        replay
+            .run_iter(reader)
             .map_err(|e| format!("replay: {e}"))?
     } else {
         let records = read_trace(Path::new(input))?;
-        rt.block_on(replay.run(records))
-            .map_err(|e| format!("replay: {e}"))?
+        replay.run(records).map_err(|e| format!("replay: {e}"))?
     };
     // Stop the telemetry plane; one final sample so runs shorter than the
     // cadence still land points in the manifest's timeseries section.
@@ -645,6 +641,7 @@ fn cmd_top(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_server::live::LiveServer;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ldpcli-{tag}-{}", std::process::id()));
@@ -790,28 +787,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Spawns a live server for `example.com` on a dedicated runtime
-    /// thread, kept alive for 30 s while a CLI replay (which builds its
-    /// own runtime) runs; returns its address.
-    fn spawn_server() -> String {
-        let rt = tokio::runtime::Runtime::new().unwrap();
-        let engine = {
-            let mut set = ZoneSet::new();
-            set.insert(ldp_workload::zones::wildcard_example_zone());
-            Arc::new(AuthEngine::with_zones(Arc::new(set)))
-        };
-        let server = rt
-            .block_on(ldp_server::live::LiveServer::spawn(
-                engine,
-                "127.0.0.1:0".parse().unwrap(),
-            ))
-            .unwrap();
-        let addr = server.addr.to_string();
-        std::thread::spawn(move || {
-            let _server = server;
-            rt.block_on(async { tokio::time::sleep(std::time::Duration::from_secs(30)).await });
-        });
-        addr
+    /// Starts a live server for `example.com`; a test holds it while a CLI
+    /// replay runs against its address.
+    fn start_server() -> LiveServer {
+        let mut set = ZoneSet::new();
+        set.insert(ldp_workload::zones::wildcard_example_zone());
+        let engine = Arc::new(AuthEngine::with_zones(Arc::new(set)));
+        LiveServer::start(engine, "127.0.0.1:0".parse().unwrap()).unwrap()
     }
 
     #[test]
@@ -839,7 +821,8 @@ mod tests {
             .count();
         assert!(readable > 0 && readable < whole, "{readable} of {whole}");
 
-        let addr = spawn_server();
+        let server = start_server();
+        let addr = server.addr.to_string();
         let args: Vec<String> = [
             "replay",
             trace_file.to_str().unwrap(),
@@ -882,7 +865,8 @@ mod tests {
             trace_file.to_str().unwrap(),
         ]);
 
-        let addr = spawn_server();
+        let server = start_server();
+        let addr = server.addr.to_string();
         let manifest_arg = dir.join("run.json");
         let msg = run_ok(&[
             "replay",

@@ -23,7 +23,8 @@
 //!   and resource models,
 //! * [`proxy`] — the OQDA-rewriting proxy pair behind hierarchy emulation,
 //! * [`zonegen`] — the zone constructor (traces → zones),
-//! * [`replay`] — the distributed query engine (live tokio + simulated),
+//! * [`replay`] — the distributed query engine (live on OS threads and
+//!   real sockets, or simulated),
 //! * [`metrics`] — summaries, CDFs, series, reports.
 //!
 //! ## Quickstart

@@ -1,4 +1,4 @@
-//! The live replay engine (tokio, real sockets) — the implementation
+//! The live replay engine (OS threads, real sockets) — the implementation
 //! behind the §4 fidelity and throughput experiments.
 //!
 //! Architecture (Figure 4 of the paper), rebuilt as a sharded batched
@@ -6,7 +6,7 @@
 //! **Postman** routes them with same-source affinity through a
 //! [`Batcher`], moving whole batches over bounded channels to one
 //! **Querier** per shard. The paper runs these as processes across hosts
-//! connected by TCP; here they are tokio tasks connected by channels —
+//! connected by TCP; here they are threads connected by bounded channels —
 //! the dataflow (sticky distribution, time-sync broadcast, per-querier
 //! scheduling) is the same, and the throughput experiment (§4.3) measures
 //! the same per-core replay limits.
@@ -18,8 +18,8 @@
 //! Each querier is the live driver of the querier core
 //! ([`crate::querier`]), which makes every decision. The driver does the
 //! I/O it asks for — binds sockets and opens connections, sends a run
-//! with one `sendmmsg` or one framed write, sleeps with `sleep_until`
-//! (timer slack 1 ns) to the core's next deadline — and hands it the time
+//! with one `sendmmsg` or one framed write, sleeps (timer slack 1 ns) to
+//! the core's next deadline — and hands it the time
 //! as nanoseconds since the replay epoch. Each shard counts its events in
 //! one [`ShardCounters`] block, which the core and the Postman write, the
 //! telemetry registry observes, and the report snapshots as [`ShardStats`].
@@ -35,14 +35,14 @@
 //! of the last segment a read returns, so answers that arrive back to back
 //! while the querier sleeps overstate their RTT by at most their gap.
 
-use std::net::SocketAddr;
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpStream, UdpSocket};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant, SystemTime};
 
-use tokio::io::AsyncWriteExt;
-use tokio::net::UdpSocket;
-use tokio::sync::mpsc;
-use tokio::task::JoinHandle;
+use ldp_io::{TcpStreamExt, UdpSocketExt};
 
 pub use ldp_metrics::shard::FAMILIES;
 use ldp_metrics::{DepthRing, ShardCounters, ShardStats};
@@ -219,9 +219,20 @@ impl LiveReplay {
 
     /// Runs the replay to completion. The records `Vec` is the Reader's
     /// fully preloaded window; routing and batching are identical to
-    /// [`LiveReplay::run_stream`].
-    pub async fn run(&self, records: Vec<TraceRecord>) -> std::io::Result<ReplayReport> {
-        self.run_stream(records.into_iter().map(Ok)).await
+    /// [`LiveReplay::run_iter`].
+    pub fn run(&self, records: Vec<TraceRecord>) -> io::Result<ReplayReport> {
+        self.run_iter(records.into_iter().map(Ok))
+    }
+
+    /// [`LiveReplay::run_iter`] as a future that finishes on its first
+    /// poll. It exists only for perfbench (`perfbench/src/replay.rs`),
+    /// whose sources change only with the benchmark; nothing in the
+    /// workspace calls it.
+    pub async fn run_stream<I>(&self, records: I) -> io::Result<ReplayReport>
+    where
+        I: Iterator<Item = Result<TraceRecord, ldp_trace::TraceError>> + Send + 'static,
+    {
+        self.run_iter(records)
     }
 
     /// Streaming variant: replays records pulled incrementally from a
@@ -229,10 +240,10 @@ impl LiveReplay {
     /// paper's §3 Reader: a bounded read-ahead window (`QUEUE_BATCHES`
     /// batches of `batch_size` records per querier) keeps input
     /// processing from falling behind real time while capping memory for
-    /// multi-gigabyte traces. The Reader+Postman run on a blocking
-    /// thread; routing stays sticky per source, and spines recycle back
+    /// multi-gigabyte traces. The Reader+Postman run on a thread of their
+    /// own; routing stays sticky per source, and spines recycle back
     /// from queriers so steady-state batching is allocation-free.
-    pub async fn run_stream<I>(&self, records: I) -> std::io::Result<ReplayReport>
+    pub fn run_iter<I>(&self, records: I) -> io::Result<ReplayReport>
     where
         I: Iterator<Item = Result<TraceRecord, ldp_trace::TraceError>> + Send + 'static,
     {
@@ -243,13 +254,8 @@ impl LiveReplay {
         // before any querier starts; peel it off eagerly.
         let mut records = records;
         let first = match records.next() {
-            None => return self.collect(&[], Vec::new(), None).await,
-            Some(Err(e)) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    e.to_string(),
-                ))
-            }
+            None => return self.collect(&[], Vec::new(), None),
+            Some(Err(e)) => return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
             Some(Ok(rec)) => rec,
         };
         let trace_epoch_us = first.time_us;
@@ -261,8 +267,8 @@ impl LiveReplay {
 
         // Spine recycling: queriers return drained batch Vecs here; the
         // postman feeds them back into the batcher's spare pool.
-        let (recycle_tx, mut recycle_rx) =
-            mpsc::channel::<Vec<TraceRecord>>(n_queriers * QUEUE_BATCHES);
+        let (recycle_tx, recycle_rx) =
+            mpsc::sync_channel::<Vec<TraceRecord>>(n_queriers * QUEUE_BATCHES);
 
         let counters: Vec<Arc<ShardCounters>> = (0..n_queriers).map(|_| Arc::default()).collect();
         let mut txs = Vec::with_capacity(n_queriers);
@@ -276,12 +282,15 @@ impl LiveReplay {
                     reg.observe(name, help, kind, &[("shard", &label)], move || read(&c));
                 }
             }
-            let (tx, rx) = mpsc::channel::<Vec<TraceRecord>>(QUEUE_BATCHES);
+            let (tx, rx) = mpsc::sync_channel::<Vec<TraceRecord>>(QUEUE_BATCHES);
             txs.push(tx);
-            handles.push(tokio::spawn(
-                self.querier(shard, trace_epoch_us, epoch, c.clone())
-                    .run(rx, recycle_tx.clone()),
-            ));
+            let querier = self.querier(shard, trace_epoch_us, epoch, c.clone());
+            let recycle = recycle_tx.clone();
+            handles.push(
+                thread::Builder::new()
+                    .name(format!("querier-{shard}"))
+                    .spawn(move || querier.run(rx, recycle))?,
+            );
         }
         drop(recycle_tx);
 
@@ -293,14 +302,13 @@ impl LiveReplay {
             ReplayMode::Fast => u64::MAX,
         };
 
-        // Reader + Postman on a blocking thread: decode, route sticky,
+        // Reader + Postman on their own thread: decode, route sticky,
         // batch, push with backpressure (a full querier queue parks the
         // reader — the pre-load bound). Counts stalls and queue depths
         // into the shards' blocks and returns the depth samples.
         let spans = self.obs.clone();
         let shard_counters = counters.clone();
-        let postman = tokio::task::spawn_blocking(move || {
-            ldp_telemetry::thread::set_name("reader-postman");
+        let postman = move || {
             let counters = shard_counters;
             let mut rings: Vec<DepthRing> = (0..n_queriers).map(|_| DepthRing::new()).collect();
             let mut batcher: Batcher<TraceRecord> = Batcher::new(plan, batch_size, horizon_us);
@@ -327,10 +335,10 @@ impl LiveReplay {
                 c.max_queue_depth.raise(observed);
                 let queued = match txs[q].try_send(batch) {
                     Ok(()) => true,
-                    Err(mpsc::error::SendError(batch)) => {
+                    Err(TrySendError::Full(batch) | TrySendError::Disconnected(batch)) => {
                         // Full (or closed): count the stall, then block.
                         c.postman_stalls.bump(1);
-                        txs[q].blocking_send(batch).is_ok()
+                        txs[q].send(batch).is_ok()
                     }
                 };
                 if queued {
@@ -358,7 +366,7 @@ impl LiveReplay {
                 for (q, batch) in flushes.drain(..) {
                     deliver(q, batch, &mut rings);
                 }
-                while let Some(spine) = recycle_rx.try_recv() {
+                while let Ok(spine) = recycle_rx.try_recv() {
                     batcher.donate(spine);
                 }
             }
@@ -366,9 +374,12 @@ impl LiveReplay {
                 deliver(q, batch, &mut rings);
             }
             (rings, read_error)
-        });
+        };
+        let postman = thread::Builder::new()
+            .name("reader-postman".into())
+            .spawn(postman)?;
 
-        self.collect(&counters, handles, Some(postman)).await
+        self.collect(&counters, handles, Some(postman))
     }
 
     fn querier(
@@ -379,7 +390,6 @@ impl LiveReplay {
         counters: Arc<ShardCounters>,
     ) -> LiveQuerier {
         LiveQuerier {
-            shard,
             server: self.server,
             epoch,
             drain: self.drain,
@@ -409,22 +419,22 @@ impl LiveReplay {
 
     /// Joins the queriers and the Postman, then snapshots each shard's
     /// counters into the report.
-    async fn collect(
+    fn collect(
         &self,
         counters: &[Arc<ShardCounters>],
         handles: Vec<JoinHandle<ShardLog>>,
         postman: Option<JoinHandle<PostmanResult>>,
-    ) -> std::io::Result<ReplayReport> {
+    ) -> io::Result<ReplayReport> {
         // Handles are in shard order, so the logs are too.
         let mut logs = Vec::with_capacity(handles.len());
         for h in handles {
             logs.push(
-                h.await
-                    .map_err(|e| std::io::Error::other(format!("querier task failed: {e}")))?,
+                h.join()
+                    .map_err(|_| io::Error::other("querier thread panicked"))?,
             );
         }
         let (rings, trace_error) = match postman {
-            Some(p) => p.await.unwrap_or_default(),
+            Some(p) => p.join().unwrap_or_default(),
             None => Default::default(),
         };
         let mut rings = rings.into_iter();
@@ -475,7 +485,6 @@ const DRAIN_POLL: Duration = Duration::from_millis(5);
 
 /// One querier: the core, and the sockets and buffers its actions use.
 struct LiveQuerier {
-    shard: usize,
     server: SocketAddr,
     epoch: Instant,
     drain: Duration,
@@ -505,12 +514,11 @@ impl LiveQuerier {
     /// batch at the latest. Infallible by design — querier-level faults
     /// degrade to per-record [`ReplayError`] outcomes rather than aborting
     /// the replay. Returns the shard's outcome log.
-    async fn run(
+    fn run(
         mut self,
-        mut rx: mpsc::Receiver<Vec<TraceRecord>>,
-        recycle: mpsc::Sender<Vec<TraceRecord>>,
+        rx: Receiver<Vec<TraceRecord>>,
+        recycle: SyncSender<Vec<TraceRecord>>,
     ) -> ShardLog {
-        ldp_telemetry::thread::set_name(&format!("querier-{}", self.shard));
         tighten_timer_slack();
         let mut drain_until = None;
         let mut read = true;
@@ -523,7 +531,7 @@ impl LiveQuerier {
             let action = self.core.poll(now, &mut self.wires);
             match action {
                 Action::Open(sock, _) => {
-                    let ok = self.open(sock).await;
+                    let ok = self.open(sock);
                     self.core.opened(self.now_ns(), ok);
                     // The open is for a send, which reading would only
                     // delay; expiry still reads first.
@@ -538,26 +546,27 @@ impl LiveQuerier {
                             self.read_tcp(k);
                         }
                     }
-                    self.send(sock, action == Action::Resend(sock)).await;
+                    self.send(sock, action == Action::Resend(sock));
                     self.core.sent(self.now_ns(), &self.failed);
                 }
                 Action::Wait(at) => {
                     let at = at.map(|ns| self.epoch + Duration::from_nanos(ns));
                     if !self.core.idle() {
                         let at = at.unwrap_or_else(|| Instant::now() + DRAIN_POLL);
-                        tokio::time::sleep_until(at.into()).await;
+                        thread::sleep(at.saturating_duration_since(Instant::now()));
                         // As above: a send is due, or an expiry tick.
                         read = self.core.expiring();
                         continue;
                     }
                     let Some(until) = drain_until else {
                         let batch = match at {
-                            None => rx.recv().await,
+                            None => rx.recv().ok(),
                             Some(at) => {
                                 let wait = at.saturating_duration_since(Instant::now());
-                                match tokio::time::timeout(wait, rx.recv()).await {
-                                    Ok(batch) => batch,
-                                    Err(_) => continue,
+                                match rx.recv_timeout(wait) {
+                                    Ok(batch) => Some(batch),
+                                    Err(RecvTimeoutError::Disconnected) => None,
+                                    Err(RecvTimeoutError::Timeout) => continue,
                                 }
                             }
                         };
@@ -578,7 +587,7 @@ impl LiveQuerier {
                     if self.core.in_flight() == 0 || left.is_zero() {
                         break;
                     }
-                    tokio::time::sleep(DRAIN_POLL.min(left)).await;
+                    thread::sleep(DRAIN_POLL.min(left));
                 }
             }
         }
@@ -592,10 +601,10 @@ impl LiveQuerier {
 
     /// Binds UDP socket slot or opens connection `sock`. A connection
     /// reopened after it died keeps its index.
-    async fn open(&mut self, sock: SockRef) -> bool {
+    fn open(&mut self, sock: SockRef) -> bool {
         match sock {
             SockRef::Udp(_) => {
-                let Ok(socket) = UdpSocket::bind("127.0.0.1:0").await else {
+                let Ok(socket) = ldp_io::bind_udp("127.0.0.1:0") else {
                     return false;
                 };
                 // Best effort: without stamps, a latency runs to its read.
@@ -604,7 +613,7 @@ impl LiveQuerier {
                 self.udp.push(socket);
             }
             SockRef::Conn(k) => {
-                let Ok(conn) = TcpConn::open(self.server).await else {
+                let Ok(conn) = TcpConn::open(self.server) else {
                     return false;
                 };
                 self.readiness.add(&conn.stream, u64::from(sock.token()));
@@ -624,7 +633,7 @@ impl LiveQuerier {
     /// does. A connection's run is one
     /// write of its frames back to back; if it fails, the answers the
     /// connection still holds are read and it is closed.
-    async fn send(&mut self, sock: SockRef, resend: bool) {
+    fn send(&mut self, sock: SockRef, resend: bool) {
         self.failed.clear();
         match sock {
             SockRef::Udp(s) => {
@@ -636,10 +645,10 @@ impl LiveQuerier {
                 let accepted = if resend {
                     0
                 } else {
-                    socket.send_many_to(&self.wires, server).await.unwrap_or(0)
+                    socket.send_many_to(&self.wires, server).unwrap_or(0)
                 };
                 for (w, wire) in self.wires.iter().enumerate().skip(accepted) {
-                    if socket.send_to(wire, server).await.is_err() {
+                    if socket.send_one_to(wire, server).is_err() {
                         self.failed.push(w);
                     }
                 }
@@ -652,7 +661,7 @@ impl LiveQuerier {
                 let sent = match self.tcp.get_mut(k as usize) {
                     Some(Some(conn)) => {
                         conn.unanswered += self.wires.len();
-                        conn.stream.write_all(&self.framed).await.is_ok()
+                        (&conn.stream).write_all(&self.framed).is_ok()
                     }
                     _ => false,
                 };
@@ -769,7 +778,7 @@ impl ReadClock {
 /// One source's TCP connection. Only the querier reads it, without
 /// blocking, into a buffer reused across reads.
 struct TcpConn {
-    stream: tokio::net::TcpStream,
+    stream: TcpStream,
     /// Bytes read but not yet credited: a frame still arriving.
     buf: Vec<u8>,
     filled: usize,
@@ -778,8 +787,8 @@ struct TcpConn {
 }
 
 impl TcpConn {
-    async fn open(server: SocketAddr) -> std::io::Result<TcpConn> {
-        let stream = tokio::net::TcpStream::connect(server).await?;
+    fn open(server: SocketAddr) -> io::Result<TcpConn> {
+        let stream = TcpStream::connect(server)?;
         stream.set_nodelay(true)?;
         // Best effort: without stamps, a latency runs to its read.
         let _ = stream.set_arrival_stamps();
@@ -809,7 +818,7 @@ impl TcpConn {
                 Err(e) => {
                     return matches!(
                         e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+                        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
                     )
                 }
             };
@@ -889,13 +898,11 @@ mod tests {
 
     /// Live pacing; its exact timing is checked on a virtual clock by
     /// `querier::tests::udp_replay_answers_and_times`.
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn udp_replay_answers_and_times() {
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
+    #[test]
+    fn udp_replay_answers_and_times() {
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
         let replay = LiveReplay::new(server.addr);
-        let report = replay.run(trace(200, 2_000, Protocol::Udp)).await.unwrap();
+        let report = replay.run(trace(200, 2_000, Protocol::Udp)).unwrap();
         assert_eq!(report.sent, 200);
         assert!(
             report.answered >= 195,
@@ -908,29 +915,25 @@ mod tests {
             .all(|o| o.sent_offset_us >= o.target_offset_us));
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn fast_mode_outruns_trace_timing() {
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
+    #[test]
+    fn fast_mode_outruns_trace_timing() {
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
         let mut replay = LiveReplay::new(server.addr);
         replay.mode = ReplayMode::Fast;
         // Trace nominally spans 10s; fast mode must finish way earlier.
         let t0 = Instant::now();
-        let report = replay.run(trace(500, 20_000, Protocol::Udp)).await.unwrap();
+        let report = replay.run(trace(500, 20_000, Protocol::Udp)).unwrap();
         assert!(t0.elapsed() < Duration::from_secs(5));
         assert_eq!(report.sent, 500);
         assert!(report.achieved_qps() > 500.0);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn tcp_replay_reuses_connections() {
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
+    #[test]
+    fn tcp_replay_reuses_connections() {
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
         let mut replay = LiveReplay::new(server.addr);
         replay.mode = ReplayMode::Fast;
-        let report = replay.run(trace(100, 1_000, Protocol::Tcp)).await.unwrap();
+        let report = replay.run(trace(100, 1_000, Protocol::Tcp)).unwrap();
         assert_eq!(report.sent, 100);
         assert_counts_match_outcomes(&report);
         assert!(report.answered >= 95, "answered {}", report.answered);
@@ -942,20 +945,18 @@ mod tests {
         assert!(conns <= 10, "expected ≤10 connections, saw {conns}");
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn streamed_replay_from_encoded_trace() {
+    #[test]
+    fn streamed_replay_from_encoded_trace() {
         // Round-trip through the on-disk stream format and replay without
         // materializing the trace (the §3 Reader pre-load path).
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
         let records = trace(300, 1_000, Protocol::Udp);
         let bytes = ldp_trace::stream::to_bytes(&records).unwrap();
         let reader = ldp_trace::stream::StreamReader::new(std::io::Cursor::new(bytes)).unwrap();
         let mut replay = LiveReplay::new(server.addr);
         replay.mode = ReplayMode::Fast;
         replay.drain = Duration::from_millis(800);
-        let report = replay.run_stream(reader).await.unwrap();
+        let report = replay.run_iter(reader).unwrap();
         assert_eq!(report.sent, 300);
         // Fast-blasting 300 UDP datagrams while sibling tests contend for
         // the same core can overflow socket buffers; require a strong
@@ -963,24 +964,19 @@ mod tests {
         assert!(report.answered >= 240, "answered {}", report.answered);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
-    async fn streamed_replay_empty_input() {
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
+    #[test]
+    fn streamed_replay_empty_input() {
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
         let report = LiveReplay::new(server.addr)
-            .run_stream(std::iter::empty())
-            .await
+            .run_iter(std::iter::empty())
             .unwrap();
         assert_eq!(report.sent, 0);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
-    async fn empty_trace_is_fine() {
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
-        let report = LiveReplay::new(server.addr).run(vec![]).await.unwrap();
+    #[test]
+    fn empty_trace_is_fine() {
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
+        let report = LiveReplay::new(server.addr).run(vec![]).unwrap();
         assert_eq!(report.sent, 0);
         assert_counts_match_outcomes(&report);
         assert_eq!(report.achieved_qps(), 0.0);
@@ -992,14 +988,12 @@ mod tests {
     /// "error". Targets must be the scaled offsets; that every record goes
     /// out exactly at its target is checked on a virtual clock by
     /// `querier::tests::timing_errors_stay_small_at`.
-    async fn timing_errors_stay_small_at(speed: f64) {
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
+    fn timing_errors_stay_small_at(speed: f64) {
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
         let mut replay = LiveReplay::new(server.addr);
         replay.mode = ReplayMode::Timed { speed };
         // 100 records spanning 300 ms of trace time.
-        let report = replay.run(trace(100, 3_000, Protocol::Udp)).await.unwrap();
+        let report = replay.run(trace(100, 3_000, Protocol::Udp)).unwrap();
         assert_eq!(report.sent, 100);
         // Never early: the error metric is never negative.
         assert!(report.timing_errors_ms().iter().all(|&e| e >= 0.0));
@@ -1015,25 +1009,23 @@ mod tests {
         }
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn timing_errors_correct_at_double_speed() {
-        timing_errors_stay_small_at(0.5).await;
+    #[test]
+    fn timing_errors_correct_at_double_speed() {
+        timing_errors_stay_small_at(0.5);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn timing_errors_correct_at_half_speed() {
-        timing_errors_stay_small_at(2.0).await;
+    #[test]
+    fn timing_errors_correct_at_half_speed() {
+        timing_errors_stay_small_at(2.0);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn shard_stats_cover_all_sends() {
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
+    #[test]
+    fn shard_stats_cover_all_sends() {
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
         let mut replay = LiveReplay::new(server.addr);
         replay.mode = ReplayMode::Fast;
         replay.batch_size = 32;
-        let report = replay.run(trace(400, 500, Protocol::Udp)).await.unwrap();
+        let report = replay.run(trace(400, 500, Protocol::Udp)).unwrap();
         assert_eq!(report.sent, 400);
         assert_counts_match_outcomes(&report);
         let totals = ldp_metrics::PipelineTotals::from_shards(&report.shards);
@@ -1054,18 +1046,16 @@ mod tests {
         assert_eq!(totals.late, 0);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn fast_mode_preserves_same_source_order_across_batches() {
+    #[test]
+    fn fast_mode_preserves_same_source_order_across_batches() {
         // Batch boundaries must not reorder a source's queries: outcomes
         // carry trace offsets, and per source they must be sent in trace
         // order (monotone sent offsets when sorted by trace offset).
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
         let mut replay = LiveReplay::new(server.addr);
         replay.mode = ReplayMode::Fast;
         replay.batch_size = 16; // force many batch boundaries
-        let report = replay.run(trace(600, 100, Protocol::Udp)).await.unwrap();
+        let report = replay.run(trace(600, 100, Protocol::Udp)).unwrap();
         assert_eq!(report.sent, 600);
         let mut by_src: HashMap<IpAddr, Vec<(u64, u64)>> = HashMap::new();
         for o in &report.outcomes {
@@ -1103,13 +1093,10 @@ mod tests {
         records
     }
 
-    async fn timed_replay_is_never_early(protocol: Protocol) {
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
+    fn timed_replay_is_never_early(protocol: Protocol) {
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
         let report = LiveReplay::new(server.addr)
             .run(bursty_trace(40, 5, 2_000, protocol))
-            .await
             .unwrap();
         assert_eq!(report.sent, 200);
         for o in report.outcomes.iter().filter(|o| o.error.is_none()) {
@@ -1139,21 +1126,19 @@ mod tests {
         );
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn timed_udp_runs_are_never_early() {
-        timed_replay_is_never_early(Protocol::Udp).await;
+    #[test]
+    fn timed_udp_runs_are_never_early() {
+        timed_replay_is_never_early(Protocol::Udp);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn timed_tcp_runs_are_never_early() {
-        timed_replay_is_never_early(Protocol::Tcp).await;
+    #[test]
+    fn timed_tcp_runs_are_never_early() {
+        timed_replay_is_never_early(Protocol::Tcp);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn unencodable_record_degrades_to_an_encode_error() {
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
+    #[test]
+    fn unencodable_record_degrades_to_an_encode_error() {
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
         for protocol in [Protocol::Udp, Protocol::Tcp] {
             for mode in [ReplayMode::Timed { speed: 1.0 }, ReplayMode::Fast] {
                 let mut records = trace(30, 1_000, protocol);
@@ -1166,7 +1151,7 @@ mod tests {
                 ));
                 let mut replay = LiveReplay::new(server.addr);
                 replay.mode = mode;
-                let report = replay.run(records).await.unwrap();
+                let report = replay.run(records).unwrap();
                 let what = format!("{protocol:?} {mode:?}");
                 assert_eq!(report.outcomes.len(), 30, "{what}");
                 assert_eq!(report.errors, 1, "{what}");
@@ -1182,16 +1167,14 @@ mod tests {
         }
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn telemetry_counters_match_the_final_report() {
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
+    #[test]
+    fn telemetry_counters_match_the_final_report() {
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
         let reg = Arc::new(ldp_telemetry::Registry::new());
         let mut replay = LiveReplay::new(server.addr);
         replay.mode = ReplayMode::Fast;
         replay.telemetry = Some(reg.clone());
-        let report = replay.run(trace(200, 1_000, Protocol::Udp)).await.unwrap();
+        let report = replay.run(trace(200, 1_000, Protocol::Udp)).unwrap();
         assert_eq!(report.sent, 200);
         telemetry::assert_telemetry_matches_report(&reg, &report);
     }

@@ -39,28 +39,26 @@ fn two_far_apart(protocol: Protocol) -> Vec<TraceRecord> {
         .collect()
 }
 
-async fn replay(protocol: Protocol, retry: RetryPolicy) -> ReplayReport {
+fn replay(protocol: Protocol, retry: RetryPolicy) -> ReplayReport {
     let mut zones = ZoneSet::new();
     zones.insert(wildcard_example_zone());
     let engine = Arc::new(AuthEngine::with_zones(Arc::new(zones)));
-    let server = LiveServer::spawn(engine, "127.0.0.1:0".parse().unwrap())
-        .await
-        .unwrap();
+    let server = LiveServer::start(engine, "127.0.0.1:0".parse().unwrap()).unwrap();
     let replay = LiveReplay {
         mode: ReplayMode::Timed { speed: 4.0 },
         queriers_per_distributor: 1,
         retry,
         ..LiveReplay::new(server.addr)
     };
-    replay.run(two_far_apart(protocol)).await.unwrap()
+    replay.run(two_far_apart(protocol)).unwrap()
 }
 
-#[tokio::test(flavor = "multi_thread")]
-async fn an_answer_read_late_keeps_its_arrival_latency() {
+#[test]
+fn an_answer_read_late_keeps_its_arrival_latency() {
     for protocol in [Protocol::Udp, Protocol::Tcp] {
         // Without expiry nothing wakes the querier between the sends, so
         // the first answer is read only after the second query goes out.
-        let report = replay(protocol, RetryPolicy::disabled()).await;
+        let report = replay(protocol, RetryPolicy::disabled());
         assert_eq!(report.sent, 2, "{protocol:?}");
         assert_eq!(report.answered, 2, "{protocol:?}");
         let first = report.outcomes.iter().min_by_key(|o| o.trace_offset_us);
@@ -72,8 +70,8 @@ async fn an_answer_read_late_keeps_its_arrival_latency() {
     }
 }
 
-#[tokio::test(flavor = "multi_thread")]
-async fn a_queued_answer_never_expires() {
+#[test]
+fn a_queued_answer_never_expires() {
     for protocol in [Protocol::Udp, Protocol::Tcp] {
         // The first query's 50 ms timeout falls while the querier sleeps
         // toward the second; expiry reads the socket first and finds it
@@ -82,7 +80,7 @@ async fn a_queued_answer_never_expires() {
             timeout: Duration::from_millis(50),
             ..RetryPolicy::default()
         };
-        let report = replay(protocol, retry).await;
+        let report = replay(protocol, retry);
         assert_eq!(report.sent, 2, "{protocol:?}");
         assert_eq!(report.answered, report.sent, "{protocol:?}");
         assert_eq!(report.timeouts, 0, "{protocol:?}");
@@ -95,8 +93,8 @@ async fn a_queued_answer_never_expires() {
 /// one socket each) gets none credited: each answer's id is in flight,
 /// but on the other socket, so it is counted as mismatched and the query
 /// stays in flight until the drain gives up on it.
-#[tokio::test(flavor = "multi_thread")]
-async fn an_answer_on_another_socket_is_not_credited() {
+#[test]
+fn an_answer_on_another_socket_is_not_credited() {
     let server = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
     server
         .set_read_timeout(Some(Duration::from_secs(5)))
@@ -133,7 +131,7 @@ async fn an_answer_on_another_socket_is_not_credited() {
         drain: Duration::from_millis(300),
         ..LiveReplay::new(addr)
     };
-    let report = replay.run(records).await.unwrap();
+    let report = replay.run(records).unwrap();
     crossed.join().unwrap();
     assert_eq!(report.sent, 2);
     assert_eq!(report.answered, 0, "an answer was credited across sockets");
@@ -144,17 +142,15 @@ async fn an_answer_on_another_socket_is_not_credited() {
 /// not fit the 512-byte EDNS payload the query advertises: the server
 /// truncates it over UDP, and the querier asks again over TCP (RFC 7766),
 /// counting the fallback once.
-#[tokio::test(flavor = "multi_thread")]
-async fn a_truncated_answer_is_asked_again_over_tcp() {
+#[test]
+fn a_truncated_answer_is_asked_again_over_tcp() {
     let mut zones = ZoneSet::new();
     zones.insert(ldp_workload::zones::signed_root_zone(
         5,
         ldp_zone::dnssec::SigningConfig::zsk2048(),
     ));
     let engine = Arc::new(AuthEngine::with_zones(Arc::new(zones)));
-    let server = LiveServer::spawn(engine, "127.0.0.1:0".parse().unwrap())
-        .await
-        .unwrap();
+    let server = LiveServer::start(engine, "127.0.0.1:0".parse().unwrap()).unwrap();
     let mut rec = TraceRecord::udp_query(
         0,
         "10.0.0.1".parse().unwrap(),
@@ -171,7 +167,7 @@ async fn a_truncated_answer_is_asked_again_over_tcp() {
         queriers_per_distributor: 1,
         ..LiveReplay::new(server.addr)
     };
-    let report = replay.run(vec![rec]).await.unwrap();
+    let report = replay.run(vec![rec]).unwrap();
     assert_eq!(report.sent, 1);
     assert_eq!(report.answered, 1, "the TCP answer completes the query");
     assert_eq!(report.shards[0].tc_fallbacks, 1);

@@ -8,12 +8,7 @@
 //! fault schedule.
 //!
 //! The bind- and send-failure tests flip process-global fault switches in
-//! the vendored `tokio::net`, so all tests here serialize on one lock.
-
-// Each test deliberately holds the serialization guard across its awaits:
-// the vendored runtime is thread-per-task, so a parked std mutex blocks
-// only its own test thread, never an executor worker.
-#![allow(clippy::await_holding_lock)]
+//! `ldp_io::fault`, so all tests here serialize on one lock.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -63,25 +58,24 @@ fn trace(n: u64, gap_us: u64, protocol: Protocol) -> Vec<TraceRecord> {
 
 /// One fast-mode UDP replay against a 20%-lossy server. Returns the report
 /// plus the number of responses the server actually swallowed.
-async fn lossy_run(seed: u64) -> (ReplayReport, u64) {
+fn lossy_run(seed: u64) -> (ReplayReport, u64) {
     let chaos = Arc::new(ChaosPolicy::new(seed).drop_responses(0.2));
     let server =
-        LiveServer::spawn_with_chaos(engine(), "127.0.0.1:0".parse().unwrap(), chaos.clone())
-            .await
+        LiveServer::start_with_chaos(engine(), "127.0.0.1:0".parse().unwrap(), chaos.clone())
             .unwrap();
     let mut replay = LiveReplay::new(server.addr);
     replay.mode = ReplayMode::Fast;
     // Give the retry ladder room to exhaust (3 attempts ≈ 1.8 s worst
     // case); the adaptive drain exits the moment nothing is in flight.
     replay.drain = Duration::from_secs(4);
-    let report = replay.run(trace(300, 500, Protocol::Udp)).await.unwrap();
+    let report = replay.run(trace(300, 500, Protocol::Udp)).unwrap();
     (report, chaos.stats.dropped.load(Ordering::Relaxed))
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn lossy_server_recovers_via_retries() {
+#[test]
+fn lossy_server_recovers_via_retries() {
     let _g = lock();
-    let (report, dropped) = lossy_run(7).await;
+    let (report, dropped) = lossy_run(7);
     assert_eq!(report.sent, 300);
     assert!(dropped > 0, "chaos dropped nothing at 20% loss");
     assert!(
@@ -104,11 +98,11 @@ async fn lossy_server_recovers_via_retries() {
     assert_eq!(report.errors, 0);
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn lossy_replay_is_deterministic_under_a_fixed_seed() {
+#[test]
+fn lossy_replay_is_deterministic_under_a_fixed_seed() {
     let _g = lock();
-    let (first, first_dropped) = lossy_run(7).await;
-    let (second, second_dropped) = lossy_run(7).await;
+    let (first, first_dropped) = lossy_run(7);
+    let (second, second_dropped) = lossy_run(7);
     // The fault schedule is content-keyed: same seed, same trace → the
     // same queries lose the same attempts, so the outcome counters match.
     assert_eq!(first.answered, second.answered, "answered diverged");
@@ -119,8 +113,8 @@ async fn lossy_replay_is_deterministic_under_a_fixed_seed() {
     );
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn tcp_reset_mid_replay_triggers_reconnects_not_aborts() {
+#[test]
+fn tcp_reset_mid_replay_triggers_reconnects_not_aborts() {
     let _g = lock();
     // A dark window over the whole run drops every UDP answer.
     let chaos = Arc::new(
@@ -129,8 +123,7 @@ async fn tcp_reset_mid_replay_triggers_reconnects_not_aborts() {
             .dark_window(Duration::ZERO, Duration::from_secs(60)),
     );
     let server =
-        LiveServer::spawn_with_chaos(engine(), "127.0.0.1:0".parse().unwrap(), chaos.clone())
-            .await
+        LiveServer::start_with_chaos(engine(), "127.0.0.1:0".parse().unwrap(), chaos.clone())
             .unwrap();
     let registry = Arc::new(ldp_telemetry::Registry::new());
     let mut replay = LiveReplay::new(server.addr);
@@ -145,7 +138,7 @@ async fn tcp_reset_mid_replay_triggers_reconnects_not_aborts() {
         rec.protocol = Protocol::Udp;
         rec.src = "10.0.0.9".parse().unwrap();
     }
-    let report = replay.run(records).await.unwrap();
+    let report = replay.run(records).unwrap();
     assert!(
         chaos.stats.resets.load(Ordering::Relaxed) >= 1,
         "server never reset a connection"
@@ -173,19 +166,17 @@ async fn tcp_reset_mid_replay_triggers_reconnects_not_aborts() {
     telemetry::assert_telemetry_matches_report(&registry, &report);
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn udp_bind_failures_degrade_to_per_record_errors() {
+#[test]
+fn udp_bind_failures_degrade_to_per_record_errors() {
     let _g = lock();
     // Spawn the server first so its own bind is not sacrificed.
-    let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-        .await
-        .unwrap();
-    tokio::net::fault::clear();
-    tokio::net::fault::inject_udp_bind_failures(3);
+    let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
+    ldp_io::fault::clear();
+    ldp_io::fault::inject_udp_bind_failures(3);
     let mut replay = LiveReplay::new(server.addr);
     replay.drain = Duration::from_secs(2);
-    let report = replay.run(trace(50, 1_000, Protocol::Udp)).await.unwrap();
-    tokio::net::fault::clear();
+    let report = replay.run(trace(50, 1_000, Protocol::Udp)).unwrap();
+    ldp_io::fault::clear();
     // Exactly the three poisoned binds degrade — to typed per-record
     // outcomes, not an abort — and the rest of the replay proceeds.
     assert_eq!(report.errors, 3);
@@ -206,18 +197,18 @@ async fn udp_bind_failures_degrade_to_per_record_errors() {
 /// A retransmit the kernel refuses never reaches the wire: the record was
 /// sent, so it is no record error, and no retry either. The attempt
 /// expires as usual and the query gives up after its last attempt.
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn a_refused_retransmit_is_neither_an_error_nor_a_retry() {
+#[test]
+fn a_refused_retransmit_is_neither_an_error_nor_a_retry() {
     let _g = lock();
     // A peer that never answers.
     let silent = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
     let mut replay = LiveReplay::new(silent.local_addr().unwrap());
     replay.drain = Duration::from_secs(4);
-    tokio::net::fault::clear();
+    ldp_io::fault::clear();
     // The first send goes out by sendmmsg; the first retransmit fails.
-    tokio::net::fault::inject_udp_send_failures(1);
-    let report = replay.run(trace(1, 0, Protocol::Udp)).await.unwrap();
-    tokio::net::fault::clear();
+    ldp_io::fault::inject_udp_send_failures(1);
+    let report = replay.run(trace(1, 0, Protocol::Udp)).unwrap();
+    ldp_io::fault::clear();
     assert_eq!(report.sent, 1);
     assert_eq!(report.errors, 0, "the record went on the wire");
     assert_eq!(report.gave_up, 1);
@@ -229,8 +220,8 @@ async fn a_refused_retransmit_is_neither_an_error_nor_a_retry() {
     );
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn duplicated_and_delayed_responses_do_not_double_count() {
+#[test]
+fn duplicated_and_delayed_responses_do_not_double_count() {
     let _g = lock();
     let chaos = Arc::new(
         ChaosPolicy::new(3)
@@ -238,13 +229,12 @@ async fn duplicated_and_delayed_responses_do_not_double_count() {
             .delay_responses(0.2, Duration::from_millis(40)),
     );
     let server =
-        LiveServer::spawn_with_chaos(engine(), "127.0.0.1:0".parse().unwrap(), chaos.clone())
-            .await
+        LiveServer::start_with_chaos(engine(), "127.0.0.1:0".parse().unwrap(), chaos.clone())
             .unwrap();
     let mut replay = LiveReplay::new(server.addr);
     replay.mode = ReplayMode::Fast;
     replay.drain = Duration::from_secs(2);
-    let report = replay.run(trace(200, 500, Protocol::Udp)).await.unwrap();
+    let report = replay.run(trace(200, 500, Protocol::Udp)).unwrap();
     assert!(chaos.stats.duplicated.load(Ordering::Relaxed) > 0);
     assert!(chaos.stats.delayed.load(Ordering::Relaxed) > 0);
     // A duplicate must never be counted as a second answer, and a 40 ms

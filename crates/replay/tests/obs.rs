@@ -38,11 +38,9 @@ fn trace(n: u64, gap_us: u64) -> Vec<TraceRecord> {
         .collect()
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn stage_durations_telescope_to_end_to_end() {
-    let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-        .await
-        .unwrap();
+#[test]
+fn stage_durations_telescope_to_end_to_end() {
+    let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
     let mut replay = LiveReplay::new(server.addr);
     replay.mode = ReplayMode::Fast;
     replay.drain = Duration::from_secs(4);
@@ -52,7 +50,7 @@ async fn stage_durations_telescope_to_end_to_end() {
     replay.obs = Some(spans.clone());
 
     const QUERIES: u64 = 400;
-    let report = replay.run(trace(QUERIES, 100)).await.unwrap();
+    let report = replay.run(trace(QUERIES, 100)).unwrap();
     assert_eq!(report.sent, QUERIES);
     assert_eq!(spans.overwritten(), 0, "ring must hold every span");
 
@@ -104,12 +102,11 @@ async fn stage_durations_telescope_to_end_to_end() {
     assert_eq!(b.end_to_end.count(), report.answered);
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn chaos_retries_surface_as_extra_wire_segments() {
+#[test]
+fn chaos_retries_surface_as_extra_wire_segments() {
     let chaos = Arc::new(ChaosPolicy::new(11).drop_responses(0.25));
     let server =
-        LiveServer::spawn_with_chaos(engine(), "127.0.0.1:0".parse().unwrap(), chaos.clone())
-            .await
+        LiveServer::start_with_chaos(engine(), "127.0.0.1:0".parse().unwrap(), chaos.clone())
             .unwrap();
     let mut replay = LiveReplay::new(server.addr);
     replay.mode = ReplayMode::Fast;
@@ -119,7 +116,7 @@ async fn chaos_retries_surface_as_extra_wire_segments() {
     ));
     replay.obs = Some(spans.clone());
 
-    let report = replay.run(trace(300, 200)).await.unwrap();
+    let report = replay.run(trace(300, 200)).unwrap();
     assert!(report.retries > 0, "25% loss must force retransmits");
 
     let assembled = assemble(&spans.events());
@@ -150,15 +147,13 @@ async fn chaos_retries_surface_as_extra_wire_segments() {
 
 /// Golden schema: the `ReplayReport` JSON field set. A rename or removal
 /// here breaks manifest consumers, so it must be deliberate.
-#[tokio::test(flavor = "multi_thread", worker_threads = 2)]
-async fn replay_report_json_schema_is_pinned() {
-    let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-        .await
-        .unwrap();
+#[test]
+fn replay_report_json_schema_is_pinned() {
+    let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
     let mut replay = LiveReplay::new(server.addr);
     replay.mode = ReplayMode::Fast;
     replay.drain = Duration::from_secs(2);
-    let report = replay.run(trace(50, 100)).await.unwrap();
+    let report = replay.run(trace(50, 100)).unwrap();
 
     let Value::Object(fields) = report.to_json_value() else {
         panic!("ReplayReport must serialize to an object");

@@ -91,19 +91,16 @@ fn assert_one_outcome_per_record(report: &ReplayReport, records: &[TraceRecord],
     assert_eq!(report.errors, (records.len() - sent) as u64);
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn every_record_has_one_outcome_at_any_speed() {
+#[test]
+fn every_record_has_one_outcome_at_any_speed() {
     let mut zones = ZoneSet::new();
     zones.insert(wildcard_example_zone());
     let engine = Arc::new(AuthEngine::with_zones(Arc::new(zones)));
-    let server = LiveServer::spawn(engine, "127.0.0.1:0".parse().unwrap())
-        .await
-        .unwrap();
+    let server = LiveServer::start(engine, "127.0.0.1:0".parse().unwrap()).unwrap();
     let records = mixed_trace(240);
     for speed in [1.0, 0.5] {
         let report = replay_to(server.addr, ReplayMode::Timed { speed })
             .run(records.clone())
-            .await
             .unwrap();
         assert_one_outcome_per_record(&report, &records, speed);
         assert_eq!(report.errors, 0, "speed {speed}");
@@ -119,8 +116,8 @@ async fn every_record_has_one_outcome_at_any_speed() {
     }
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn failed_connects_leave_errored_rows_without_latency() {
+#[test]
+fn failed_connects_leave_errored_rows_without_latency() {
     // A port nothing listens on: every TCP connect is refused, and the
     // UDP queries go unanswered.
     let closed = std::net::TcpListener::bind("127.0.0.1:0")
@@ -133,7 +130,7 @@ async fn failed_connects_leave_errored_rows_without_latency() {
         drain: Duration::from_millis(100),
         ..replay_to(closed, ReplayMode::Fast)
     };
-    let report = replay.run(records.clone()).await.unwrap();
+    let report = replay.run(records.clone()).unwrap();
     assert_one_outcome_per_record(&report, &records, 1.0);
     let tcp = records
         .iter()

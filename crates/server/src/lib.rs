@@ -13,8 +13,9 @@
 //! * [`sim`] — [`ldp_netsim`] node wrappers: a full authoritative server
 //!   node (UDP/TCP/TLS) with resource sampling, and a recursive resolver
 //!   node,
-//! * [`live`] — a tokio-based authoritative server on real sockets for the
-//!   loopback replay-fidelity experiments (§4),
+//! * [`live`] — an authoritative server on real sockets, served by plain
+//!   threads with the batched socket calls of `ldp-io`, for the loopback
+//!   replay-fidelity experiments (§4),
 //! * [`chaos`] — seeded, deterministic fault injection (drop/duplicate/
 //!   delay responses, refuse/reset TCP, dark windows) for chaos-testing
 //!   the live replay path against this server.

@@ -1,24 +1,23 @@
-//! Live authoritative server on real sockets (tokio).
+//! Live authoritative server on real sockets.
 //!
 //! The replay-fidelity experiments (§4) measure the *replay engine* against
 //! real time, so they need a real server to answer: this module serves the
-//! same [`AuthEngine`] over loopback UDP and TCP. Event-driven, one task per
-//! TCP connection, no blocking calls on the runtime — per the async
-//! networking guidance this codebase follows.
+//! same [`AuthEngine`] over loopback UDP and TCP. One thread receives and
+//! answers UDP in `recvmmsg`/`sendmmsg` batches, one accepts TCP
+//! connections, and each connection is served on a thread of its own.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::io;
-use std::net::SocketAddr;
+use std::io::{self, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
-use std::time::Instant;
+use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
-use tokio::io::{AsyncReadExt, AsyncWriteExt};
-use tokio::net::{TcpListener, UdpSocket};
-use tokio::sync::mpsc;
-use tokio::task::JoinHandle;
+use ldp_io::UdpSocketExt;
 
 use ldp_metrics::LogHistogram;
 use ldp_telemetry::{CounterRow, MetricKind, Registry};
@@ -63,20 +62,56 @@ impl LiveStats {
     }
 }
 
-/// A running live server; aborts its tasks on drop.
+/// A running live server. Dropping it stops its UDP and accept loops;
+/// each connection's thread ends when its client closes.
 pub struct LiveServer {
     pub addr: SocketAddr,
     pub stats: Arc<LiveStats>,
-    /// Kept (when chaos-spawned) so telemetry can expose the fate totals.
+    /// Kept (when started with chaos) so telemetry can expose the fate
+    /// totals.
     chaos: Option<Arc<ChaosPolicy>>,
-    tasks: Vec<JoinHandle<()>>,
+    /// Set on drop; each serving loop checks it after every wake.
+    stop: Arc<AtomicBool>,
+    udp: Option<JoinHandle<()>>,
+    tcp: Option<JoinHandle<()>>,
 }
 
+/// How long a drop waits to connect to its own accept loop.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
 impl Drop for LiveServer {
+    /// Sets the stop flag, then wakes each loop, with one datagram to the
+    /// UDP port and one connection to the listener, and joins it. A loop
+    /// that cannot be woken is left detached, so a drop never blocks
+    /// indefinitely.
     fn drop(&mut self) {
-        for t in &self.tasks {
-            // ldp-lint: allow(r6) -- the serving loops block in accept/recv and have no stop signal yet; they leak until exit
-            t.abort();
+        self.stop.store(true, Ordering::SeqCst);
+        // A server bound to an unspecified address is reached on loopback.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if let Some(udp) = self.udp.take() {
+            let from = match wake.ip() {
+                IpAddr::V4(_) => SocketAddr::from((Ipv4Addr::UNSPECIFIED, 0)),
+                IpAddr::V6(_) => SocketAddr::from((Ipv6Addr::UNSPECIFIED, 0)),
+            };
+            // Once the flag is set, a datagram the loop's full buffer
+            // drops still finds the loop returning with what is queued.
+            if UdpSocket::bind(from)
+                .and_then(|s| s.send_to(&[], wake))
+                .is_ok()
+            {
+                let _ = udp.join();
+            }
+        }
+        if let Some(tcp) = self.tcp.take() {
+            if TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_ok() {
+                let _ = tcp.join();
+            }
         }
     }
 }
@@ -84,30 +119,38 @@ impl Drop for LiveServer {
 impl LiveServer {
     /// Binds UDP and TCP on `bind` (use port 0 for an ephemeral port) and
     /// starts serving `engine`.
-    pub async fn spawn(engine: Arc<AuthEngine>, bind: SocketAddr) -> io::Result<LiveServer> {
-        LiveServer::spawn_inner(engine, bind, None).await
+    pub fn start(engine: Arc<AuthEngine>, bind: SocketAddr) -> io::Result<LiveServer> {
+        LiveServer::start_inner(engine, bind, None)
     }
 
-    /// Like [`LiveServer::spawn`], but with a [`ChaosPolicy`] injecting
+    /// [`LiveServer::start`] as a future that finishes on its first poll.
+    /// It exists only for perfbench (`perfbench/src/serve.rs`), whose
+    /// sources change only with the benchmark; nothing in the workspace
+    /// calls it.
+    pub async fn spawn(engine: Arc<AuthEngine>, bind: SocketAddr) -> io::Result<LiveServer> {
+        LiveServer::start(engine, bind)
+    }
+
+    /// Like [`LiveServer::start`], but with a [`ChaosPolicy`] injecting
     /// faults into the serving path (chaos testing the replay engine).
-    pub async fn spawn_with_chaos(
+    pub fn start_with_chaos(
         engine: Arc<AuthEngine>,
         bind: SocketAddr,
         chaos: Arc<ChaosPolicy>,
     ) -> io::Result<LiveServer> {
-        LiveServer::spawn_inner(engine, bind, Some(chaos)).await
+        LiveServer::start_inner(engine, bind, Some(chaos))
     }
 
-    async fn spawn_inner(
+    fn start_inner(
         engine: Arc<AuthEngine>,
         bind: SocketAddr,
         chaos: Option<Arc<ChaosPolicy>>,
     ) -> io::Result<LiveServer> {
         let mut tries = 0;
         let (udp, addr, tcp) = loop {
-            let udp = UdpSocket::bind(bind).await?;
+            let udp = ldp_io::bind_udp(bind)?;
             let addr = udp.local_addr()?;
-            match TcpListener::bind(addr).await {
+            match TcpListener::bind(addr) {
                 Ok(tcp) => break (udp, addr, tcp),
                 // An ephemeral port free for UDP can still be held on the
                 // TCP side (say, by a client connection in TIME_WAIT):
@@ -117,22 +160,31 @@ impl LiveServer {
             }
         };
         let stats = Arc::new(LiveStats::default());
-
-        let udp_task = tokio::spawn(serve_udp(udp, engine.clone(), stats.clone(), chaos.clone()));
-        let tcp_task = tokio::spawn(serve_tcp(tcp, engine, stats.clone(), chaos.clone()));
-        Ok(LiveServer {
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut server = LiveServer {
             addr,
-            stats,
-            chaos,
-            tasks: vec![udp_task, tcp_task],
-        })
+            stats: stats.clone(),
+            chaos: chaos.clone(),
+            stop: stop.clone(),
+            udp: None,
+            tcp: None,
+        };
+        // If the second spawn fails, dropping `server` stops the first loop.
+        let (e, s, c, halt) = (engine.clone(), stats.clone(), chaos.clone(), stop.clone());
+        server.udp = Some(spawn_named("server-udp", move || {
+            serve_udp(udp, e, s, c, halt)
+        })?);
+        server.tcp = Some(spawn_named("server-tcp", move || {
+            serve_tcp(tcp, engine, stats, chaos, stop)
+        })?);
+        Ok(server)
     }
 
     /// Registers this server's counters with a live-telemetry registry:
     /// query/malformed/byte totals, packet-cache behavior, and — when the
-    /// server was chaos-spawned — the injected-fault totals. Everything is
-    /// *observed* (read from the atomics the serving loops already bump),
-    /// so serving pays nothing beyond its existing counters.
+    /// server was started with chaos — the injected-fault totals.
+    /// Everything is *observed* (read from the atomics the serving loops
+    /// already bump), so serving pays nothing beyond its existing counters.
     pub fn register_telemetry(&self, reg: &Registry) {
         observe_counters(reg, &self.stats, &LIVE_FAMILIES);
         observe_counters(reg, &self.stats.pktcache, &CACHE_FAMILIES);
@@ -181,6 +233,15 @@ fn observe_counters<S: Send + Sync + 'static>(
     }
 }
 
+/// Starts `f` on a thread named `name`, so per-thread CPU accounting
+/// (`/proc/<pid>/task/*/comm`, `top -H`) says which role spent it.
+fn spawn_named<T: Send + 'static>(
+    name: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> io::Result<JoinHandle<T>> {
+    thread::Builder::new().name(name.into()).spawn(f)
+}
+
 /// Datagrams per `recvmmsg` batch. Under load a replay client's sendmmsg
 /// bursts queue dozens of queries between server wakeups; draining them in
 /// one kernel entry (and answering with one `sendmmsg`) cuts the server's
@@ -199,7 +260,7 @@ struct ReplyRouter {
     chaos: Option<Arc<ChaosPolicy>>,
     started: Instant,
     /// The delayer's queue, once a reply has been delayed.
-    delayed: Option<mpsc::Sender<Delayed>>,
+    delayed: Option<SyncSender<Delayed>>,
 }
 
 /// A delayed reply: when it is due, its bytes and its peer.
@@ -238,14 +299,15 @@ impl ReplyRouter {
             ResponseFate::Delay(by) => {
                 let (socket, stats) = (&self.socket, &self.stats);
                 let delayed = self.delayed.get_or_insert_with(|| {
-                    let (tx, rx) = mpsc::channel(DELAY_QUEUE);
+                    let (tx, rx) = mpsc::sync_channel(DELAY_QUEUE);
+                    let (socket, stats) = (socket.clone(), stats.clone());
                     // Detached: it ends once the router, and so the queue,
-                    // is gone and every reply is out.
-                    drop(tokio::spawn(send_delayed(
-                        socket.clone(),
-                        stats.clone(),
-                        rx,
-                    )));
+                    // is gone and every reply is out. If it cannot start,
+                    // the queue is closed and each delayed reply counts as
+                    // a send failure.
+                    drop(spawn_named("server-delay", move || {
+                        send_delayed(&socket, &stats, rx)
+                    }));
                     tx
                 });
                 let bytes = answers.get(at).unwrap_or_default().to_vec();
@@ -260,15 +322,10 @@ impl ReplyRouter {
     }
 }
 
-/// The delayer: one task (so one thread) per server, however many replies
-/// are delayed. It keeps the queued replies in a min-heap by due time and
-/// sends each when it falls due.
-async fn send_delayed(
-    socket: Arc<UdpSocket>,
-    stats: Arc<LiveStats>,
-    mut queue: mpsc::Receiver<Delayed>,
-) {
-    ldp_telemetry::thread::set_name("server-delay");
+/// The delayer: one thread per server, however many replies are delayed.
+/// It keeps the queued replies in a min-heap by due time and sends each
+/// when it falls due.
+fn send_delayed(socket: &UdpSocket, stats: &LiveStats, queue: Receiver<Delayed>) {
     // Ordered by due time, then by arrival.
     let mut heap: BinaryHeap<Reverse<Queued>> = BinaryHeap::new();
     let mut arrivals = 0u64;
@@ -277,23 +334,23 @@ async fn send_delayed(
         let now = Instant::now();
         while heap.peek().is_some_and(|Reverse(d)| d.0 <= now) {
             if let Some(Reverse((_, _, bytes, peer))) = heap.pop() {
-                if socket.send_to(&bytes, peer).await.is_err() {
+                if socket.send_one_to(&bytes, peer).is_err() {
                     stats.send_failures.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
         let next = match (heap.peek().map(|Reverse(d)| d.0), open) {
             (None, false) => return,
-            (None, true) => queue.recv().await,
+            (None, true) => queue.recv().ok(),
             (Some(due), false) => {
-                tokio::time::sleep_until(due.into()).await;
+                thread::sleep(due.saturating_duration_since(Instant::now()));
                 continue;
             }
             (Some(due), true) => {
-                let wait = due.saturating_duration_since(Instant::now());
-                match tokio::time::timeout(wait, queue.recv()).await {
-                    Ok(next) => next,
-                    Err(_) => continue,
+                match queue.recv_timeout(due.saturating_duration_since(Instant::now())) {
+                    Ok(next) => Some(next),
+                    Err(RecvTimeoutError::Disconnected) => None,
+                    Err(RecvTimeoutError::Timeout) => continue,
                 }
             }
         };
@@ -307,14 +364,13 @@ async fn send_delayed(
     }
 }
 
-async fn serve_udp(
+fn serve_udp(
     socket: UdpSocket,
     engine: Arc<AuthEngine>,
     stats: Arc<LiveStats>,
     chaos: Option<Arc<ChaosPolicy>>,
+    stop: Arc<AtomicBool>,
 ) {
-    // Every task owns its OS thread; naming it attributes its CPU.
-    ldp_telemetry::thread::set_name("server-udp");
     let socket = Arc::new(socket);
     let mut router = ReplyRouter {
         socket: socket.clone(),
@@ -334,7 +390,11 @@ async fn serve_udp(
     // path entirely; see [`crate::pktcache`].
     let mut cache = PacketCache::with_stats(8_192, stats.pktcache.clone());
     loop {
-        if socket.recv_many(&mut bufs, &mut received).await.is_err() {
+        let got = socket.recv_many(&mut bufs, &mut received);
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        if got.is_err() {
             continue;
         }
         let handle_start = Instant::now();
@@ -379,28 +439,29 @@ async fn serve_udp(
         }
         let handled = stats.udp_queries.load(Ordering::Relaxed) - queries_before;
         stats.record_handle(handle_start.elapsed().as_micros() as u64, handled);
-        let sent = socket
-            .send_many_to_each(&answers, &replies)
-            .await
-            .unwrap_or(0);
+        let sent = socket.send_many_to_each(&answers, &replies).unwrap_or(0);
         for (at, peer) in replies.get(sent..).unwrap_or_default() {
             let bytes = answers.get(at.clone()).unwrap_or_default();
-            if socket.send_to(bytes, *peer).await.is_err() {
+            if socket.send_one_to(bytes, *peer).is_err() {
                 stats.send_failures.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 }
 
-async fn serve_tcp(
+fn serve_tcp(
     listener: TcpListener,
     engine: Arc<AuthEngine>,
     stats: Arc<LiveStats>,
     chaos: Option<Arc<ChaosPolicy>>,
+    stop: Arc<AtomicBool>,
 ) {
-    ldp_telemetry::thread::set_name("server-tcp");
     loop {
-        let Ok((stream, peer)) = listener.accept().await else {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok((stream, peer)) = accepted else {
             continue;
         };
         // Injected accept refusal: close the connection before it counts
@@ -413,9 +474,9 @@ async fn serve_tcp(
         let engine = engine.clone();
         let stats = stats.clone();
         let chaos = chaos.clone();
-        tokio::spawn(async move {
-            ldp_telemetry::thread::set_name("server-tcp");
-            let _ = serve_tcp_conn(stream, peer, engine, stats, chaos).await;
+        // A connection whose thread cannot start is closed.
+        let _ = spawn_named("server-tcp", move || {
+            serve_tcp_conn(stream, peer, &engine, &stats, chaos.as_deref())
         });
     }
 }
@@ -429,12 +490,12 @@ const TCP_READ_BUF: usize = 2 * 65_537;
 /// whole frame in it is answered straight into the reused `answers`
 /// buffer, and the answers go back in one write. A partial frame waits in
 /// the buffer for the next read.
-async fn serve_tcp_conn(
-    mut stream: tokio::net::TcpStream,
+fn serve_tcp_conn(
+    mut stream: TcpStream,
     peer: SocketAddr,
-    engine: Arc<AuthEngine>,
-    stats: Arc<LiveStats>,
-    chaos: Option<Arc<ChaosPolicy>>,
+    engine: &AuthEngine,
+    stats: &LiveStats,
+    chaos: Option<&ChaosPolicy>,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let mut served = 0u64;
@@ -442,7 +503,7 @@ async fn serve_tcp_conn(
     let mut filled = 0;
     let mut answers = Vec::new();
     loop {
-        let n = stream.read(&mut buf[filled..]).await?;
+        let n = stream.read(&mut buf[filled..])?;
         if n == 0 {
             return Ok(()); // peer closed
         }
@@ -475,14 +536,14 @@ async fn serve_tcp_conn(
             // Injected mid-conversation reset: close after serving the
             // configured number of queries on this connection, even when
             // more frames are already buffered.
-            if chaos.as_ref().is_some_and(|c| c.should_reset(served)) {
+            if chaos.is_some_and(|c| c.should_reset(served)) {
                 close = true;
                 break;
             }
         }
         let used = filled - rest.len();
         if !answers.is_empty() {
-            stream.write_all(&answers).await?;
+            stream.write_all(&answers)?;
         }
         if close {
             return Ok(());
@@ -521,19 +582,14 @@ mod tests {
         Arc::new(AuthEngine::with_zones(Arc::new(set)))
     }
 
-    #[tokio::test]
-    async fn udp_roundtrip() {
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
-        let client = UdpSocket::bind("127.0.0.1:0").await.unwrap();
+    #[test]
+    fn udp_roundtrip() {
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
         let q = Message::query(42, n("www.example.com"), RrType::A);
-        client
-            .send_to(&q.to_bytes().unwrap(), server.addr)
-            .await
-            .unwrap();
+        client.send_to(&q.to_bytes().unwrap(), server.addr).unwrap();
         let mut buf = vec![0u8; 4096];
-        let (len, _) = client.recv_from(&mut buf).await.unwrap();
+        let (len, _) = client.recv_from(&mut buf).unwrap();
         let resp = Message::from_bytes(&buf[..len]).unwrap();
         assert_eq!(resp.header.id, 42);
         assert_eq!(resp.answers.len(), 1);
@@ -542,20 +598,18 @@ mod tests {
         assert_eq!(hist.count(), 1, "one handle-time sample per UDP query");
     }
 
-    #[tokio::test]
-    async fn tcp_roundtrip_with_connection_reuse() {
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
-        let mut stream = tokio::net::TcpStream::connect(server.addr).await.unwrap();
+    #[test]
+    fn tcp_roundtrip_with_connection_reuse() {
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
+        let mut stream = TcpStream::connect(server.addr).unwrap();
         for i in 0..3u16 {
             let q = Message::query(i, n(&format!("q{i}.wild.example.com")), RrType::A);
             let framed = ldp_wire::framing::frame_message(&q.to_bytes().unwrap()).unwrap();
-            stream.write_all(&framed).await.unwrap();
+            stream.write_all(&framed).unwrap();
             let mut lenbuf = [0u8; 2];
-            stream.read_exact(&mut lenbuf).await.unwrap();
+            stream.read_exact(&mut lenbuf).unwrap();
             let mut msg = vec![0u8; u16::from_be_bytes(lenbuf) as usize];
-            stream.read_exact(&mut msg).await.unwrap();
+            stream.read_exact(&mut msg).unwrap();
             let resp = Message::from_bytes(&msg).unwrap();
             assert_eq!(resp.header.id, i);
             assert_eq!(resp.answers.len(), 1, "wildcard answers each name");
@@ -579,74 +633,66 @@ mod tests {
     }
 
     /// Reads one framed answer; `None` once the server has closed.
-    async fn read_answer(stream: &mut tokio::net::TcpStream) -> Option<Message> {
+    fn read_answer(stream: &mut TcpStream) -> Option<Message> {
         let mut lenbuf = [0u8; 2];
-        stream.read_exact(&mut lenbuf).await.ok()?;
+        stream.read_exact(&mut lenbuf).ok()?;
         let mut msg = vec![0u8; u16::from_be_bytes(lenbuf) as usize];
-        stream.read_exact(&mut msg).await.ok()?;
+        stream.read_exact(&mut msg).ok()?;
         Message::from_bytes(&msg).ok()
     }
 
-    #[tokio::test]
-    async fn tcp_answers_every_frame_of_a_write_in_order() {
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
-        let mut stream = tokio::net::TcpStream::connect(server.addr).await.unwrap();
+    #[test]
+    fn tcp_answers_every_frame_of_a_write_in_order() {
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
+        let mut stream = TcpStream::connect(server.addr).unwrap();
         // Three frames in one write, then a fourth split mid-frame across
         // two writes.
         let burst: Vec<u8> = (0..3).flat_map(framed_query).collect();
-        stream.write_all(&burst).await.unwrap();
+        stream.write_all(&burst).unwrap();
         let split = framed_query(3);
-        stream.write_all(&split[..5]).await.unwrap();
+        stream.write_all(&split[..5]).unwrap();
         let mut ids = Vec::new();
         for _ in 0..3 {
-            ids.push(read_answer(&mut stream).await.unwrap().header.id);
+            ids.push(read_answer(&mut stream).unwrap().header.id);
         }
-        stream.write_all(&split[5..]).await.unwrap();
-        ids.push(read_answer(&mut stream).await.unwrap().header.id);
+        stream.write_all(&split[5..]).unwrap();
+        ids.push(read_answer(&mut stream).unwrap().header.id);
         assert_eq!(ids, [0, 1, 2, 3]);
         assert_eq!(server.stats.tcp_queries.load(Ordering::Relaxed), 4);
         assert_eq!(server.stats.handle_hist().count(), 4);
     }
 
-    #[tokio::test]
-    async fn tcp_reset_after_n_closes_mid_buffer_after_exactly_n_answers() {
+    #[test]
+    fn tcp_reset_after_n_closes_mid_buffer_after_exactly_n_answers() {
         let chaos = Arc::new(ChaosPolicy::new(3).reset_after(2));
         let server =
-            LiveServer::spawn_with_chaos(engine(), "127.0.0.1:0".parse().unwrap(), chaos.clone())
-                .await
+            LiveServer::start_with_chaos(engine(), "127.0.0.1:0".parse().unwrap(), chaos.clone())
                 .unwrap();
-        let mut stream = tokio::net::TcpStream::connect(server.addr).await.unwrap();
+        let mut stream = TcpStream::connect(server.addr).unwrap();
         // Five frames land in one buffer; the reset falls after the second.
         let burst: Vec<u8> = (0..5).flat_map(framed_query).collect();
-        stream.write_all(&burst).await.unwrap();
+        stream.write_all(&burst).unwrap();
         let mut ids = Vec::new();
-        while let Some(answer) = read_answer(&mut stream).await {
+        while let Some(answer) = read_answer(&mut stream) {
             ids.push(answer.header.id);
         }
         assert_eq!(ids, [0, 1], "exactly n answers, then the close");
         assert_eq!(chaos.stats.resets.load(Ordering::Relaxed), 1);
     }
 
-    #[tokio::test]
-    async fn pktcache_counters_surface_through_stats_and_telemetry() {
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
+    #[test]
+    fn pktcache_counters_surface_through_stats_and_telemetry() {
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
         let reg = ldp_telemetry::Registry::new();
         server.register_telemetry(&reg);
-        let client = UdpSocket::bind("127.0.0.1:0").await.unwrap();
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
         let mut buf = vec![0u8; 4096];
         // The same question under three ids: one miss fills the cache,
         // the retransmits hit.
         for id in 0..3u16 {
             let q = Message::query(id, n("www.example.com"), RrType::A);
-            client
-                .send_to(&q.to_bytes().unwrap(), server.addr)
-                .await
-                .unwrap();
-            let (len, _) = client.recv_from(&mut buf).await.unwrap();
+            client.send_to(&q.to_bytes().unwrap(), server.addr).unwrap();
+            let (len, _) = client.recv_from(&mut buf).unwrap();
             assert_eq!(Message::from_bytes(&buf[..len]).unwrap().header.id, id);
         }
         assert_eq!(server.stats.pktcache.misses.load(Ordering::Relaxed), 1);
@@ -670,21 +716,16 @@ mod tests {
             .any(|s| s.name == "ldp_server_queries_total" && s.value == 3));
     }
 
-    #[tokio::test]
-    async fn malformed_udp_ignored() {
-        let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-            .await
-            .unwrap();
-        let client = UdpSocket::bind("127.0.0.1:0").await.unwrap();
-        client.send_to(&[1, 2, 3], server.addr).await.unwrap();
+    #[test]
+    fn malformed_udp_ignored() {
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        client.send_to(&[1, 2, 3], server.addr).unwrap();
         // Then a valid query still gets served.
         let q = Message::query(1, n("www.example.com"), RrType::A);
-        client
-            .send_to(&q.to_bytes().unwrap(), server.addr)
-            .await
-            .unwrap();
+        client.send_to(&q.to_bytes().unwrap(), server.addr).unwrap();
         let mut buf = vec![0u8; 4096];
-        let (len, _) = client.recv_from(&mut buf).await.unwrap();
+        let (len, _) = client.recv_from(&mut buf).unwrap();
         assert!(Message::from_bytes(&buf[..len]).is_ok());
         assert_eq!(server.stats.malformed.load(Ordering::Relaxed), 1);
     }

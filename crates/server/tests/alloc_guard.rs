@@ -25,6 +25,7 @@ use std::ops::Range;
 use std::time::Duration;
 
 use corpus::*;
+use ldp_io::UdpSocketExt;
 use ldp_server::auth::AuthEngine;
 use ldp_wire::Message;
 
@@ -175,72 +176,64 @@ fn from_bytes_of_a_one_question_query_allocates_at_most_three_times() {
 #[test]
 fn udp_batch_calls_allocate_nothing_per_batch() {
     const BATCH: usize = 64;
-    let runtime = tokio::runtime::Runtime::new().expect("runtime");
-    runtime.block_on(async {
-        let server = tokio::net::UdpSocket::bind("127.0.0.1:0")
-            .await
-            .expect("bind");
-        let client = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
-        client
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("timeout");
-        let to = server.local_addr().expect("address");
-        let peer = client.local_addr().expect("address");
-        let mut bufs: Vec<Vec<u8>> = (0..BATCH).map(|_| vec![0u8; 512]).collect();
-        let mut received = Vec::with_capacity(BATCH);
-        let answers: Vec<u8> = (0..BATCH * 4).map(|i| (i % 251) as u8).collect();
-        let replies: Vec<(Range<usize>, SocketAddr)> =
-            (0..BATCH).map(|i| (i * 4..i * 4 + 4, peer)).collect();
-        let sink = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
-        sink.set_nonblocking(true).expect("non-blocking");
-        let sink_addr = sink.local_addr().expect("address");
-        // More than one `sendmmsg` holds, so the run takes two.
-        const RUN: usize = 300;
-        let queries: Vec<Vec<u8>> = (0..RUN).map(|i| vec![(i % 251) as u8; 20]).collect();
-        let mut echo = [0u8; 64];
-        // Batch 0 warms up; every later batch is counted.
-        for batch in 0..4 {
-            for i in 0..BATCH {
-                client.send_to(&[i as u8; 12], to).expect("query");
-            }
-            let before = ALLOCS.with(Cell::get);
-            let mut got = 0;
-            while got < BATCH {
-                got += server
-                    .recv_many(&mut bufs, &mut received)
-                    .await
-                    .expect("recv_many");
-                assert!(received
-                    .iter()
-                    .all(|&(len, from)| len == 12 && from == peer));
-            }
-            let sent = server
-                .send_many_to_each(&answers, &replies)
-                .await
-                .expect("send_many_to_each");
-            // A replay run: one socket, one destination, a batch's worth of
-            // queries.
-            let sent_run = server
-                .send_many_to(&queries, sink_addr)
-                .await
-                .expect("send_many_to");
-            let allocs = ALLOCS.with(Cell::get) - before;
-            assert_eq!((got, sent, sent_run), (BATCH, BATCH, RUN));
-            for i in 0..BATCH {
-                let (len, _) = client.recv_from(&mut echo).expect("answer");
-                assert_eq!(echo[..len], answers[i * 4..i * 4 + 4]);
-            }
-            // The sink's buffer holds only part of a run; what arrived is
-            // the run, in order.
-            let mut arrived = 0;
-            while let Ok(len) = sink.recv(&mut echo) {
-                assert_eq!(echo[..len], queries[arrived][..]);
-                arrived += 1;
-            }
-            assert!(arrived > 0, "no run datagram arrived");
-            if batch > 0 {
-                assert_eq!(allocs, 0, "batch {batch}: the batch calls allocated");
-            }
+    let server = ldp_io::bind_udp("127.0.0.1:0").expect("bind");
+    let client = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let to = server.local_addr().expect("address");
+    let peer = client.local_addr().expect("address");
+    let mut bufs: Vec<Vec<u8>> = (0..BATCH).map(|_| vec![0u8; 512]).collect();
+    let mut received = Vec::with_capacity(BATCH);
+    let answers: Vec<u8> = (0..BATCH * 4).map(|i| (i % 251) as u8).collect();
+    let replies: Vec<(Range<usize>, SocketAddr)> =
+        (0..BATCH).map(|i| (i * 4..i * 4 + 4, peer)).collect();
+    let sink = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
+    sink.set_nonblocking(true).expect("non-blocking");
+    let sink_addr = sink.local_addr().expect("address");
+    // More than one `sendmmsg` holds, so the run takes two.
+    const RUN: usize = 300;
+    let queries: Vec<Vec<u8>> = (0..RUN).map(|i| vec![(i % 251) as u8; 20]).collect();
+    let mut echo = [0u8; 64];
+    // Batch 0 warms up; every later batch is counted.
+    for batch in 0..4 {
+        for i in 0..BATCH {
+            client.send_to(&[i as u8; 12], to).expect("query");
         }
-    });
+        let before = ALLOCS.with(Cell::get);
+        let mut got = 0;
+        while got < BATCH {
+            got += server
+                .recv_many(&mut bufs, &mut received)
+                .expect("recv_many");
+            assert!(received
+                .iter()
+                .all(|&(len, from)| len == 12 && from == peer));
+        }
+        let sent = server
+            .send_many_to_each(&answers, &replies)
+            .expect("send_many_to_each");
+        // A replay run: one socket, one destination, a batch's worth of
+        // queries.
+        let sent_run = server
+            .send_many_to(&queries, sink_addr)
+            .expect("send_many_to");
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!((got, sent, sent_run), (BATCH, BATCH, RUN));
+        for i in 0..BATCH {
+            let (len, _) = client.recv_from(&mut echo).expect("answer");
+            assert_eq!(echo[..len], answers[i * 4..i * 4 + 4]);
+        }
+        // The sink's buffer holds only part of a run; what arrived is
+        // the run, in order.
+        let mut arrived = 0;
+        while let Ok(len) = sink.recv(&mut echo) {
+            assert_eq!(echo[..len], queries[arrived][..]);
+            arrived += 1;
+        }
+        assert!(arrived > 0, "no run datagram arrived");
+        if batch > 0 {
+            assert_eq!(allocs, 0, "batch {batch}: the batch calls allocated");
+        }
+    }
 }

@@ -23,18 +23,13 @@ fn threads() -> usize {
 fn delayed_replies_share_one_thread_and_are_never_early() {
     const QUERIES: u16 = 200;
     let delay = Duration::from_millis(50);
-    let runtime = tokio::runtime::Runtime::new().expect("runtime");
     let mut zones = ZoneSet::new();
     zones.insert(ldp_workload::zones::wildcard_example_zone());
     let engine = Arc::new(AuthEngine::with_zones(Arc::new(zones)));
     let chaos = Arc::new(ChaosPolicy::new(5).delay_responses(1.0, delay));
-    let server = runtime
-        .block_on(LiveServer::spawn_with_chaos(
-            engine,
-            "127.0.0.1:0".parse().expect("address"),
-            chaos,
-        ))
-        .expect("server");
+    let server =
+        LiveServer::start_with_chaos(engine, "127.0.0.1:0".parse().expect("address"), chaos)
+            .expect("server");
     let client = UdpSocket::bind("127.0.0.1:0").expect("bind");
     client
         .set_read_timeout(Some(Duration::from_secs(5)))

@@ -1,11 +1,11 @@
 //! Std-only HTTP endpoint serving the Prometheus text exposition.
 //!
-//! Deliberately not a web framework and not on the tokio runtime: one
-//! dedicated OS thread, blocking `std::net`, one response shape. A scrape
-//! is a snapshot + render, entirely off the replay's hot path; the
-//! listener thread never touches the pipeline's runtime, so a stuck or
-//! slow scraper cannot perturb send timing (the §3 fidelity concern that
-//! motivated measuring send-lag in the first place).
+//! Deliberately not a web framework: one dedicated OS thread, blocking
+//! `std::net`, one response shape. A scrape is a snapshot + render,
+//! entirely off the replay's hot path; the listener thread never touches
+//! the pipeline's threads, so a stuck or slow scraper cannot perturb send
+//! timing (the §3 fidelity concern that motivated measuring send-lag in
+//! the first place).
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

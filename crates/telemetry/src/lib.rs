@@ -21,11 +21,8 @@
 //! * [`top`] — the `ldplayer top` terminal view: scrapes the endpoint
 //!   and renders per-shard rates, queue depths, and fault counters live.
 //!
-//! [`thread::set_name`] names the calling thread after its role, so the
-//! kernel's per-thread CPU accounting can be read per pipeline stage.
-//!
 //! Dependency-light on purpose: `ldp-metrics` plus the vendored
-//! parking_lot/serde/libc stubs, so every layer of the pipeline (replay,
+//! parking_lot/serde stubs, so every layer of the pipeline (replay,
 //! server, proxy) can register metrics without cycles.
 
 #![deny(rust_2018_idioms, unsafe_op_in_unsafe_fn, unreachable_pub)]
@@ -34,7 +31,6 @@ pub mod expose;
 pub mod http;
 pub mod registry;
 pub mod sampler;
-pub mod thread;
 pub mod top;
 
 pub use expose::render_prometheus;

@@ -14,8 +14,7 @@ use ldplayer::workload::zones::wildcard_example_zone;
 use ldplayer::workload::SyntheticConfig;
 use ldplayer::zone::ZoneSet;
 
-#[tokio::main]
-async fn main() -> std::io::Result<()> {
+fn main() -> std::io::Result<()> {
     // A fixed-interval synthetic trace (Table 1's syn-2 shape, shortened).
     let records = SyntheticConfig {
         interarrival_us: 10_000,
@@ -58,16 +57,15 @@ async fn main() -> std::io::Result<()> {
     let replayable = stream::from_bytes(&stream_bytes).expect("stream decodes");
     let mut zones = ZoneSet::new();
     zones.insert(wildcard_example_zone());
-    let server = LiveServer::spawn(
+    let server = LiveServer::start(
         Arc::new(AuthEngine::with_zones(Arc::new(zones))),
         "127.0.0.1:0".parse().unwrap(),
-    )
-    .await?;
+    )?;
     let replay = LiveReplay {
         mode: ReplayMode::Fast,
         ..LiveReplay::new(server.addr)
     };
-    let report = replay.run(replayable).await?;
+    let report = replay.run(replayable)?;
     println!(
         "replayed {} queries over TCP: {} answered, {} connections at the server",
         report.sent,

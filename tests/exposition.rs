@@ -25,8 +25,8 @@ fn set(cells: &[&AtomicU64], first: u64) {
     }
 }
 
-#[tokio::test(flavor = "multi_thread")]
-async fn every_counter_block_renders_as_pinned() {
+#[test]
+fn every_counter_block_renders_as_pinned() {
     let reg = Registry::new();
 
     let c = Arc::new(ShardCounters::default());
@@ -60,8 +60,7 @@ async fn every_counter_block_renders_as_pinned() {
     let engine = Arc::new(AuthEngine::with_zones(Arc::new(ZoneSet::new())));
     let chaos = Arc::new(ChaosPolicy::new(1));
     let server =
-        LiveServer::spawn_with_chaos(engine, "127.0.0.1:0".parse().unwrap(), chaos.clone())
-            .await
+        LiveServer::start_with_chaos(engine, "127.0.0.1:0".parse().unwrap(), chaos.clone())
             .unwrap();
     let s = &server.stats;
     set(

@@ -19,11 +19,9 @@ fn engine() -> Arc<AuthEngine> {
     Arc::new(AuthEngine::with_zones(Arc::new(set)))
 }
 
-#[tokio::test(flavor = "multi_thread")]
-async fn timed_replay_preserves_interarrival_distribution() {
-    let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-        .await
-        .unwrap();
+#[test]
+fn timed_replay_preserves_interarrival_distribution() {
+    let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
     // syn-2 shape: 10 ms fixed gaps for 3 seconds.
     let trace = SyntheticConfig {
         interarrival_us: 10_000,
@@ -36,7 +34,7 @@ async fn timed_replay_preserves_interarrival_distribution() {
         .windows(2)
         .map(|w| (w[1].time_us - w[0].time_us) as f64 / 1e6)
         .collect();
-    let report = LiveReplay::new(server.addr).run(trace).await.unwrap();
+    let report = LiveReplay::new(server.addr).run(trace).unwrap();
     assert_eq!(report.sent, 300);
     assert!(report.answered as f64 / report.sent as f64 > 0.97);
 
@@ -60,11 +58,9 @@ async fn timed_replay_preserves_interarrival_distribution() {
     assert!(s.q1.abs() < 5.0 && s.q3.abs() < 5.0, "quartiles {s:?}");
 }
 
-#[tokio::test(flavor = "multi_thread")]
-async fn speed_scaling_halves_wall_time() {
-    let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-        .await
-        .unwrap();
+#[test]
+fn speed_scaling_halves_wall_time() {
+    let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
     let trace = SyntheticConfig {
         interarrival_us: 20_000,
         duration_s: 2,
@@ -75,17 +71,15 @@ async fn speed_scaling_halves_wall_time() {
     let mut replay = LiveReplay::new(server.addr);
     replay.mode = ReplayMode::Timed { speed: 0.5 }; // double speed
     let t0 = std::time::Instant::now();
-    let report = replay.run(trace).await.unwrap();
+    let report = replay.run(trace).unwrap();
     let elapsed = t0.elapsed().as_secs_f64();
     assert_eq!(report.sent, 100);
     assert!(elapsed < 1.9, "2s trace at 2x speed took {elapsed}s");
 }
 
-#[tokio::test(flavor = "multi_thread")]
-async fn mixed_udp_tcp_trace_over_loopback() {
-    let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-        .await
-        .unwrap();
+#[test]
+fn mixed_udp_tcp_trace_over_loopback() {
+    let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
     let mut trace: Vec<TraceRecord> = (0..200u64)
         .map(|i| {
             TraceRecord::udp_query(
@@ -104,7 +98,7 @@ async fn mixed_udp_tcp_trace_over_loopback() {
     }
     let mut replay = LiveReplay::new(server.addr);
     replay.mode = ReplayMode::Fast;
-    let report = replay.run(trace).await.unwrap();
+    let report = replay.run(trace).unwrap();
     assert_eq!(report.sent, 200);
     assert!(report.answered >= 190, "answered {}", report.answered);
     let tcp_sent = report
@@ -124,13 +118,11 @@ async fn mixed_udp_tcp_trace_over_loopback() {
         .any(|o| o.protocol == Protocol::Udp && o.latency_us.is_some()));
 }
 
-#[tokio::test(flavor = "multi_thread")]
-async fn root_trace_replay_referrals_and_nxdomains() {
+#[test]
+fn root_trace_replay_referrals_and_nxdomains() {
     // Replay root-style queries (referrals + NXDOMAIN junk) over UDP and
     // check the server served them all.
-    let server = LiveServer::spawn(engine(), "127.0.0.1:0".parse().unwrap())
-        .await
-        .unwrap();
+    let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
     let trace = ldplayer::workload::BRootConfig {
         duration_s: 2.0,
         mean_rate_qps: 300.0,
@@ -143,7 +135,7 @@ async fn root_trace_replay_referrals_and_nxdomains() {
     let n = trace.len() as u64;
     let mut replay = LiveReplay::new(server.addr);
     replay.mode = ReplayMode::Fast;
-    let report = replay.run(trace).await.unwrap();
+    let report = replay.run(trace).unwrap();
     assert_eq!(report.sent, n);
     assert!(
         report.answered as f64 / n as f64 > 0.97,

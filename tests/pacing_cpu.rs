@@ -32,13 +32,11 @@ fn process_cpu() -> Duration {
 /// from `sources` sources asking one name, so the server answers from its
 /// packet cache and little but the querier's wakes costs CPU. Returns the
 /// process CPU used over the replay as a share of its wall time.
-async fn pacing_cpu_share(sources: u64) -> f64 {
+fn pacing_cpu_share(sources: u64) -> f64 {
     let mut zones = ZoneSet::new();
     zones.insert(wildcard_example_zone());
     let engine = Arc::new(AuthEngine::with_zones(Arc::new(zones)));
-    let server = LiveServer::spawn(engine, "127.0.0.1:0".parse().unwrap())
-        .await
-        .unwrap();
+    let server = LiveServer::start(engine, "127.0.0.1:0".parse().unwrap()).unwrap();
     let records: Vec<TraceRecord> = (0..200u64)
         .map(|i| {
             TraceRecord::udp_query(
@@ -63,13 +61,10 @@ async fn pacing_cpu_share(sources: u64) -> f64 {
         mode: ReplayMode::Fast,
         ..replay.clone()
     };
-    assert_eq!(
-        warm_up.run(records[..1].to_vec()).await.unwrap().answered,
-        1
-    );
+    assert_eq!(warm_up.run(records[..1].to_vec()).unwrap().answered, 1);
 
     let (cpu_before, started) = (process_cpu(), Instant::now());
-    let report = replay.run(records).await.unwrap();
+    let report = replay.run(records).unwrap();
     let (cpu, wall) = (process_cpu() - cpu_before, started.elapsed());
 
     assert_eq!(report.sent, 200);
@@ -86,10 +81,10 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 // The guard must span the replay: that is what serializes the tests.
 #[allow(clippy::await_holding_lock)]
-#[tokio::test(flavor = "multi_thread")]
-async fn timed_pacing_sleeps_between_sends() {
+#[test]
+fn timed_pacing_sleeps_between_sends() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let share = pacing_cpu_share(1).await;
+    let share = pacing_cpu_share(1);
     assert!(share < 0.25, "replay used {:.0}% of one CPU", share * 100.0);
 }
 
@@ -97,9 +92,9 @@ async fn timed_pacing_sleeps_between_sends() {
 /// with an answer queued in one call, not by trying every socket at every
 /// wake.
 #[allow(clippy::await_holding_lock)]
-#[tokio::test(flavor = "multi_thread")]
-async fn waking_with_many_sockets_stays_cheap() {
+#[test]
+fn waking_with_many_sockets_stays_cheap() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let share = pacing_cpu_share(128).await;
+    let share = pacing_cpu_share(128);
     assert!(share < 0.25, "replay used {:.0}% of one CPU", share * 100.0);
 }

@@ -108,10 +108,10 @@ fn records(n: u64) -> impl Iterator<Item = Result<TraceRecord, TraceError>> + Se
 
 /// Replays `n` records; returns the peak heap growth during the replay
 /// and the heap the returned report still holds, in bytes.
-async fn measure(replay: &LiveReplay, n: u64) -> (usize, usize) {
+fn measure(replay: &LiveReplay, n: u64) -> (usize, usize) {
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
-    let report = replay.run_stream(records(n)).await.expect("replay runs");
+    let report = replay.run_iter(records(n)).expect("replay runs");
     let peak = PEAK.load(Ordering::Relaxed).saturating_sub(base);
     let held = LIVE.load(Ordering::Relaxed).saturating_sub(base);
     assert_eq!(report.outcomes.len() as u64, n);
@@ -119,15 +119,14 @@ async fn measure(replay: &LiveReplay, n: u64) -> (usize, usize) {
     (peak, held)
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 2)]
-async fn replay_memory_per_record_stays_within_budget() {
+#[test]
+fn replay_memory_per_record_stays_within_budget() {
     const { assert!(ROW_BYTES <= 32, "an outcome row must fit in 32 bytes") };
     let mut zones = ZoneSet::new();
     zones.insert(wildcard_example_zone());
     let engine = Arc::new(AuthEngine::with_zones(Arc::new(zones)));
-    let server = LiveServer::spawn(engine, "127.0.0.1:0".parse().expect("address"))
-        .await
-        .expect("server");
+    let server =
+        LiveServer::start(engine, "127.0.0.1:0".parse().expect("address")).expect("server");
     let replay = LiveReplay {
         mode: ReplayMode::Fast,
         queriers_per_distributor: 1,
@@ -136,10 +135,10 @@ async fn replay_memory_per_record_stays_within_budget() {
         ..LiveReplay::new(server.addr)
     };
     // Warm up: the runtime's threads, the server's caches.
-    measure(&replay, 5_000).await;
+    measure(&replay, 5_000);
 
-    let (peak_small, held_small) = measure(&replay, 20_000).await;
-    let (peak_large, held_large) = measure(&replay, 80_000).await;
+    let (peak_small, held_small) = measure(&replay, 20_000);
+    let (peak_large, held_large) = measure(&replay, 80_000);
     let fixed = peak_small.saturating_sub(held_small);
     let extra = 60_000.0;
     let peak_per_record = (peak_large as f64 - peak_small as f64) / extra;

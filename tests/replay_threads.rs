@@ -41,14 +41,21 @@ fn trace(protocol: Protocol) -> Vec<TraceRecord> {
         .collect()
 }
 
-#[tokio::test(flavor = "multi_thread")]
-async fn replays_leave_no_threads_behind() {
+#[test]
+fn replays_leave_no_threads_behind() {
     let mut zones = ZoneSet::new();
     zones.insert(wildcard_example_zone());
     let engine = Arc::new(AuthEngine::with_zones(Arc::new(zones)));
-    let server = LiveServer::spawn(engine, "127.0.0.1:0".parse().unwrap())
-        .await
-        .unwrap();
+    let server = LiveServer::start(engine, "127.0.0.1:0".parse().unwrap()).unwrap();
+    // The serving threads carry their role's name. A new thread names
+    // itself as it starts, so the names may lag the spawn briefly.
+    let grace = Instant::now() + Duration::from_secs(2);
+    for role in ["server-udp", "server-tcp"] {
+        while !thread_names().iter().any(|n| n == role) {
+            assert!(Instant::now() < grace, "no {role} in {:?}", thread_names());
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
     // Retries stay on (the default policy), so expiry runs too.
     let replay = LiveReplay {
         mode: ReplayMode::Fast,
@@ -56,7 +63,7 @@ async fn replays_leave_no_threads_behind() {
         ..LiveReplay::new(server.addr)
     };
     for protocol in [Protocol::Udp, Protocol::Tcp] {
-        let report = replay.run(trace(protocol)).await.unwrap();
+        let report = replay.run(trace(protocol)).unwrap();
         assert_eq!(report.sent, 60, "{protocol:?}");
         assert_eq!(report.answered, 60, "{protocol:?}");
         let names = thread_names();
@@ -76,7 +83,7 @@ async fn replays_leave_no_threads_behind() {
                 "{protocol:?} replay left a querier thread running: {:?}",
                 thread_names()
             );
-            tokio::time::sleep(Duration::from_millis(10)).await;
+            std::thread::sleep(Duration::from_millis(10));
         }
     }
     // Dropping the server stops its UDP and accept loops, and the
@@ -89,6 +96,6 @@ async fn replays_leave_no_threads_behind() {
             "a dropped server left threads running: {:?}",
             thread_names()
         );
-        tokio::time::sleep(Duration::from_millis(10)).await;
+        std::thread::sleep(Duration::from_millis(10));
     }
 }
