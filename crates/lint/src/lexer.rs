@@ -391,10 +391,10 @@ mod tests {
 
     #[test]
     fn standalone_allow_applies_to_next_line() {
-        let src = "\n// ldp-lint: allow(r2, r3) -- fixture\nlet x = 1;\n";
+        let src = "\n// ldp-lint: allow(r2, r5) -- fixture\nlet x = 1;\n";
         let lexed = lex(src);
         let rules = lexed.allows.get(&3).expect("next code line covered");
-        assert!(rules.contains(&Rule::R2) && rules.contains(&Rule::R3));
+        assert!(rules.contains(&Rule::R2) && rules.contains(&Rule::R5));
     }
 
     #[test]

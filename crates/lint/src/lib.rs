@@ -5,10 +5,8 @@
 //! |------|--------------------|------------------------------------------------------------|
 //! | R1   | `hot-path-panic`   | `unwrap`/`expect`/`panic!`/`unreachable!` in hot paths     |
 //! | R2   | `lossy-cast`       | `as u8`/`as u16`/`as u32` in wire-format code              |
-//! | R3   | `blocking-async`   | `thread::sleep` / blocking I/O inside async bodies         |
 //! | R4   | `parser-roundtrip` | public parser entry points without a round-trip test       |
 //! | R5   | `swallowed-send`   | `let _ = …send…(…)` discarding I/O results in hot paths    |
-//! | R6   | `detached-task`    | `.abort()` on a task handle (it only detaches the thread)  |
 //! | R7   | `sans-io`          | clock reads, `tokio::`, sockets, `.await` in the core      |
 //!
 //! Escape hatch (requires a reason):
@@ -89,9 +87,6 @@ pub fn workspace_scope(rel: &Path) -> FileScope {
         hot_path: HOT_PATH_CRATES.iter().any(|c| in_crate_src(c))
             || HOT_PATH_FILES.iter().any(|f| rel_str == *f),
         wire: in_crate_src("wire") || R2_WIRE_FILES.iter().any(|f| rel_str == *f),
-        // All first-party async code must not block, wherever it lives.
-        async_blocking: true,
-        task_handles: true,
         sans_io: SANS_IO_FILES.iter().any(|f| rel_str == *f),
     }
 }
@@ -118,7 +113,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         let analysis = FileAnalysis::new(rel.clone(), src.as_str());
         let rel_str = rel.to_string_lossy().replace('\\', "/");
 
-        // R1–R3 only audit library/binary sources, not test or bench code
+        // R1, R2, R5 and R7 only audit library/binary sources, not test or bench code
         // (tests are free to unwrap).
         let is_test_file = rel_str.contains("/tests/") || rel_str.starts_with("tests/");
         if !is_test_file {
@@ -263,7 +258,7 @@ mod tests {
             "shard counter cells are bumped per send"
         );
         let s = workspace_scope(Path::new("crates/metrics/src/report.rs"));
-        assert!(!s.hot_path && !s.wire && s.async_blocking && s.task_handles);
+        assert!(!s.hot_path && !s.wire);
         // The trace on-disk writers are wire scope without being hot path.
         for f in ["capture.rs", "pcap.rs", "stream.rs"] {
             let s = workspace_scope(&Path::new("crates/trace/src").join(f));

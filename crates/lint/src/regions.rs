@@ -1,7 +1,7 @@
 //! Region analysis over the token stream: which line spans belong to
-//! `#[cfg(test)]` / `#[test]` items, and which belong to `async` bodies.
-//! Both are computed by brace matching — no full parse needed, because the
-//! rules only ask "is this line inside such a region".
+//! `#[cfg(test)]` / `#[test]` items. They are computed by brace matching —
+//! no full parse needed, because the rules only ask "is this line inside
+//! such a region".
 
 use crate::lexer::Token;
 
@@ -46,40 +46,8 @@ pub fn test_spans(tokens: &[Token]) -> Vec<Span> {
     merge(spans)
 }
 
-/// Line spans of `async fn` bodies and `async`/`async move` blocks.
-pub fn async_spans(tokens: &[Token]) -> Vec<Span> {
-    let mut spans = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if tokens[i].is_ident("async") {
-            let next = tokens.get(i + 1);
-            if next.is_some_and(|t| t.is_ident("fn")) {
-                if let Some(span) = item_body_span(tokens, i + 2) {
-                    spans.push(span);
-                }
-            } else if next.is_some_and(|t| t.is_ident("move") || t.is_punct('{')) {
-                let open = if next.is_some_and(|t| t.is_punct('{')) {
-                    i + 1
-                } else {
-                    i + 2
-                };
-                if tokens.get(open).is_some_and(|t| t.is_punct('{')) {
-                    if let Some(close) = matching(tokens, open, '{', '}') {
-                        spans.push(Span {
-                            start: tokens[open].line,
-                            end: tokens[close].line,
-                        });
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
-    merge(spans)
-}
-
 /// Does an attribute's inner token list mark test code? Covers `test`,
-/// `cfg(test)`, `cfg(all(test, ...))`, `tokio::test(...)`. A `not(...)`
+/// `cfg(test)`, `cfg(all(test, ...))`. A `not(...)`
 /// anywhere means the item is compiled *outside* tests (`cfg(not(test))`),
 /// so it stays subject to the rules.
 fn attr_is_test(inner: &[Token]) -> bool {
@@ -188,32 +156,5 @@ fn not_test() {}
         let src = "#[cfg(test)]\nuse std::fmt;\nfn real() {}\n";
         let spans = test_spans(&lex(src).tokens);
         assert!(spans.is_empty());
-    }
-
-    #[test]
-    fn async_fn_and_block_spans() {
-        let src = "\
-async fn handler() {
-    work().await;
-}
-fn sync_fn() {
-    let fut = async move {
-        more().await;
-    };
-}
-";
-        let spans = async_spans(&lex(src).tokens);
-        assert_eq!(spans.len(), 2);
-        assert!(in_any(&spans, 2));
-        assert!(in_any(&spans, 6));
-        assert!(!in_any(&spans, 4));
-    }
-
-    #[test]
-    fn tokio_test_attr_counts_as_test() {
-        let src = "#[tokio::test(flavor = \"multi_thread\")]\nasync fn t() {\n x();\n}\n";
-        let spans = test_spans(&lex(src).tokens);
-        assert_eq!(spans.len(), 1);
-        assert!(spans[0].contains(3));
     }
 }

@@ -1,4 +1,4 @@
-//! The seven project rules. Each check walks the token stream of one file;
+//! The project rules. Each check walks the token stream of one file;
 //! R4 additionally correlates parser entry points with round-trip tests
 //! across a whole crate.
 
@@ -16,17 +16,11 @@ pub enum Rule {
     /// No lossy `as u8`/`as u16`/`as u32` casts in wire-format code
     /// (`crates/wire` plus the trace on-disk writers).
     R2,
-    /// No `thread::sleep` or blocking I/O inside async code.
-    R3,
     /// Public parser entry points need a round-trip test (name convention).
     R4,
     /// No `let _ = ...send...(...)` in hot-path modules: a discarded send
     /// result silently swallows an I/O failure the replay must account for.
     R5,
-    /// No `.abort()` on a task handle: the vendored runtime runs each task
-    /// on its own thread and `abort` only detaches it, so a task blocked
-    /// on a socket lives on.
-    R6,
     /// No clock reads, `tokio::` paths, socket types or `.await` in the
     /// sans-I/O querier core: its drivers own time and I/O.
     R7,
@@ -39,10 +33,8 @@ impl Rule {
         match name.to_ascii_lowercase().as_str() {
             "r1" | "hot-path-panic" => Some(Rule::R1),
             "r2" | "lossy-cast" => Some(Rule::R2),
-            "r3" | "blocking-async" => Some(Rule::R3),
             "r4" | "parser-roundtrip" => Some(Rule::R4),
             "r5" | "swallowed-send" => Some(Rule::R5),
-            "r6" | "detached-task" => Some(Rule::R6),
             "r7" | "sans-io" => Some(Rule::R7),
             _ => None,
         }
@@ -52,10 +44,8 @@ impl Rule {
         match self {
             Rule::R1 => "R1",
             Rule::R2 => "R2",
-            Rule::R3 => "R3",
             Rule::R4 => "R4",
             Rule::R5 => "R5",
-            Rule::R6 => "R6",
             Rule::R7 => "R7",
             Rule::Directive => "directive",
         }
@@ -98,10 +88,6 @@ pub struct FileScope {
     /// R2: the file emits wire-format bytes (`crates/wire` or a trace
     /// on-disk writer).
     pub wire: bool,
-    /// R3: async bodies in this file must not block.
-    pub async_blocking: bool,
-    /// R6: task handles in this file must not be aborted.
-    pub task_handles: bool,
     /// R7: the file is part of the sans-I/O querier core.
     pub sans_io: bool,
 }
@@ -111,8 +97,6 @@ impl FileScope {
         FileScope {
             hot_path: true,
             wire: true,
-            async_blocking: true,
-            task_handles: true,
             sans_io: true,
         }
     }
@@ -123,19 +107,16 @@ pub struct FileAnalysis {
     pub path: PathBuf,
     pub lexed: Lexed,
     pub test_spans: Vec<Span>,
-    pub async_spans: Vec<Span>,
 }
 
 impl FileAnalysis {
     pub fn new(path: PathBuf, src: &str) -> FileAnalysis {
         let lexed = crate::lexer::lex(src);
         let test_spans = crate::regions::test_spans(&lexed.tokens);
-        let async_spans = crate::regions::async_spans(&lexed.tokens);
         FileAnalysis {
             path,
             lexed,
             test_spans,
-            async_spans,
         }
     }
 
@@ -158,7 +139,7 @@ impl FileAnalysis {
         });
     }
 
-    /// Runs the per-file rules (R1–R3, R5–R7 plus directive hygiene).
+    /// Runs the per-file rules (R1, R2, R5, R7 plus directive hygiene).
     pub fn check(&self, scope: FileScope) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
         for &(line, ref why) in &self.lexed.bad_directives {
@@ -170,12 +151,6 @@ impl FileAnalysis {
         }
         if scope.wire {
             self.check_r2(&mut diags);
-        }
-        if scope.async_blocking {
-            self.check_r3(&mut diags);
-        }
-        if scope.task_handles {
-            self.check_r6(&mut diags);
         }
         if scope.sans_io {
             self.check_r7(&mut diags);
@@ -242,80 +217,6 @@ impl FileAnalysis {
         }
     }
 
-    /// R3: blocking calls inside async bodies (outside tests — the test
-    /// runtime is allowed to block).
-    fn check_r3(&self, diags: &mut Vec<Diagnostic>) {
-        let toks = &self.lexed.tokens;
-        for (i, t) in toks.iter().enumerate() {
-            let line = t.line;
-            if !in_any(&self.async_spans, line) || in_any(&self.test_spans, line) {
-                continue;
-            }
-            // `thread::sleep` (with or without a `std::` prefix).
-            if t.is_ident("thread")
-                && path_sep(toks, i + 1)
-                && toks.get(i + 3).is_some_and(|n| n.is_ident("sleep"))
-            {
-                self.diag(
-                    diags,
-                    line,
-                    Rule::R3,
-                    "`thread::sleep` inside async fn blocks the executor; \
-                     use `tokio::time::sleep`"
-                        .to_string(),
-                );
-            }
-            // Blocking std I/O constructors: `std::fs::...`,
-            // `std::net::{TcpStream,TcpListener,UdpSocket}::...`,
-            // `File::open/create`.
-            if t.is_ident("std") && path_sep(toks, i + 1) {
-                match toks.get(i + 3).and_then(Token::ident) {
-                    Some("fs") => self.diag(
-                        diags,
-                        line,
-                        Rule::R3,
-                        "blocking `std::fs` call inside async fn; \
-                         use `tokio::task::spawn_blocking`"
-                            .to_string(),
-                    ),
-                    Some("net")
-                        if path_sep(toks, i + 4)
-                            && matches!(
-                                toks.get(i + 6).and_then(Token::ident),
-                                Some("TcpStream" | "TcpListener" | "UdpSocket")
-                            ) =>
-                    {
-                        self.diag(
-                            diags,
-                            line,
-                            Rule::R3,
-                            "blocking `std::net` socket inside async fn; \
-                             use the `tokio::net` equivalents"
-                                .to_string(),
-                        );
-                    }
-                    _ => {}
-                }
-            }
-            if t.is_ident("File")
-                && path_sep(toks, i + 1)
-                && matches!(
-                    toks.get(i + 3).and_then(Token::ident),
-                    Some("open" | "create")
-                )
-            {
-                self.diag(
-                    diags,
-                    line,
-                    Rule::R3,
-                    "blocking `File` I/O inside async fn; \
-                     use `tokio::task::spawn_blocking`"
-                        .to_string(),
-                );
-            }
-        }
-    }
-
     /// R5: `let _ = ...send...(...)` outside `#[cfg(test)]`. Discarding a
     /// send result in hot-path code swallows the very failures the
     /// fault-tolerance counters exist to account for.
@@ -351,33 +252,6 @@ impl FileAnalysis {
                     );
                     break;
                 }
-            }
-        }
-    }
-
-    /// R6: `.abort()` outside `#[cfg(test)]`. The vendored runtime cannot
-    /// cancel a thread blocked in a syscall, so `abort` detaches the task:
-    /// a reader blocked on a socket outlives its owner, and the socket with
-    /// it. Let the task end on its own instead.
-    fn check_r6(&self, diags: &mut Vec<Diagnostic>) {
-        let toks = &self.lexed.tokens;
-        for (i, t) in toks.iter().enumerate() {
-            if !t.is_ident("abort") || in_any(&self.test_spans, t.line) {
-                continue;
-            }
-            let call = i > 0
-                && toks[i - 1].is_punct('.')
-                && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-                && toks.get(i + 2).is_some_and(|n| n.is_punct(')'));
-            if call {
-                self.diag(
-                    diags,
-                    t.line,
-                    Rule::R6,
-                    "`.abort()` only detaches a task in the thread-per-task runtime; \
-                     a task blocked on I/O outlives it — make the task end on its own"
-                        .to_string(),
-                );
             }
         }
     }

@@ -77,13 +77,6 @@ fn r2_fixtures() {
 }
 
 #[test]
-fn r3_fixtures() {
-    assert_violations(&["r3_violation.rs"], "R3", &[3, 4, 9]);
-    assert_clean(&["r3_clean.rs"]);
-    assert_clean(&["r3_allowed.rs"]);
-}
-
-#[test]
 fn r4_fixtures() {
     assert_violations(&["r4_violation.rs"], "R4", &[2]);
     assert_clean(&["r4_clean.rs"]);
@@ -98,13 +91,6 @@ fn r5_fixtures() {
     assert_violations(&["r5_violation.rs"], "R5", &[4, 5, 6]);
     assert_clean(&["r5_clean.rs"]);
     assert_clean(&["r5_allowed.rs"]);
-}
-
-#[test]
-fn r6_fixtures() {
-    assert_violations(&["r6_violation.rs"], "R6", &[3, 5]);
-    assert_clean(&["r6_clean.rs"]);
-    assert_clean(&["r6_allowed.rs"]);
 }
 
 #[test]
