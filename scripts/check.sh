@@ -12,6 +12,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo ldp-lint"
 cargo ldp-lint
 
+echo "==> no tokio in the workspace's dependency tree"
+# The workspace runs on plain threads; vendor/tokio's Runtime::block_on is
+# for perfbench, its own workspace, alone.
+tree="$(cargo tree --locked --offline --workspace -e normal,dev,build --prefix none)"
+if printf '%s\n' "$tree" | grep -q '^tokio '; then
+    echo "a workspace crate depends on tokio" >&2
+    exit 1
+fi
+
 echo "==> cargo test"
 cargo test --workspace -q
 
