@@ -332,3 +332,81 @@ fn set_int_opt(fd: std::os::fd::RawFd, level: i32, name: i32, value: i32) -> io:
         Err(io::Error::last_os_error())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::TcpListener;
+
+    /// Two loopback UDP sockets.
+    fn pair() -> (UdpSocket, UdpSocket) {
+        let a = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let b = UdpSocket::bind("127.0.0.1:0").unwrap();
+        (a, b)
+    }
+
+    #[test]
+    fn a_range_outside_the_buffer_sends_nothing() {
+        let (tx, rx) = pair();
+        let to = rx.local_addr().unwrap();
+        let err = tx.send_many_to_each(b"abc", &[(0..1, to), (2..9, to)]);
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidInput);
+        rx.set_nonblocking(true).unwrap();
+        assert!(rx.recv(&mut [0u8; 8]).is_err(), "a datagram went out");
+    }
+
+    #[test]
+    fn stamped_udp_reads_take_what_is_queued_and_never_wait() {
+        let (tx, rx) = pair();
+        rx.set_arrival_stamps().unwrap();
+        let mut bufs = vec![vec![0u8; 16]; 4];
+        let mut got = Vec::new();
+        let err = rx.try_recv_many_stamped(&mut bufs, &mut got).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        let to = rx.local_addr().unwrap();
+        for i in 0..3u8 {
+            tx.send_to(&[i; 2], to).unwrap();
+        }
+        let mut seen = 0;
+        while seen < 3 {
+            // Blocks until a datagram is queued; the stamped read then
+            // takes every queued one without waiting.
+            rx.peek_from(&mut [0u8; 2]).unwrap();
+            rx.try_recv_many_stamped(&mut bufs, &mut got).unwrap();
+            let now = SystemTime::now();
+            for (buf, &(len, stamp)) in bufs.iter().zip(&got) {
+                assert_eq!(buf[..len], [seen; 2]);
+                if cfg!(target_os = "linux") {
+                    assert!(
+                        stamp.is_some_and(|s| s <= now),
+                        "datagram {seen}: {stamp:?}"
+                    );
+                }
+                seen += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn stamped_tcp_reads_would_block_then_see_bytes_then_eof() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_arrival_stamps().unwrap();
+        let mut buf = [0u8; 16];
+        let err = server.try_read_stamped(&mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        client.write_all(b"hello").unwrap();
+        server.peek(&mut [0u8; 1]).unwrap();
+        let (n, stamp) = server.try_read_stamped(&mut buf).unwrap();
+        assert_eq!(&buf[..n], b"hello");
+        // The kernel turns receive stamping on a moment after the first
+        // socket asks for it, and a TCP segment that arrived unstamped
+        // carries none, so only a stamp that is there can be checked.
+        assert!(stamp.is_none_or(|s| s <= SystemTime::now()), "{stamp:?}");
+        drop(client);
+        assert_eq!(server.peek(&mut [0u8; 1]).unwrap(), 0, "no EOF seen");
+        assert_eq!(server.try_read_stamped(&mut buf).unwrap().0, 0);
+    }
+}

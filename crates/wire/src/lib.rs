@@ -12,7 +12,7 @@
 //! * 2-byte length framing for DNS over TCP/TLS ([`framing`]).
 //!
 //! The codec is written against byte slices (no I/O) so the same code path is
-//! used by the live tokio transports, the discrete-event simulator, and the
+//! used by the live socket transports, the discrete-event simulator, and the
 //! trace readers.
 
 #![deny(rust_2018_idioms, unsafe_op_in_unsafe_fn, unreachable_pub)]
