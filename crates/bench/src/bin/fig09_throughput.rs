@@ -2,7 +2,8 @@
 //!
 //! Replays one *continuous* stream of identical queries
 //! (`www.example.com`) over UDP with timers disabled — the paper's setup:
-//! one query generator, one distributor, six queriers on one host — and
+//! one query generator, one distributor, six queriers on one host, one
+//! source per querier — and
 //! samples the live telemetry registry every two seconds for query rate
 //! and bandwidth, exactly as the paper plots. (The window loop is a
 //! [`ldp_telemetry::Sampler`] consumer: the same registry that feeds
@@ -36,20 +37,18 @@ fn engine() -> Arc<AuthEngine> {
     Arc::new(AuthEngine::with_zones(Arc::new(set)))
 }
 
-/// The §4.3 artificial generator as a lazy stream: identical queries,
-/// five sources, produced until `budget` elapses (the bounded read-ahead
-/// in [`LiveReplay::run_stream`] parks it whenever the pipeline is full).
+/// The §4.3 artificial generator as a lazy stream: identical queries from
+/// `sources` sources (one per querier, so sticky routing gives each
+/// querier one), produced until `budget` elapses (the bounded read-ahead
+/// in [`LiveReplay::run_iter`] parks it whenever the pipeline is full).
 fn query_stream(
+    sources: usize,
     budget: Duration,
 ) -> impl Iterator<Item = Result<TraceRecord, ldp_trace::TraceError>> + Send {
     let name = Name::parse("www.example.com").expect("valid name");
-    let sources: [std::net::IpAddr; 5] = [
-        "10.0.0.1".parse().expect("valid ip"),
-        "10.0.0.2".parse().expect("valid ip"),
-        "10.0.0.3".parse().expect("valid ip"),
-        "10.0.0.4".parse().expect("valid ip"),
-        "10.0.0.5".parse().expect("valid ip"),
-    ];
+    let sources: Vec<std::net::IpAddr> = (1..=sources.max(1))
+        .map(|k| std::net::Ipv4Addr::new(10, 0, (k >> 8) as u8, k as u8).into())
+        .collect();
     let started = Instant::now();
     (0u64..).map_while(move |i| {
         if i % 1024 == 0 && started.elapsed() >= budget {
@@ -57,12 +56,30 @@ fn query_stream(
         }
         Some(Ok(TraceRecord::udp_query(
             0, // all at t=0: fast mode ignores timing anyway
-            sources[(i % 5) as usize],
+            sources[(i % sources.len() as u64) as usize],
             (1024 + i % 60_000) as u16,
             name.clone(),
             RrType::A,
         )))
     })
+}
+
+/// CPU time this process has used, user plus system, in µs (from
+/// `/proc/self/stat`, in 10 ms clock ticks; 0 where it cannot be read).
+fn process_cpu_us() -> u64 {
+    let Ok(stat) = std::fs::read_to_string("/proc/self/stat") else {
+        return 0;
+    };
+    // The command name may hold spaces; fields resume after its ')', at
+    // field 3 of stat(5), so utime and stime (14 and 15) are 11 and 12.
+    let rest = stat.rfind(')').map_or("", |at| &stat[at + 1..]);
+    let field = |i: usize| -> u64 {
+        rest.split_whitespace()
+            .nth(i)
+            .and_then(|f| f.parse().ok())
+            .unwrap_or(0)
+    };
+    (field(11) + field(12)) * 10_000
 }
 
 fn main() {
@@ -98,7 +115,11 @@ fn main() {
     let obs = ReplaySpans::from_env(replay.distributors * replay.queriers_per_distributor);
     replay.obs = obs.clone();
     let budget = Duration::from_secs_f64(budget_s);
-    let records = query_stream(budget);
+    let records = query_stream(
+        replay.distributors * replay.queriers_per_distributor,
+        budget,
+    );
+    let cpu_before = process_cpu_us();
     let runner = std::thread::spawn(move || replay.run_iter(records));
 
     let mut sampler = ldp_telemetry::Sampler::new(registry, 4_096);
@@ -132,10 +153,14 @@ fn main() {
         .join()
         .expect("replay thread joins")
         .expect("replay runs");
+    // Server and replay share this process, so this is the CPU of the
+    // whole replay → server → replay loop.
+    let cpu_us = process_cpu_us().saturating_sub(cpu_before);
     let total_sent = out.sent;
     // What came back, over the same send phase the rate is measured on.
     let answered = out.answered;
     let answer_ratio = answered as f64 / total_sent.max(1) as f64;
+    let cpu_us_per_answer = cpu_us as f64 / answered.max(1) as f64;
     let answered_qps = if out.send_duration_us == 0 {
         0.0
     } else {
@@ -186,6 +211,7 @@ fn main() {
     summary.row(vec![json!("answered"), json!(answered)]);
     summary.row(vec![json!("answer ratio"), json!(answer_ratio)]);
     summary.row(vec![json!("answered rate (q/s)"), json!(answered_qps)]);
+    summary.row(vec![json!("cpu_us_per_answer"), json!(cpu_us_per_answer)]);
     summary.row(vec![json!("replay process max RSS (MB)"), json!(rss_mb)]);
 
     println!(
@@ -217,6 +243,7 @@ fn main() {
         "answered": answered,
         "answer_ratio": answer_ratio,
         "answered_qps": answered_qps,
+        "cpu_us_per_answer": cpu_us_per_answer,
         "replay_rss_mb": rss_mb,
         "shards": last_shards,
         "totals": totals,

@@ -1,13 +1,17 @@
-//! Batched UDP syscalls (`sendmmsg`/`recvmmsg`) and stamped reads
-//! (`recvmsg` with `SO_TIMESTAMPNS` control data): one kernel entry moves
-//! a whole batch of datagrams, which is the difference between
-//! syscall-bound and CPU-bound replay on a single core.
+//! Batched UDP syscalls (`sendmmsg`/`recvmmsg`), UDP GSO sends
+//! (`sendmsg` with `UDP_SEGMENT` control data) and stamped reads
+//! (`recvmsg` with `SO_TIMESTAMPNS` control data). One kernel entry moves
+//! a whole batch of datagrams, which saves the syscalls; a run of
+//! equal-length datagrams to one destination also makes one trip through
+//! the UDP stack, which saves most of the rest, since on loopback that
+//! trip costs several times a syscall per datagram.
 
 use std::io;
 use std::mem::MaybeUninit;
 use std::net::{SocketAddr, UdpSocket};
 use std::ops::Range;
 use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, SystemTime};
 
 use crate::{RECV_BATCH, SEND_BATCH, SOL_SOCKET};
@@ -16,6 +20,17 @@ use crate::{RECV_BATCH, SEND_BATCH, SOL_SOCKET};
 /// most one pipeline batch (256 records by default), so one kernel
 /// entry carries it.
 const MAX_BATCH: usize = 256;
+/// Most datagrams one GSO send carries: every kernel with UDP GSO takes
+/// this many (its `UDP_MAX_SEGMENTS` is 64, or 128 on recent ones).
+const MAX_SEGMENTS: usize = 64;
+/// Most payload bytes one GSO send carries: an IPv4 datagram's limit.
+const MAX_GSO_BYTES: usize = 65_507;
+
+const SOL_UDP: i32 = 17;
+/// The UDP GSO socket option and control message type.
+const UDP_SEGMENT: i32 = 103;
+const EIO: i32 = 5;
+const EINVAL: i32 = 22;
 
 const AF_INET: u16 = 2;
 const AF_INET6: u16 = 10;
@@ -53,7 +68,15 @@ struct MMsgHdr {
 }
 
 extern "C" {
+    fn getsockopt(
+        fd: i32,
+        level: i32,
+        optname: i32,
+        optval: *mut core::ffi::c_void,
+        optlen: *mut u32,
+    ) -> i32;
     fn recvmsg(fd: i32, msg: *mut MsgHdr, flags: i32) -> isize;
+    fn sendmsg(fd: i32, msg: *const MsgHdr, flags: i32) -> isize;
     fn sendmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
     fn recvmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32, timeout: *mut u8) -> i32;
 }
@@ -114,32 +137,63 @@ pub(crate) fn send_many_each(
     })
 }
 
-/// Sends `count` datagrams, `BATCH` per `sendmmsg(2)`: datagram `i` is
-/// `datagram(i)`, its bytes and its destination. Each batch is described in fixed arrays on the stack, of
-/// which only the entries in use are written, so a call allocates
-/// nothing. Returns how many the kernel accepted; it stops at the
-/// first short batch.
+/// Sends `count` datagrams in order: datagram `i` is `datagram(i)`, its
+/// bytes and its destination. Each maximal run of datagrams to one
+/// destination with one length (see [`run_len`]) is one GSO send
+/// ([`send_run`]); the rest go out `BATCH` per `sendmmsg(2)`. Every call
+/// is described in fixed arrays on the stack, of which only the entries
+/// in use are written, so a call allocates nothing. Returns how many the
+/// kernel accepted; it stops at the first refusal. A run refused as a
+/// GSO send (`EINVAL`, `EIO`) goes out through `sendmmsg` instead.
 fn send_batches<'a, const BATCH: usize>(
     socket: &UdpSocket,
     count: usize,
     datagram: impl Fn(usize) -> (&'a [u8], SocketAddr),
 ) -> io::Result<usize> {
     let fd = socket.as_raw_fd();
+    let gso = count > 1 && gso_supported(fd);
+    // Datagrams before `plain_until` (a run the kernel refused as one GSO
+    // send) go out through `sendmmsg`; `run_at(i)` is the length of the
+    // run starting at `i`, 1 for none.
+    let mut plain_until = 0usize;
+    let run_at = |i: usize, plain_until: usize| {
+        if gso && i >= plain_until {
+            run_len(i, count, &datagram)
+        } else {
+            1
+        }
+    };
     let mut sent = 0usize;
     while sent < count {
-        let len = (count - sent).min(BATCH);
+        let run = run_at(sent, plain_until);
+        if run > 1 {
+            match send_run(fd, sent, run, &datagram) {
+                Ok(()) => sent += run,
+                Err(e) if matches!(e.raw_os_error(), Some(EINVAL | EIO)) => {
+                    plain_until = sent + run;
+                }
+                Err(_) if sent > 0 => return Ok(sent),
+                Err(e) => return Err(e),
+            }
+            continue;
+        }
         let mut names = [const { MaybeUninit::<[u8; SOCKADDR_LEN]>::uninit() }; BATCH];
         let mut iovs = [const { MaybeUninit::<IoVec>::uninit() }; BATCH];
         let mut msgs = [const { MaybeUninit::<MMsgHdr>::uninit() }; BATCH];
-        for i in 0..len {
-            let (bytes, target) = datagram(sent + i);
+        let mut len = 0usize;
+        // Up to `BATCH` datagrams, ending before the next run.
+        while len < BATCH
+            && sent + len < count
+            && (len == 0 || run_at(sent + len, plain_until) == 1)
+        {
+            let (bytes, target) = datagram(sent + len);
             let (raw, namelen) = encode_sockaddr(target);
-            let name = names[i].write(raw).as_mut_ptr();
-            let iov: *mut IoVec = iovs[i].write(IoVec {
+            let name = names[len].write(raw).as_mut_ptr();
+            let iov: *mut IoVec = iovs[len].write(IoVec {
                 base: bytes.as_ptr() as *mut u8,
                 len: bytes.len(),
             });
-            msgs[i].write(MMsgHdr {
+            msgs[len].write(MMsgHdr {
                 hdr: MsgHdr {
                     name,
                     namelen,
@@ -151,6 +205,7 @@ fn send_batches<'a, const BATCH: usize>(
                 },
                 len: 0,
             });
+            len += 1;
         }
         // SAFETY: the first `len` messages are written, and point at
         // sockaddr storage, iovecs and buffer bytes that outlive the
@@ -168,6 +223,113 @@ fn send_batches<'a, const BATCH: usize>(
         }
     }
     Ok(sent)
+}
+
+/// How many datagrams from `first` on make one GSO run: the same
+/// destination, the same nonzero length but for a shorter (nonzero) last
+/// one, at most [`MAX_SEGMENTS`] of them and [`MAX_GSO_BYTES`] in all.
+/// 1 means no run starts there.
+fn run_len<'a>(
+    first: usize,
+    count: usize,
+    datagram: &impl Fn(usize) -> (&'a [u8], SocketAddr),
+) -> usize {
+    let (head, to) = datagram(first);
+    let size = head.len();
+    let mut n = 1;
+    let mut bytes = size;
+    while size > 0 && n < MAX_SEGMENTS && first + n < count {
+        let (next, next_to) = datagram(first + n);
+        if next_to != to || next.is_empty() || next.len() > size {
+            break;
+        }
+        bytes += next.len();
+        if bytes > MAX_GSO_BYTES {
+            break;
+        }
+        n += 1;
+        if next.len() < size {
+            break;
+        }
+    }
+    n
+}
+
+/// Sends datagrams `first..first + run` (one run, see [`run_len`]) as
+/// one `sendmsg(2)` with a `UDP_SEGMENT` control message: the kernel
+/// takes the run through its UDP stack once and cuts it into datagrams of
+/// the first one's length at the device, or at the receiving socket on
+/// loopback. Each is still its own datagram on the wire; what is saved
+/// is the per-datagram trip through the stack, which costs several times
+/// a syscall.
+fn send_run<'a>(
+    fd: i32,
+    first: usize,
+    run: usize,
+    datagram: &impl Fn(usize) -> (&'a [u8], SocketAddr),
+) -> io::Result<()> {
+    if let Some(e) = crate::fault::udp_gso_fault() {
+        return Err(e);
+    }
+    let (head, target) = datagram(first);
+    let size = u16::try_from(head.len()).map_err(|_| io::Error::from_raw_os_error(EINVAL))?;
+    let mut iovs = [const { MaybeUninit::<IoVec>::uninit() }; MAX_SEGMENTS];
+    for (i, iov) in iovs.iter_mut().enumerate().take(run) {
+        let (bytes, _) = datagram(first + i);
+        iov.write(IoVec {
+            base: bytes.as_ptr() as *mut u8,
+            len: bytes.len(),
+        });
+    }
+    let (mut name, namelen) = encode_sockaddr(target);
+    // One `cmsghdr` (length, level, type) and the segment size, padded
+    // to `CMSG_SPACE(2)`.
+    let mut control = Control([0; CONTROL_LEN]);
+    control.0[..8].copy_from_slice(&(16usize + 2).to_ne_bytes());
+    control.0[8..12].copy_from_slice(&SOL_UDP.to_ne_bytes());
+    control.0[12..16].copy_from_slice(&UDP_SEGMENT.to_ne_bytes());
+    control.0[16..18].copy_from_slice(&size.to_ne_bytes());
+    let hdr = MsgHdr {
+        name: name.as_mut_ptr(),
+        namelen,
+        iov: iovs.as_mut_ptr().cast(),
+        iovlen: run.min(MAX_SEGMENTS),
+        control: control.0.as_mut_ptr(),
+        controllen: 24,
+        flags: 0,
+    };
+    // SAFETY: the first `min(run, MAX_SEGMENTS)` iovecs are written and
+    // point at buffer bytes that outlive the call, as do the sockaddr and
+    // control storage; `MaybeUninit<IoVec>` has `IoVec`'s layout.
+    if unsafe { sendmsg(fd, &hdr, 0) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
+}
+
+/// Whether the kernel segments UDP sends (`UDP_SEGMENT`, Linux 4.18 and
+/// later), asked once per process with `getsockopt(2)`: a kernel without
+/// it ignores the control message and would send a whole run as one
+/// datagram.
+fn gso_supported(fd: i32) -> bool {
+    const UNKNOWN: u8 = 0;
+    const YES: u8 = 1;
+    const NO: u8 = 2;
+    static GSO: AtomicU8 = AtomicU8::new(UNKNOWN);
+    match GSO.load(Ordering::Relaxed) {
+        YES => true,
+        NO => false,
+        _ => {
+            let mut value = 0i32;
+            let mut len = std::mem::size_of::<i32>() as u32;
+            let ptr = (&mut value as *mut i32).cast();
+            // SAFETY: fd is a live socket; optval and optlen point at an
+            // i32 and its size, which outlive the call.
+            let yes = unsafe { getsockopt(fd, SOL_UDP, UDP_SEGMENT, ptr, &mut len) } == 0;
+            GSO.store(if yes { YES } else { NO }, Ordering::Relaxed);
+            yes
+        }
+    }
 }
 
 /// Control-message space per read: one `cmsghdr` (16 bytes) plus a

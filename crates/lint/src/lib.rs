@@ -31,8 +31,10 @@ pub use rules::{
     check_r4, entry_points, roundtrip_tests, Diagnostic, FileAnalysis, FileScope, Rule,
 };
 
-/// Hot-path modules for R1/R5: every file in these crates' `src` trees...
-const HOT_PATH_CRATES: &[&str] = &["wire", "server", "proxy"];
+/// Hot-path modules for R1/R5: every file in these crates' `src` trees
+/// (`io` holds the socket calls every datagram and segment passes
+/// through)...
+const HOT_PATH_CRATES: &[&str] = &["wire", "server", "proxy", "io"];
 /// ...plus these individual files.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/replay/src/engine.rs",
@@ -259,6 +261,11 @@ mod tests {
         );
         let s = workspace_scope(Path::new("crates/metrics/src/report.rs"));
         assert!(!s.hot_path && !s.wire);
+        let s = workspace_scope(Path::new("crates/io/src/mmsg.rs"));
+        assert!(
+            s.hot_path && !s.wire && !s.sans_io,
+            "every UDP batch is sent and read here"
+        );
         // The trace on-disk writers are wire scope without being hot path.
         for f in ["capture.rs", "pcap.rs", "stream.rs"] {
             let s = workspace_scope(&Path::new("crates/trace/src").join(f));

@@ -18,9 +18,13 @@
 //! Each querier is the live driver of the querier core
 //! ([`crate::querier`]), which makes every decision. The driver does the
 //! I/O it asks for — binds sockets and opens connections, sends a run
-//! with one `sendmmsg` or one framed write, sleeps (timer slack 1 ns) to
+//! with one framed write or one batch send, sleeps (timer slack 1 ns) to
 //! the core's next deadline — and hands it the time
-//! as nanoseconds since the replay epoch. Each shard counts its events in
+//! as nanoseconds since the replay epoch. A batch send of equal-length
+//! queries (a Fast-mode run of one repeated query) is one UDP GSO send:
+//! on loopback each datagram's trip through the kernel's UDP stack costs
+//! several times a syscall, and GSO makes one trip for the whole run
+//! while each query is still its own datagram on the wire. Each shard counts its events in
 //! one [`ShardCounters`] block, which the core and the Postman write, the
 //! telemetry registry observes, and the report snapshots as [`ShardStats`].
 //!
@@ -259,6 +263,10 @@ impl LiveReplay {
             Some(Ok(rec)) => rec,
         };
         let trace_epoch_us = first.time_us;
+        // Kernel arrival stamps are live before the clock starts, and stay
+        // live until the replay ends: a TCP answer that arrived before the
+        // kernel turned stamping on would carry none.
+        let _stamps = ldp_io::hold_arrival_stamps();
         // The shared epoch (the time-sync broadcast value). Taken just
         // before spawning so offsets are measured on one clock; the few
         // microseconds of spawn skew show up as (tiny) positive timing
@@ -628,7 +636,9 @@ impl LiveQuerier {
     }
 
     /// Puts the core's wires on `sock`, noting in `failed` the ones that
-    /// did not go out. A UDP run is one `sendmmsg`; any tail the kernel
+    /// did not go out. A UDP run is one [`UdpSocketExt::send_many_to`]:
+    /// one `sendmmsg`, and one GSO send (one trip through the UDP stack)
+    /// for each stretch of equal-length wires. Any tail the kernel
     /// refuses goes out datagram by datagram, as a retransmit (`resend`)
     /// does. A connection's run is one
     /// write of its frames back to back; if it fails, the answers the

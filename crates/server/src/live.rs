@@ -598,6 +598,42 @@ mod tests {
         assert_eq!(hist.count(), 1, "one handle-time sample per UDP query");
     }
 
+    /// The answers to a burst of equal queries are equal but for the id,
+    /// so they leave as one run: each must still be its own datagram,
+    /// with its own id.
+    #[test]
+    fn a_burst_of_equal_queries_gets_one_answer_per_id() {
+        let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
+        let client = ldp_io::bind_udp("127.0.0.1:0").unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let ids: Vec<u16> = (0..40).map(|i| 7_000 + i * 13).collect();
+        let queries: Vec<Vec<u8>> = ids
+            .iter()
+            .map(|&id| {
+                let q = Message::query(id, n("www.example.com"), RrType::A);
+                q.to_bytes().unwrap()
+            })
+            .collect();
+        assert_eq!(client.send_many_to(&queries, server.addr).unwrap(), 40);
+        let mut buf = vec![0u8; 4096];
+        let mut answered = Vec::new();
+        let mut first: Option<Vec<u8>> = None;
+        for _ in 0..40 {
+            let len = client.recv(&mut buf).unwrap();
+            let resp = Message::from_bytes(&buf[..len]).unwrap();
+            assert_eq!(resp.answers.len(), 1);
+            answered.push(resp.header.id);
+            // Past the id, every answer is the same.
+            let body = buf[2..len].to_vec();
+            assert_eq!(*first.get_or_insert_with(|| body.clone()), body);
+        }
+        answered.sort_unstable();
+        assert_eq!(answered, ids);
+        assert_eq!(server.stats.udp_queries.load(Ordering::Relaxed), 40);
+    }
+
     #[test]
     fn tcp_roundtrip_with_connection_reuse() {
         let server = LiveServer::start(engine(), "127.0.0.1:0".parse().unwrap()).unwrap();
